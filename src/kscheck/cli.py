@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 on success (and when the asked-for object exists), 1 when a
 search comes back empty (no valuation, no certificate, no model), 2 on
-any input or usage error. All numbers printed are exact rationals.
+any input or usage error and on any unexpected failure, which prints a
+single ``error:`` line. All numbers printed are exact rationals.
 """
 
 from __future__ import annotations
@@ -222,6 +223,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         # ParseError, ScenarioError and ContextError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit code 1 means "searched, found nothing", so a crash must not
+        # fall through to the interpreter's traceback and exit status.
+        detail = " ".join(str(exc).split())
+        print(f"error: internal failure: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
 
 

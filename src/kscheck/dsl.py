@@ -36,11 +36,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import RMatrix, RVector
-from .ksengine import KSScenario, build_scenario
+from .ksengine import KSScenario, _assemble
 from .probability import DensityOperator
-from .qlogic import ContextError, Ray, validate_context
+from .qlogic import Context, ContextError, Ray, validate_context
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_DIM_RE = re.compile(r"^[0-9]+$")
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_@.\-]*$")
 _KEYWORDS = {"dim", "ray", "context"}
 
@@ -85,15 +86,16 @@ def _coords_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> RVector
 def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
     """Parse a scenario document into a validated :class:`KSScenario`.
 
-    ``merge`` is forwarded to :func:`kscheck.ksengine.build_scenario`:
-    merged scenarios identify proportional rays across contexts, unmerged
-    ones mint a distinct ray per context occurrence.
+    Each context is validated once, as its line is read, so errors keep
+    their line and column. ``merge`` has the meaning it has in
+    :func:`kscheck.ksengine.build_scenario`: merged scenarios identify
+    proportional rays across contexts, unmerged ones mint a distinct ray
+    per context occurrence.
     """
     dim: int | None = None
-    rays: list[tuple[str, RVector]] = []
     ray_pos: dict[str, tuple[int, int]] = {}
-    ray_objs: dict[str, Ray] = {}
-    contexts: list[list[str]] = []
+    rays: dict[str, Ray] = {}
+    contexts: list[Context] = []
 
     for line, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw)
@@ -110,7 +112,7 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
             if len(rest) != 1:
                 raise ParseError(line, key_col, "dim takes exactly one argument")
             col, tok = rest[0]
-            if not tok.isdigit() or int(tok) < 1:
+            if not _DIM_RE.match(tok) or int(tok) < 1:
                 raise ParseError(line, col, f"invalid dimension {tok!r}")
             dim = int(tok)
 
@@ -130,8 +132,7 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
             if coords.is_zero():
                 raise ParseError(line, rest[1][0], f"ray {rid!r} is the zero vector")
             ray_pos[rid] = (line, id_col)
-            ray_objs[rid] = Ray(rid, coords)
-            rays.append((rid, coords))
+            rays[rid] = Ray(rid, coords)
 
         elif key == "context":
             if dim is None:
@@ -146,10 +147,9 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
                     raise ParseError(line, col, f"ray {rid!r} repeated in context")
                 ids.append(rid)
             try:
-                validate_context([ray_objs[rid] for rid in ids], dim)
+                contexts.append(validate_context([rays[rid] for rid in ids], dim))
             except ContextError as exc:
                 raise ParseError(line, key_col, str(exc)) from None
-            contexts.append(ids)
 
         else:
             raise ParseError(line, key_col, f"unknown keyword {key!r}")
@@ -161,13 +161,13 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
     if not contexts:
         raise ParseError(1, 1, "no context declarations")
 
-    referenced = {rid for ctx in contexts for rid in ctx}
-    for rid, _ in rays:
+    referenced = {r.id for ctx in contexts for r in ctx.rays}
+    for rid in rays:
         if rid not in referenced:
             rline, rcol = ray_pos[rid]
             raise ParseError(rline, rcol, f"ray {rid!r} is not used in any context")
 
-    return build_scenario(rays, contexts, merge=merge, dim=dim)
+    return _assemble(list(rays.values()), contexts, merge=merge, dim=dim)
 
 
 def serialize_scenario(s: KSScenario) -> str:
@@ -179,7 +179,7 @@ def serialize_scenario(s: KSScenario) -> str:
     """
     lines = [f"dim {s.dim}"]
     for r in s.rays:
-        lines.append("ray " + r.id + " " + " ".join(str(x) for x in r.coords))
+        lines.append("ray " + r.id + " " + " ".join(map(str, r.ints)))
     for c in s.contexts:
         lines.append("context " + " ".join(c.ray_ids))
     return "\n".join(lines) + "\n"

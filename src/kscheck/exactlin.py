@@ -3,9 +3,11 @@
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), so every
 question asked in this package is decided exactly. There is no floating
 point and no tolerance anywhere: equality of vectors, matrices and the
-subspaces built on top of them is literal structural equality. Sizes are
-tiny by design (ambient dimension around 8 at most), so the implementation
-favors clarity over asymptotics.
+subspaces built on top of them is literal structural equality. The
+implementation favors clarity over asymptotics: rays and contexts, which
+reach ambient dimension 31 and more, are handled in integers by
+:mod:`kscheck.qlogic`, and these Fraction matrices serve states,
+projectors, subspaces and the simplex, where dimensions stay small.
 
 Vectors and matrices are immutable and hashable.
 """

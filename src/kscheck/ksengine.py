@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 from .exactlin import RMatrix, RVector, Scalar, nonneg_solve
-from .qlogic import Context, Ray, projector_of, validate_context
+from .qlogic import Context, Ray, validate_context
 
 if TYPE_CHECKING:
     from .probability import DensityOperator
@@ -200,7 +200,9 @@ def build_scenario(
     shared across contexts. With ``merge=False`` every occurrence of a
     ray in a context becomes a fresh ray (id suffixed with ``@c<k>``),
     each appearing in exactly one context; cross-context identity, and
-    with it any chance of a parity contradiction, is dropped.
+    with it any chance of a parity contradiction, is dropped. Each context
+    is validated once, on the declared rays and ids, before merging or
+    minting.
     """
     declared: list[Ray] = []
     seen: set[str] = set()
@@ -224,39 +226,39 @@ def build_scenario(
     if unused:
         raise ScenarioError(f"rays not used in any context: {', '.join(unused)}")
 
+    validated = [validate_context([by_id[rid] for rid in c], dim) for c in context_ids]
+    return _assemble(declared, validated, merge=merge, dim=dim)
+
+
+def _assemble(
+    declared: Sequence[Ray], contexts: Sequence[Context], *, merge: bool, dim: int
+) -> KSScenario:
+    """Scenario from declared rays and their already validated contexts.
+
+    Merging and minting only swap a ray for one with the same canonical
+    coordinates, so the contexts stay valid and are not validated again.
+    """
     if merge:
-        keeper: dict[RVector, str] = {}
-        remap: dict[str, str] = {}
-        kept: list[Ray] = []
+        keeper: dict[tuple[int, ...], Ray] = {}
         for r in declared:
-            if r.coords in keeper:
-                remap[r.id] = keeper[r.coords]
-            else:
-                keeper[r.coords] = r.id
-                remap[r.id] = r.id
-                kept.append(r)
-        out_rays = kept
-        out_context_ids = [[remap[rid] for rid in c] for c in context_ids]
+            keeper.setdefault(r.ints, r)
+        out_rays = list(keeper.values())
+        out_contexts = [Context(tuple(keeper[r.ints] for r in c.rays)) for c in contexts]
     else:
         out_rays = []
-        out_context_ids = []
+        out_contexts = []
         minted: set[str] = set()
-        for k, c in enumerate(context_ids, start=1):
-            ids = []
-            for rid in c:
-                mid = f"{rid}@c{k}"
+        for k, c in enumerate(contexts, start=1):
+            fresh = []
+            for r in c.rays:
+                mid = f"{r.id}@c{k}"
                 if mid in minted:
                     raise ScenarioError(f"minted ray id collision: {mid!r}")
                 minted.add(mid)
-                out_rays.append(Ray(mid, by_id[rid].coords))
-                ids.append(mid)
-            out_context_ids.append(ids)
-
-    ray_by_id = {r.id: r for r in out_rays}
-    validated = tuple(
-        validate_context([ray_by_id[rid] for rid in ids], dim) for ids in out_context_ids
-    )
-    return KSScenario(dim=dim, rays=tuple(out_rays), contexts=validated)
+                fresh.append(Ray(mid, r.ints))
+            out_rays.extend(fresh)
+            out_contexts.append(Context(tuple(fresh)))
+    return KSScenario(dim=dim, rays=tuple(out_rays), contexts=tuple(out_contexts))
 
 
 def without_context(s: KSScenario, index: int) -> KSScenario:
@@ -490,7 +492,7 @@ def noncontextual_model(
     Returns the model or None when the system is infeasible. INFEASIBLE
     here is a theorem: no tolerance is involved anywhere.
     """
-    from .probability import born
+    from .probability import ray_probability
 
     if rho.dim != s.dim:
         raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
@@ -507,7 +509,7 @@ def noncontextual_model(
         for r in s.rays
     ]
     rows.append((Fraction(1),) * n)
-    targets = [born(rho, projector_of(r)) for r in s.rays] + [Fraction(1)]
+    targets = [ray_probability(rho, r) for r in s.rays] + [Fraction(1)]
     x = nonneg_solve(RMatrix(tuple(rows)), RVector(tuple(targets)))
     if x is None:
         return None

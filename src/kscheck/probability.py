@@ -19,10 +19,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
-from .exactlin import RMatrix, RVector, Scalar, _frac, outer, trace_product
-from .qlogic import Context, Projector, canonical_ray_coords, projector_of
+from .exactlin import RMatrix, RVector, Scalar, _frac, trace_product
+from .qlogic import Context, Projector, Ray, _canonical_ints, resolves_identity
 
 if TYPE_CHECKING:
     from .ksengine import KSScenario
@@ -144,6 +147,29 @@ def _is_psd(m: RMatrix) -> bool:
     return True
 
 
+def _mixture_matrix(parts: Sequence[tuple[Fraction, RVector | Iterable[Scalar]]]) -> RMatrix:
+    """Sum of w v v^T / (v . v) over the parts (w, v).
+
+    Accumulated in integers over the common denominator of the terms, so
+    each entry becomes a Fraction once.
+    """
+    terms = [(w, _canonical_ints(coords)) for w, coords in parts]
+    dim = len(terms[0][1])
+    if any(len(v) != dim for _, v in terms):
+        raise ValueError("mixture components have different dimensions")
+    dens = [w.denominator * sum(map(mul, v, v)) for w, v in terms]
+    common = lcm(*dens)
+    total = [[0] * dim for _ in range(dim)]
+    for (w, v), den in zip(terms, dens):
+        scale = w.numerator * (common // den)
+        for i, a in enumerate(v):
+            if a:
+                row, sa = total[i], scale * a
+                for j, b in enumerate(v):
+                    row[j] += sa * b
+    return RMatrix(tuple(tuple(Fraction(x, common) for x in row) for row in total))
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Rational symmetric PSD matrix of trace one."""
@@ -165,15 +191,27 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.nrows
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, R) with rho = R / D, D the lcm of the entries' denominators."""
+        common = lcm(*(x.denominator for row in self.matrix.rows for x in row))
+        return common, tuple(
+            tuple(x.numerator * (common // x.denominator) for x in row)
+            for row in self.matrix.rows
+        )
+
     @classmethod
     def pure(cls, coords: RVector | Iterable[Scalar]) -> "DensityOperator":
         """Pure state on the ray through ``coords``."""
-        v = canonical_ray_coords(coords)
-        return cls(outer(v, v).scale(Fraction(1) / v.dot(v)))
+        return cls(_mixture_matrix([(Fraction(1), coords)]))
 
     @classmethod
     def mixture(cls, parts: Sequence[tuple[Scalar, RVector | Iterable[Scalar]]]) -> "DensityOperator":
-        """Convex mixture of pure states, weights summing to exactly 1."""
+        """Convex mixture of pure states, weights summing to exactly 1.
+
+        The components are not built as states of their own: only the
+        mixture goes through the constructor's checks.
+        """
         if not parts:
             raise ValueError("mixture needs at least one component")
         weights = [_frac(w) for w, _ in parts]
@@ -181,11 +219,7 @@ class DensityOperator:
             raise ValueError("mixture weights must be nonnegative")
         if sum(weights) != 1:
             raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
-        total = None
-        for w, coords in parts:
-            term = cls.pure(coords).matrix.scale(_frac(w))
-            total = term if total is None else total + term
-        return cls(total)
+        return cls(_mixture_matrix([(w, coords) for w, (_, coords) in zip(weights, parts)]))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -199,6 +233,18 @@ def born(rho: DensityOperator, p: Projector) -> Fraction:
     return trace_product(rho.matrix, p.matrix)
 
 
+def ray_probability(rho: DensityOperator, ray: Ray) -> Fraction:
+    """Born probability v . rho v / v . v of a ray, from its integer
+    coordinates; equal to ``born(rho, projector_of(ray))`` without
+    building the projector."""
+    v = ray.ints
+    if rho.dim != len(v):
+        raise ValueError(f"dimension mismatch: state {rho.dim}, ray {len(v)}")
+    common, rows = rho._scaled
+    quad = sum(x * sum(map(mul, row, v)) for x, row in zip(v, rows) if x)
+    return Fraction(quad, common * sum(map(mul, v, v)))
+
+
 def expectation(rho: DensityOperator, observable: RMatrix) -> Fraction:
     """Mean value trace(rho A) of a symmetric observable matrix."""
     if rho.dim != observable.nrows or not observable.is_square():
@@ -210,10 +256,11 @@ def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilityS
     """The classical probability space a state induces on one context.
 
     Outcomes are the context's ray ids, weighted by their Born
-    probabilities. Because the context's projectors resolve the identity
-    the weights sum to exactly 1; this is asserted, not assumed.
+    probabilities v . rho v / v . v. Because the context's projectors
+    resolve the identity the weights sum to exactly 1; this is asserted,
+    not assumed.
     """
-    weights = {r.id: born(rho, projector_of(r)) for r in c.rays}
+    weights = {r.id: ray_probability(rho, r) for r in c.rays}
     space = FiniteProbabilitySpace(tuple(r.id for r in c.rays), weights)
     if space.total() != 1:
         raise AssertionError(f"context distribution sums to {space.total()}, expected 1")
@@ -232,46 +279,23 @@ class StateAxiomReport:
 def check_state_axioms(rho: DensityOperator, scenario: "KSScenario") -> StateAxiomReport:
     """Verify the measure axioms of a state over a scenario's contexts.
 
-    mu(zero projector) must be 0, and additivity must hold over every
-    orthogonal family the contexts provide: for every subset of a
-    context's atoms the measure of the summed projector must equal the
-    sum of the atomic measures, and for every pair of disjoint subsets
-    the measures of the two compound projectors must add up as well, so
-    the whole Boolean algebra each context generates is covered.
+    The measure mu(P) = trace(rho P) is exactly additive on sums of
+    projectors, so mu(0) = 0 and additivity over every orthogonal family
+    a context provides hold as soon as that family exists: the sum of the
+    projectors of any subset of a context's atoms must itself be a
+    projector. That fails exactly when two atoms of the context are not
+    orthogonal, which is reported per pair, naming the context.
+    Violations are reported, not raised.
     """
+    if rho.dim != scenario.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, scenario {scenario.dim}")
     violations: list[str] = []
-    zero = born(rho, Projector.zero(rho.dim))
-    if zero != 0:
-        violations.append(f"mu(0) = {zero}, expected 0")
     for k, c in enumerate(scenario.contexts):
-        ids = [r.id for r in c.rays]
-        atom = {r.id: projector_of(r) for r in c.rays}
-        all_subsets = [
-            frozenset(combo)
-            for size in range(len(ids) + 1)
-            for combo in itertools.combinations(ids, size)
-        ]
-        compound: dict[frozenset[str], Projector] = {}
-        for sub in all_subsets:
-            total = Projector.zero(rho.dim)
-            for rid in sub:
-                total = total + atom[rid]
-            compound[sub] = total
-        mu = {sub: born(rho, compound[sub]) for sub in all_subsets}
-        for sub in all_subsets:
-            if len(sub) < 2:
-                continue
-            if mu[sub] != sum((mu[frozenset({rid})] for rid in sub), Fraction(0)):
+        for a, b in itertools.combinations(c.rays, 2):
+            if not a.is_orthogonal_to(b):
                 violations.append(
-                    f"additivity fails in context {k + 1} on {{{', '.join(sorted(sub))}}}"
-                )
-        for a, b in itertools.combinations(all_subsets, 2):
-            if a & b:
-                continue
-            if mu[a | b] != mu[a] + mu[b]:
-                violations.append(
-                    f"additivity fails in context {k + 1} on the disjoint pair "
-                    f"{sorted(a)} / {sorted(b)}"
+                    f"additivity fails in context {k + 1}: rays {a.id} and {b.id} are not "
+                    f"orthogonal, so their projectors do not add to a projector"
                 )
     return StateAxiomReport(tuple(violations))
 
@@ -291,37 +315,19 @@ def finite_pvm_check(contexts: Sequence[Context]) -> PvmReport:
 
     For outcome subsets B of a context: M(empty) = 0, M(all outcomes) is
     the identity, M(A union B) = M(A) + M(B) for disjoint A and B, and
-    M(complement of B) = identity - M(B).
+    M(complement of B) = identity - M(B). With M(B) the exact sum of the
+    atoms in B, the first and third hold by construction, and
+    M(B) + M(complement of B) = M(all outcomes), so the complement rule
+    fails on every B exactly when M(all outcomes) is not the identity.
+    That one check runs, in integers (:func:`resolves_identity`).
     """
     violations: list[str] = []
     for k, c in enumerate(contexts):
-        dim = c.dim
-        atoms = {r.id: projector_of(r).matrix for r in c.rays}
-        ids = list(atoms)
-        all_subsets = [
-            frozenset(combo)
-            for size in range(len(ids) + 1)
-            for combo in itertools.combinations(ids, size)
-        ]
-        measure: dict[frozenset[str], RMatrix] = {}
-        for sub in all_subsets:
-            total = RMatrix.zeros(dim, dim)
-            for rid in sub:
-                total = total + atoms[rid]
-            measure[sub] = total
-        if not measure[frozenset()].is_zero():
-            violations.append(f"context {k + 1}: M(empty) != 0")
-        if measure[frozenset(ids)] != RMatrix.identity(dim):
-            violations.append(f"context {k + 1}: M(all outcomes) != identity")
-        for sub in all_subsets:
-            comp = frozenset(ids) - sub
-            if measure[comp] != RMatrix.identity(dim) - measure[sub]:
-                violations.append(f"context {k + 1}: complement rule fails on {sorted(sub)}")
-        for a, b in itertools.combinations(all_subsets, 2):
-            if a & b:
-                continue
-            if measure[a | b] != measure[a] + measure[b]:
-                violations.append(
-                    f"context {k + 1}: additivity fails on {sorted(a)} and {sorted(b)}"
-                )
+        atoms = {r.id: r for r in c.rays}
+        if resolves_identity(list(atoms.values()), c.dim):
+            continue
+        violations.append(f"context {k + 1}: M(all outcomes) != identity")
+        for size in range(len(atoms) + 1):
+            for combo in itertools.combinations(atoms, size):
+                violations.append(f"context {k + 1}: complement rule fails on {sorted(combo)}")
     return PvmReport(tuple(violations))

@@ -19,15 +19,36 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exactlin import RMatrix, RVector, Scalar, kernel_basis, outer, row_reduce
+from .exactlin import RMatrix, RVector, Scalar, _frac, kernel_basis, row_reduce
 
 Coords = Union[RVector, Iterable[Scalar]]
 
 
 def _as_vector(coords: Coords) -> RVector:
     return coords if isinstance(coords, RVector) else RVector(tuple(coords))
+
+
+def _canonical_ints(coords: Coords) -> tuple[int, ...]:
+    """Canonical integer coordinates of the ray through ``coords``."""
+    entries = coords.entries if isinstance(coords, RVector) else tuple(coords)
+    if not entries:
+        raise ValueError("vector must have at least one entry")
+    if all(type(x) is int for x in entries):
+        ints = entries
+    else:
+        fracs = [_frac(x) for x in entries]
+        scale = lcm(*(x.denominator for x in fracs))
+        ints = tuple(x.numerator * (scale // x.denominator) for x in fracs)
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("the zero vector does not span a ray")
+    first = next(x for x in ints if x != 0)
+    if first < 0:
+        g = -g
+    return ints if g == 1 else tuple(x // g for x in ints)
 
 
 def canonical_ray_coords(coords: Coords) -> RVector:
@@ -37,40 +58,43 @@ def canonical_ray_coords(coords: Coords) -> RVector:
     first nonzero entry is positive. Proportional inputs map to the same
     output; the zero vector is rejected.
     """
-    v = _as_vector(coords)
-    if v.is_zero():
-        raise ValueError("the zero vector does not span a ray")
-    scale = lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return RVector(tuple(ints))
+    return RVector(_canonical_ints(coords))
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
 @dataclass(frozen=True)
 class Ray:
-    """A labeled ray, stored in canonical integer form.
+    """A labeled ray, stored as its canonical integer coordinates.
 
     The constructor canonicalizes, so ``Ray("a", (2, 2, 0, 0))`` and
-    ``Ray("a", (-1, -1, 0, 0))`` are the same object value-wise.
+    ``Ray("a", (-1, -1, 0, 0))`` are the same object value-wise. The
+    ``int`` tuple ``ints`` is the one stored form: equality, hashing,
+    merging and orthogonality all work on it, and ``coords`` presents it
+    as an :class:`RVector`.
     """
 
     id: str
-    coords: RVector
+    ints: tuple[int, ...]
 
     def __init__(self, id: str, coords: Coords) -> None:
         object.__setattr__(self, "id", id)
-        object.__setattr__(self, "coords", canonical_ray_coords(coords))
+        object.__setattr__(self, "ints", _canonical_ints(coords))
+
+    @property
+    def coords(self) -> RVector:
+        return RVector(self.ints)
 
     @property
     def dim(self) -> int:
-        return self.coords.dim
+        return len(self.ints)
 
     def is_orthogonal_to(self, other: "Ray") -> bool:
-        return self.coords.dot(other.coords) == 0
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return _dot(self.ints, other.ints) == 0
 
     def __str__(self) -> str:
         return f"{self.id}{self.coords}"
@@ -78,7 +102,12 @@ class Ray:
 
 @dataclass(frozen=True)
 class Projector:
-    """Symmetric idempotent matrix."""
+    """Symmetric idempotent matrix.
+
+    The constructor checks symmetry and idempotence, the latter with a
+    full ``m @ m``. :func:`projector_of`, whose rank-1 matrices are
+    idempotent by construction, skips those checks.
+    """
 
     matrix: RMatrix
 
@@ -118,10 +147,17 @@ class Projector:
 
 
 def projector_of(ray: Ray) -> Projector:
-    """Rank-1 projector v v^T / (v . v) onto the ray."""
-    v = ray.coords
-    n = v.dot(v)
-    return Projector(outer(v, v).scale(Fraction(1, 1) / n))
+    """Rank-1 projector v v^T / (v . v) onto the ray.
+
+    Idempotent by construction, so the constructor's ``m @ m`` check is
+    skipped; only matrices handed to :class:`Projector` directly are
+    checked.
+    """
+    v = ray.ints
+    n = _dot(v, v)
+    p = object.__new__(Projector)
+    object.__setattr__(p, "matrix", RMatrix(tuple(tuple(Fraction(a * b, n) for b in v) for a in v)))
+    return p
 
 
 @dataclass(frozen=True)
@@ -281,14 +317,43 @@ class Context:
         return len(self.rays)
 
 
+def resolves_identity(rays: Sequence[Ray], dim: int) -> bool:
+    """Whether the rank-1 projectors of ``rays`` sum to the identity.
+
+    Decided exactly in integers over the common denominator
+    L = lcm(v . v): the test is sum over the rays of (L / v . v) v v^T
+    == L I, so no Fraction matrix and no projector is built.
+    """
+    for r in rays:
+        if r.dim != dim:
+            raise ValueError(f"ray {r.id} has dimension {r.dim}, expected {dim}")
+    norms = [_dot(r.ints, r.ints) for r in rays]
+    common = lcm(*norms)
+    total = [[0] * dim for _ in range(dim)]
+    for r, n in zip(rays, norms):
+        w = common // n
+        v = r.ints
+        for i, x in enumerate(v):
+            if x:
+                row, wx = total[i], w * x
+                for j, y in enumerate(v):
+                    if y:
+                        row[j] += wx * y
+    return all(
+        total[i][j] == (common if i == j else 0) for i in range(dim) for j in range(dim)
+    )
+
+
 def validate_context(rays: Sequence[Ray], dim: int) -> Context:
     """Check that ``rays`` form a complete measurement context in ``dim``.
 
-    Accepts iff there are exactly ``dim`` rays, no two canonicalize to the
-    same coordinates, and all pairs are orthogonal. The projector sum is
-    then mathematically forced to be the identity, but it is still
-    computed and asserted exactly. Raises :class:`ContextError` listing
-    every violation found.
+    One pass over the canonical integer coordinates: there must be
+    exactly ``dim`` rays, no two may coincide, and every pair must have
+    integer dot product zero. Pairwise orthogonality then forces the
+    projectors to sum to the identity, and that is still asserted
+    exactly, in integers over the common denominator, by
+    :func:`resolves_identity`. Raises :class:`ContextError` listing every
+    violation found.
     """
     violations: list[str] = []
     rays = tuple(rays)
@@ -300,20 +365,17 @@ def validate_context(rays: Sequence[Ray], dim: int) -> Context:
     if len(rays) != dim:
         violations.append(f"context has {len(rays)} rays, needs {dim}")
     for a, b in itertools.combinations(rays, 2):
-        if a.coords == b.coords:
+        if a.ints == b.ints:
             violations.append(f"rays {a.id} and {b.id} coincide after canonicalization")
-        elif not a.is_orthogonal_to(b):
-            violations.append(
-                f"rays {a.id}{a.coords} and {b.id}{b.coords} are not orthogonal "
-                f"(dot = {a.coords.dot(b.coords)})"
-            )
+        else:
+            dot = _dot(a.ints, b.ints)
+            if dot:
+                violations.append(f"rays {a} and {b} are not orthogonal (dot = {dot})")
     if violations:
         raise ContextError(violations)
-    total = RMatrix.zeros(dim, dim)
-    for r in rays:
-        total = total + projector_of(r).matrix
-    if total != RMatrix.identity(dim):
-        raise ContextError([f"projectors do not resolve the identity (sum trace {total.trace()})"])
+    if not resolves_identity(rays, dim):
+        # Each rank-1 projector has trace 1, so the sum has trace len(rays).
+        raise ContextError([f"projectors do not resolve the identity (sum trace {len(rays)})"])
     return Context(rays)
 
 

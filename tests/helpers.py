@@ -102,3 +102,19 @@ def two_disjoint_contexts_scenario() -> KSScenario:
         ("e", (1, 1, 0, 0)), ("f", (1, -1, 0, 0)), ("g", (0, 0, 1, 1)), ("h", (0, 0, 1, -1)),
     ]
     return build_scenario(rays, [["a", "b", "c", "d"], ["e", "f", "g", "h"]])
+
+
+def gram_schmidt(vectors):
+    """Pairwise orthogonal vectors obtained from ``vectors`` in order, or
+    None when they are linearly dependent. Plain Fraction arithmetic on
+    tuples, sharing no code with the package."""
+    basis = []
+    for v in vectors:
+        w = [Fraction(x) for x in v]
+        for b in basis:
+            f = sum(x * y for x, y in zip(w, b)) / sum(y * y for y in b)
+            w = [x - f * y for x, y in zip(w, b)]
+        if all(x == 0 for x in w):
+            return None
+        basis.append(w)
+    return [tuple(b) for b in basis]

@@ -226,6 +226,39 @@ class TestExitCodeContract:
             assert run(argv) in (0, 1, 2), argv
 
 
+class TestUnexpectedFailure:
+    def test_crash_exits_two_with_one_error_line(self, small_file, monkeypatch, capsys):
+        import kscheck.cli
+
+        def crash(s):
+            raise RuntimeError("search blew up\nwith a second line")
+
+        monkeypatch.setattr(kscheck.cli, "find_valuation", crash)
+        assert run(["color", small_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "RuntimeError" in captured.err
+
+    def test_long_chain_never_exits_one(self, tmp_path, capsys):
+        # A chain of 1500 disjoint dim-2 contexts has 2^1500 valuations.
+        # Exit 1 would claim there is none; a search that cannot finish
+        # must exit 2 with a single error line instead.
+        n = 1500
+        lines = ["dim 2"]
+        lines += [f"ray a{k} 1 {k}\nray b{k} {k} -1" for k in range(1, n + 1)]
+        lines += [f"context a{k} b{k}" for k in range(1, n + 1)]
+        path = tmp_path / "chain.ks"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(["color", str(path)])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert len(captured.out.splitlines()) == 2 * n
+        else:
+            assert code == 2
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 class TestNoDecimalOutput:
     def test_probabilities_are_printed_as_rationals(self, cabello_file, tmp_path, capsys):
         state = tmp_path / "s.state"

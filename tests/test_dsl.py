@@ -119,6 +119,27 @@ class TestParseScenario:
         e = err("dim zero\n")
         assert e.line == 1 and "invalid dimension" in e.message
 
+    def test_unicode_digit_dimension_is_a_parse_error(self):
+        e = err("dim \u00b2\n")
+        assert (e.line, e.column) == (1, 5) and "invalid dimension" in e.message
+
+    def test_each_context_is_validated_once(self, monkeypatch):
+        import kscheck.dsl
+        import kscheck.ksengine
+        import kscheck.qlogic
+
+        real = kscheck.qlogic.validate_context
+        calls = []
+
+        def spy(rays, dim):
+            calls.append(tuple(r.id for r in rays))
+            return real(rays, dim)
+
+        for module in (kscheck.dsl, kscheck.ksengine, kscheck.qlogic):
+            monkeypatch.setattr(module, "validate_context", spy)
+        parse_scenario(cabello18_text())
+        assert len(calls) == 9
+
     def test_no_merge_mints_per_occurrence_ids(self):
         s = parse_scenario(cabello18_text(), merge=False)
         assert len(s.rays) == 36

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kscheck import cabello18
 from kscheck.ksengine import (
@@ -24,6 +26,7 @@ from kscheck.qlogic import ContextError
 
 from helpers import (
     brute_force_count,
+    gram_schmidt,
     single_context_scenario,
     subscenario,
     two_disjoint_contexts_scenario,
@@ -306,6 +309,28 @@ class TestOrthogonalityGraph:
         for a, b in itertools.combinations(sorted(by_id), 2):
             expected = by_id[a].coords.dot(by_id[b].coords) == 0
             assert ((a, b) in edges) == expected
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_edges_are_the_pairs_with_zero_rational_dot(self, data):
+        dim = data.draw(st.integers(2, 4))
+        entries = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
+        rays, contexts = [], []
+        for k in range(data.draw(st.integers(1, 4))):
+            basis = gram_schmidt(data.draw(st.lists(entries, min_size=dim, max_size=dim)))
+            if basis is None:
+                continue
+            ids = [f"c{k}r{i}" for i in range(dim)]
+            rays += zip(ids, basis)
+            contexts.append(ids)
+        assume(contexts)
+        s = build_scenario(rays, contexts)
+        expected = tuple(
+            (a.id, b.id)
+            for a, b in itertools.combinations(sorted(s.rays, key=lambda r: r.id), 2)
+            if a.coords.dot(b.coords) == 0
+        )
+        assert orthogonality_graph(s) == expected
 
 
 class TestValuationType:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kscheck import cabello18
 from kscheck.exactlin import RMatrix
@@ -16,9 +17,10 @@ from kscheck.probability import (
     expectation,
     finite_pvm_check,
 )
-from kscheck.qlogic import Projector, Ray, projector_of
+from kscheck.ksengine import KSScenario
+from kscheck.qlogic import Context, Projector, Ray, projector_of, validate_context
 
-from helpers import rand_mixed_state
+from helpers import gram_schmidt, rand_mixed_state
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +205,22 @@ class TestContextDistribution:
         weights = {o: space.weights[o] for o in space.outcomes}
         assert weights == {"r0001": 0, "r0010": 0, "r1100": 1, "r1m00": 0}
 
+    @given(st.data())
+    @settings(deadline=None)
+    def test_weights_equal_full_matrix_born_values(self, data):
+        dim = data.draw(st.integers(2, 4))
+        entries = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        basis = gram_schmidt(data.draw(st.lists(entries, min_size=dim, max_size=dim)))
+        assume(basis is not None)
+        context = validate_context([Ray(f"r{i}", v) for i, v in enumerate(basis)], dim)
+        parts = data.draw(
+            st.lists(st.tuples(st.integers(1, 9), entries.filter(any)), min_size=1, max_size=3)
+        )
+        total = sum(w for w, _ in parts)
+        rho = DensityOperator.mixture([(Fraction(w, total), v) for w, v in parts])
+        space = context_distribution(rho, context)
+        assert space.weights == {r.id: born(rho, projector_of(r)) for r in context.rays}
+
     def test_sums_to_one_for_random_states(self, cabello):
         rng = random.Random(23)
         for _ in range(60):
@@ -226,6 +244,15 @@ class TestStateAxioms:
             )
             assert total == 1 == born(rho, Projector.identity(4))
 
+    def test_non_orthogonal_context_is_reported_not_raised(self):
+        c = Context((Ray("a", (1, 0)), Ray("b", (1, 1))))
+        scenario = KSScenario(dim=2, rays=c.rays, contexts=(c,))
+        report = check_state_axioms(DensityOperator.maximally_mixed(2), scenario)
+        assert not report.ok
+        assert len(report.violations) == 1
+        assert "context 1" in report.violations[0]
+        assert "a and b are not orthogonal" in report.violations[0]
+
 
 class TestPvm:
     def test_cabello_contexts_pass_all_axioms(self, cabello):
@@ -241,6 +268,16 @@ class TestPvm:
         c = cabello.contexts[0]
         for r in c.rays:
             assert projector_of(r).trace() == 1
+
+    def test_non_orthogonal_context_report_is_pinned(self):
+        c = Context((Ray("a", (1, 0)), Ray("b", (1, 1))))
+        assert finite_pvm_check([c]).violations == (
+            "context 1: M(all outcomes) != identity",
+            "context 1: complement rule fails on []",
+            "context 1: complement rule fails on ['a']",
+            "context 1: complement rule fails on ['b']",
+            "context 1: complement rule fails on ['a', 'b']",
+        )
 
 
 class TestMeanValue:

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from kscheck.exactlin import RMatrix, RVector
+from kscheck.exactlin import RMatrix, RVector, outer
 from kscheck.qlogic import (
     Context,
     ContextError,
@@ -17,10 +18,11 @@ from kscheck.qlogic import (
     meet,
     ortho,
     projector_of,
+    resolves_identity,
     validate_context,
 )
 
-from helpers import rand_subspace, rand_subspace_of
+from helpers import gram_schmidt, rand_subspace, rand_subspace_of
 
 
 def vec(*xs):
@@ -198,6 +200,26 @@ class TestValidateContext:
         bad = CABELLO_FIRST_CONTEXT[:3] + [Ray("dup", (2, 2, 0, 0))]
         with pytest.raises(ContextError, match="coincide"):
             validate_context(bad, 4)
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_integer_identity_check_matches_fraction_projector_sum(self, data):
+        dim = data.draw(st.integers(1, 4))
+        orthogonal = data.draw(st.booleans())
+        count = dim if orthogonal else data.draw(st.integers(max(1, dim - 1), dim + 1))
+        nonzero = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+        vectors = data.draw(st.lists(nonzero, min_size=count, max_size=count))
+        if orthogonal:
+            vectors = gram_schmidt(vectors)
+            assume(vectors is not None)
+        rays = [Ray(f"r{i}", v) for i, v in enumerate(vectors)]
+        total = RMatrix.zeros(dim, dim)
+        for r in rays:
+            v = r.coords
+            total = total + outer(v, v).scale(Fraction(1) / v.dot(v))
+        assert resolves_identity(rays, dim) == (total == RMatrix.identity(dim))
+        if orthogonal:
+            assert resolves_identity(rays, dim)
 
 
 class TestBooleanAlgebra:
