@@ -40,7 +40,7 @@ from .ksengine import KSScenario, _assemble
 from .probability import DensityOperator
 from .qlogic import Context, ContextError, Ray, validate_context
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 _DIM_RE = re.compile(r"^[0-9]+$")
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_@.\-]*$")
 _KEYWORDS = {"dim", "ray", "context"}

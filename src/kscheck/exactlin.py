@@ -7,13 +7,17 @@ subspaces built on top of them is literal structural equality. The
 implementation favors clarity over asymptotics: rays and contexts, which
 reach ambient dimension 31 and more, are handled in integers by
 :mod:`kscheck.qlogic`, and these Fraction matrices serve states,
-projectors, subspaces and the simplex, where dimensions stay small.
+projectors and subspaces, where dimensions stay small. The simplex of
+:func:`nonneg_solve` takes Fraction input but pivots fraction-free, on an
+integer tableau over one common denominator.
 
 Vectors and matrices are immutable and hashable.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -38,7 +42,13 @@ class RVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        ent = tuple(_frac(x) for x in self.entries)
+        # Built from a list, not a generator. tuple(generator) takes a
+        # ten-slot tuple and shrinks it, so each short-lived vector or row
+        # would be freed onto the free list of a different size than it was
+        # taken from; that list then grows to its cap of 2000 tuples and
+        # stays there until a full garbage collection. The same holds for
+        # the other tuples built from lists on the state and model paths.
+        ent = tuple([_frac(x) for x in self.entries])
         if not ent:
             raise ValueError("vector must have at least one entry")
         object.__setattr__(self, "entries", ent)
@@ -90,7 +100,7 @@ class RMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(_frac(x) for x in row) for row in self.rows)
+        rows = tuple([tuple([_frac(x) for x in row]) for row in self.rows])
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -255,70 +265,108 @@ def kernel_basis(m: RMatrix) -> tuple[RVector, ...]:
 def nonneg_solve(a: RMatrix, b: RVector) -> RVector | None:
     """Find x >= 0 with a @ x = b, or None if no such x exists.
 
-    Phase-one simplex over exact rationals with Bland's pivoting rule, so
-    termination is guaranteed and the feasibility verdict is a theorem,
-    not a numerical judgement.
+    Phase-one simplex with Bland's pivoting rule, so termination is
+    guaranteed and the feasibility verdict is a theorem, not a numerical
+    judgement. The tableau is pivoted in integers
+    (:func:`_int_nonneg_solve`), every division exact, after scaling
+    ``a`` and ``b`` by the lcm ``L`` of all their denominators. Scaling
+    every row by one positive ``L`` keeps each basis feasible or not,
+    multiplies the artificial variables and the phase-one objective by
+    ``L``, and changes no reduced-cost sign and no ratio-test order. So
+    the pivots are Bland's pivots on the rational tableau, as before, and
+    ``x`` is the vertex the same simplex over ``Fraction`` entries returns.
     """
     m, n = a.nrows, a.ncols
     if b.dim != m:
         raise ValueError(f"right-hand side has dim {b.dim}, expected {m}")
+    scale = math.lcm(*(x.denominator for x in itertools.chain(b.entries, *a.rows)))
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in a.rows]
+    rhs = [x.numerator * (scale // x.denominator) for x in b.entries]
+    support = _int_nonneg_solve(rows, rhs)
+    if support is None:
+        return None
+    return RVector(tuple(support.get(j, Fraction(0)) for j in range(n)))
+
+
+def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] | None:
+    """Nonzero entries of the vertex x >= 0 with a @ x = b, or None.
+
+    The phase-one Bland simplex of :func:`nonneg_solve` on an integer
+    system, pivoted fraction-free (Edmonds; Bareiss 1968). The tableau
+    holds integers ``T`` over one common denominator ``d > 0``; the
+    rational tableau is ``T / d``. Pivoting on ``(r, e)`` with
+    ``p = T[r][e] > 0`` keeps row ``r`` and maps every other row ``i``,
+    the objective included, to ``(p * T[i] - T[i][e] * T[r]) // d``,
+    then sets ``d = p``. The division is exact because each entry is a
+    minor of the initial tableau. Signs are those of the rational tableau
+    since ``d > 0``, and the ratio test compares ``T[i][w] / T[i][e]`` by
+    cross-multiplication, so Bland's choices are unchanged.
+    """
+    m, n = len(a), len(a[0])
+    width = n + m
 
     # Rows with negative right-hand side are negated so the artificial
     # basis starts feasible.
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for i in range(m):
-        row = list(a.rows[i])
-        rhs = b[i]
+        row, rhs = a[i], b[i]
         if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
+            row, rhs = [-x for x in row], -rhs
+        art = [0] * m
+        art[i] = 1
         tableau.append(row + art + [rhs])
-
-    width = n + m
     basis = [n + i for i in range(m)]
 
     # Objective: minimize the sum of artificials. Under the artificial
     # basis the reduced cost of column j is -sum of its structural column,
     # and z[width] carries minus the current objective value.
-    z = [Fraction(0)] * (width + 1)
-    for j in range(n):
-        z[j] = -sum((tableau[i][j] for i in range(m)), Fraction(0))
-    z[width] = -sum((tableau[i][width] for i in range(m)), Fraction(0))
+    z = [-sum(col) for col in zip(*tableau)]
+    z[n:width] = [0] * m
+    d = 1
 
     while True:
         enter = next((j for j in range(width) if z[j] < 0), None)
         if enter is None:
             break
-        leave = None
-        best: Fraction | None = None
+        leave = -1
         for i in range(m):
             coef = tableau[i][enter]
             if coef > 0:
-                ratio = tableau[i][width] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
                     leave = i
-        if leave is None:
+                    continue
+                # Compare ratios rhs / coef of rows i and leave; both
+                # coefficients are positive.
+                mine = tableau[i][width] * tableau[leave][enter]
+                best = tableau[leave][width] * coef
+                if mine < best or (mine == best and basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
             # Cannot happen: the phase-one objective is bounded below by 0.
             raise RuntimeError("unbounded phase-one objective")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
+        prow = tableau[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, tableau[leave])]
+            if i != leave:
+                tableau[i] = _eliminate(tableau[i], prow, p, d, enter)
+        z = _eliminate(z, prow, p, d, enter)
+        d = p
         basis[leave] = enter
 
     if z[width] != 0:
         return None
+    return {
+        var: Fraction(tableau[i][width], d)
+        for i, var in enumerate(basis)
+        if var < n and tableau[i][width] != 0
+    }
 
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i][width]
-    return RVector(tuple(x))
+
+def _eliminate(row: list[int], prow: list[int], p: int, d: int, col: int) -> list[int]:
+    """``(p * row - row[col] * prow) // d``, exact by the Bareiss identity."""
+    f = row[col]
+    if f == 0:
+        if p == d:
+            return row
+        return [p * x // d for x in row]
+    return [(p * x - f * y) // d for x, y in zip(row, prow)]

@@ -20,12 +20,13 @@ enumeration order are stable across runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
-from .exactlin import RMatrix, RVector, Scalar, nonneg_solve
+from .exactlin import RVector, Scalar, _int_nonneg_solve
 from .qlogic import Context, Ray, validate_context
 
 if TYPE_CHECKING:
@@ -329,7 +330,13 @@ def _solutions(
             for p in changed:
                 assign[p] = -1
 
-    yield from settle(0)
+    # settle refers to itself through its closure cell. Clearing the cell
+    # when the search ends or is abandoned frees the search tables at once
+    # instead of leaving a cycle for the garbage collector.
+    try:
+        yield from settle(0)
+    finally:
+        del settle
 
 
 def _components(s: KSScenario) -> list[tuple[list[int], list[int]]]:
@@ -361,7 +368,7 @@ def _components(s: KSScenario) -> list[tuple[list[int], list[int]]]:
 
 def _component_solutions(s: KSScenario, context_ids: list[int], ray_ids: list[int]):
     local = {g: i for i, g in enumerate(ray_ids)}
-    ctxs = [tuple(local[r] for r in s._context_indices[k]) for k in context_ids]
+    ctxs = [tuple([local[r] for r in s._context_indices[k]]) for k in context_ids]
     ray_ctx: list[list[int]] = [[] for _ in ray_ids]
     for k, ctx in enumerate(ctxs):
         for r in ctx:
@@ -491,6 +498,12 @@ def noncontextual_model(
     fraction of valuations assigning it 1 equals its Born probability.
     Returns the model or None when the system is infeasible. INFEASIBLE
     here is a theorem: no tolerance is involved anywhere.
+
+    The LP is built in integers from the search's 0/1 tuples, every row
+    scaled by the lcm of the targets' denominators, and solved by the
+    integer simplex behind :func:`kscheck.exactlin.nonneg_solve`, so the
+    vertex is the one ``nonneg_solve`` returns on the same columns.
+    Valuation objects are built for the support only.
     """
     from .probability import ray_probability
 
@@ -503,18 +516,18 @@ def noncontextual_model(
         raise ScenarioTooLargeError(
             f"{n} valuations exceed the model feasibility limit of {max_valuations}"
         )
-    valuations = list(enumerate_valuations(s))
-    rows = [
-        tuple(Fraction(v[r.id]) for v in valuations)
-        for r in s.rays
-    ]
-    rows.append((Fraction(1),) * n)
-    targets = [ray_probability(rho, r) for r in s.rays] + [Fraction(1)]
-    x = nonneg_solve(RMatrix(tuple(rows)), RVector(tuple(targets)))
-    if x is None:
+    hits = list(_solutions(s._context_indices, s._ray_contexts, len(s.rays)))
+    targets = [ray_probability(rho, r) for r in s.rays]
+    scale = math.lcm(*[t.denominator for t in targets])
+    rows = [[hit[k] * scale for hit in hits] for k in range(len(s.rays))]
+    rows.append([scale] * n)
+    rhs = [t.numerator * (scale // t.denominator) for t in targets] + [scale]
+    weights = _int_nonneg_solve(rows, rhs)
+    if weights is None:
         return None
-    weights = {i: x[i] for i in range(n) if x[i] != 0}
-    support = {i: valuations[i] for i in weights}
+    support = {
+        i: Valuation({r.id: hits[i][k] for k, r in enumerate(s.rays)}) for i in weights
+    }
     return NoncontextualModel(weights=weights, valuations=support)
 
 

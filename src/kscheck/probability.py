@@ -167,7 +167,7 @@ def _mixture_matrix(parts: Sequence[tuple[Fraction, RVector | Iterable[Scalar]]]
                 row, sa = total[i], scale * a
                 for j, b in enumerate(v):
                     row[j] += sa * b
-    return RMatrix(tuple(tuple(Fraction(x, common) for x in row) for row in total))
+    return RMatrix(tuple([tuple([Fraction(x, common) for x in row]) for row in total]))
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,11 @@ class DensityOperator:
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(D, R) with rho = R / D, D the lcm of the entries' denominators."""
-        common = lcm(*(x.denominator for row in self.matrix.rows for x in row))
-        return common, tuple(
-            tuple(x.numerator * (common // x.denominator) for x in row)
+        common = lcm(*[x.denominator for row in self.matrix.rows for x in row])
+        return common, tuple([
+            tuple([x.numerator * (common // x.denominator) for x in row])
             for row in self.matrix.rows
-        )
+        ])
 
     @classmethod
     def pure(cls, coords: RVector | Iterable[Scalar]) -> "DensityOperator":
@@ -261,7 +261,7 @@ def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilityS
     not assumed.
     """
     weights = {r.id: ray_probability(rho, r) for r in c.rays}
-    space = FiniteProbabilitySpace(tuple(r.id for r in c.rays), weights)
+    space = FiniteProbabilitySpace(tuple([r.id for r in c.rays]), weights)
     if space.total() != 1:
         raise AssertionError(f"context distribution sums to {space.total()}, expected 1")
     return space

@@ -40,15 +40,15 @@ def _canonical_ints(coords: Coords) -> tuple[int, ...]:
         ints = entries
     else:
         fracs = [_frac(x) for x in entries]
-        scale = lcm(*(x.denominator for x in fracs))
-        ints = tuple(x.numerator * (scale // x.denominator) for x in fracs)
+        scale = lcm(*[x.denominator for x in fracs])
+        ints = tuple([x.numerator * (scale // x.denominator) for x in fracs])
     g = gcd(*ints)
     if g == 0:
         raise ValueError("the zero vector does not span a ray")
     first = next(x for x in ints if x != 0)
     if first < 0:
         g = -g
-    return ints if g == 1 else tuple(x // g for x in ints)
+    return ints if g == 1 else tuple([x // g for x in ints])
 
 
 def canonical_ray_coords(coords: Coords) -> RVector:
@@ -311,7 +311,7 @@ class Context:
 
     @property
     def ray_ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.rays)
+        return tuple([r.id for r in self.rays])
 
     def __len__(self) -> int:
         return len(self.rays)

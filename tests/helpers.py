@@ -118,3 +118,107 @@ def gram_schmidt(vectors):
             return None
         basis.append(w)
     return [tuple(b) for b in basis]
+
+
+def reference_nonneg_solve(a_rows, b):
+    """Vertex x >= 0 with a @ x = b, or None: the phase-one simplex with
+    Bland's rule over plain Fractions, on lists of rows.
+
+    This is the ``Fraction`` tableau ``exactlin.nonneg_solve`` used
+    before it pivoted in integers, kept here so tests can pin the vertex
+    it returns. Same pivot rule, same tie-break, no shared code.
+    """
+    m, n = len(b), len(a_rows[0])
+    tableau = []
+    for i in range(m):
+        row = [Fraction(x) for x in a_rows[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tableau.append(row + art + [rhs])
+    width = n + m
+    basis = [n + i for i in range(m)]
+    z = [Fraction(0)] * (width + 1)
+    for j in range(n):
+        z[j] = -sum((tableau[i][j] for i in range(m)), Fraction(0))
+    z[width] = -sum((tableau[i][width] for i in range(m)), Fraction(0))
+
+    while True:
+        enter = next((j for j in range(width) if z[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][width] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        pivot = tableau[leave][enter]
+        tableau[leave] = [x / pivot for x in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+        if z[enter] != 0:
+            f = z[enter]
+            z = [x - f * y for x, y in zip(z, tableau[leave])]
+        basis[leave] = enter
+
+    if z[width] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][width]
+    return x
+
+
+def _solve_square_or_none(columns, b):
+    """The unique y with sum_k y_k columns[k] = b, or None when the
+    columns are dependent or the system is inconsistent. Plain Fraction
+    Gauss-Jordan elimination on the augmented matrix."""
+    m, k = len(b), len(columns)
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(b[i])] for i in range(m)]
+    pivot_row = 0
+    for c in range(k):
+        src = next((r for r in range(pivot_row, m) if rows[r][c] != 0), None)
+        if src is None:
+            return None  # dependent columns
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        pv = rows[pivot_row][c]
+        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
+        for r in range(m):
+            if r != pivot_row and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+    if any(rows[r][k] != 0 for r in range(pivot_row, m)):
+        return None  # inconsistent
+    return [rows[r][k] for r in range(k)]
+
+
+def brute_force_feasible(a_rows, b):
+    """Whether some x >= 0 solves a @ x = b, by trying every column subset.
+
+    If the system has a nonnegative solution it has one supported on
+    linearly independent columns (a basic feasible solution), and such a
+    support has at most m columns. So it suffices to solve every subset of
+    size <= m that has independent columns and keep a solution with all
+    entries >= 0.
+    """
+    m, n = len(b), len(a_rows[0])
+    columns = [[a_rows[i][j] for i in range(m)] for j in range(n)]
+    if all(x == 0 for x in b):
+        return True
+    for size in range(1, min(m, n) + 1):
+        for subset in itertools.combinations(range(n), size):
+            y = _solve_square_or_none([columns[j] for j in subset], b)
+            if y is not None and all(v >= 0 for v in y):
+                return True
+    return False

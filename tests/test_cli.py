@@ -189,6 +189,13 @@ class TestSymm:
         assert run(["symm", "--a", "1,0", "--b", "2,0", "--sign", "-"]) == 2
         assert "zero state" in capsys.readouterr().err
 
+    def test_non_ascii_digit_is_an_input_error(self, capsys):
+        assert run(["symm", "--a=\u0663,0,0", "--b", "0,1,0", "--sign", "+"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "invalid rational" in captured.err
+
 
 class TestUsage:
     def test_unknown_flag(self, cabello_file, capsys):

@@ -42,6 +42,20 @@ class TestParseRational:
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational("1/0")
 
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "\u0663",  # ARABIC-INDIC DIGIT THREE
+            "\uff11/\uff12",  # FULLWIDTH DIGIT ONE / FULLWIDTH DIGIT TWO
+            "1/\u0662",
+            "-\u096a",  # DEVANAGARI DIGIT FOUR
+            "\U0001d7d9",  # MATHEMATICAL DOUBLE-STRUCK DIGIT ONE
+        ],
+    )
+    def test_rejects_non_ascii_digits(self, token):
+        with pytest.raises(ValueError, match="invalid rational"):
+            parse_rational(token)
+
 
 class TestParseScenario:
     def test_minimal_document(self):
@@ -89,6 +103,11 @@ class TestParseScenario:
     def test_invalid_rational_with_column(self):
         e = err("dim 2\nray a 1 x\n")
         assert (e.line, e.column) == (2, 9)
+        assert "invalid rational" in e.message
+
+    def test_non_ascii_digit_in_ray_with_column(self):
+        e = err("dim 2\nray a \u0663 0\nray b 0 1\ncontext a b\n")
+        assert (e.line, e.column) == (2, 7)
         assert "invalid rational" in e.message
 
     def test_undeclared_ray_id(self):
@@ -164,6 +183,21 @@ class TestRoundTrip:
 
 
 class TestParseState:
+    def test_non_ascii_digit_in_pure_state_with_column(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_state("pure 1 \uff10\n", 2)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 8)
+
+    def test_non_ascii_digit_in_mixture_weight_with_column(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_state("mixed\nw 1/\u0662 pure 1 0\nw 1/2 pure 0 1\n", 2)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 3)
+
+    def test_non_ascii_digit_in_matrix_row_with_column(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_state("matrix\n1/2 0\n0 \u0661/2\n", 2)
+        assert (excinfo.value.line, excinfo.value.column) == (3, 3)
+
     def test_pure(self):
         rho = parse_state("pure 1 1 0 0\n", 4)
         assert rho.matrix.trace() == 1

@@ -15,6 +15,8 @@ from kscheck.exactlin import (
     trace_product,
 )
 
+from helpers import brute_force_feasible, reference_nonneg_solve
+
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
@@ -200,3 +202,62 @@ class TestNonnegSolve:
             assert x is not None, "a feasible system must be solved"
             assert a.apply(x) == b
             assert all(c >= 0 for c in x)
+
+
+@st.composite
+def lp_systems(draw):
+    """A system a @ x = b with m <= 5 rows and n <= 7 columns.
+
+    Entries are rationals with zeros over-weighted; some rows are all
+    zero and some repeat an earlier row times a rational factor, with the
+    right-hand side kept consistent or not. Half the right-hand sides are
+    a @ x0 for some x0 >= 0, so both verdicts are common; the others may
+    be negative.
+    """
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=6))
+    rows = []
+    for i in range(m):
+        kind = draw(st.sampled_from(["random", "random", "zero", "multiple"])) if i else "random"
+        if kind == "zero":
+            rows.append([Fraction(0)] * n)
+        elif kind == "multiple":
+            src = draw(st.integers(0, i - 1))
+            f = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+            rows.append([f * x for x in rows[src]])
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    if draw(st.booleans()):
+        x0 = [draw(st.fractions(min_value=0, max_value=4, max_denominator=4)) for _ in range(n)]
+        b = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+        if draw(st.booleans()):
+            b[draw(st.integers(0, m - 1))] += draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    else:
+        b = [draw(entry) for _ in range(m)]
+    return rows, b
+
+
+class TestNonnegSolveMatchesFractionSimplex:
+    """The integer tableau pivots exactly like the Fraction one it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lp_systems())
+    def test_same_vertex_or_same_none(self, system):
+        rows, b = system
+        x = nonneg_solve(RMatrix(tuple(map(tuple, rows))), RVector(tuple(b)))
+        ref = reference_nonneg_solve(rows, b)
+        if ref is None:
+            assert x is None
+        else:
+            assert x is not None and list(x.entries) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(lp_systems())
+    def test_none_exactly_when_brute_force_finds_no_solution(self, system):
+        rows, b = system
+        x = nonneg_solve(RMatrix(tuple(map(tuple, rows))), RVector(tuple(b)))
+        assert (x is None) == (not brute_force_feasible(rows, b))
+        if x is not None:
+            assert all(v >= 0 for v in x)
+            assert RMatrix(tuple(map(tuple, rows))).apply(x) == RVector(tuple(b))

@@ -21,12 +21,15 @@ from kscheck.ksengine import (
     verify_func,
     without_context,
 )
-from kscheck.probability import DensityOperator
+from kscheck.probability import DensityOperator, born
+from kscheck.qlogic import projector_of
 from kscheck.qlogic import ContextError
 
 from helpers import (
     brute_force_count,
     gram_schmidt,
+    rand_mixed_state,
+    reference_nonneg_solve,
     single_context_scenario,
     subscenario,
     two_disjoint_contexts_scenario,
@@ -277,6 +280,26 @@ class TestNoncontextualModel:
         assert sum(model.weights.values()) == 1
         for r in s.rays:
             assert model.ray_probability(r.id) == born(rho, projector_of(r))
+
+    @pytest.mark.parametrize("index", range(9))
+    def test_deletions_match_the_fraction_simplex(self, cabello, index):
+        """Same weights and valuations as the Fraction simplex fed the
+        columns of the public enumeration and the Born targets."""
+        s = without_context(cabello, index)
+        valuations = list(enumerate_valuations(s))
+        rows = [[v[r.id] for v in valuations] for r in s.rays] + [[1] * len(valuations)]
+        rng = random.Random(1000 + index)
+        for _ in range(3):
+            rho = rand_mixed_state(rng, 4, max_parts=3)
+            b = [born(rho, projector_of(r)) for r in s.rays] + [Fraction(1)]
+            ref = reference_nonneg_solve(rows, b)
+            model = noncontextual_model(s, rho)
+            if ref is None:
+                assert model is None
+                continue
+            assert model is not None
+            assert model.weights == {i: w for i, w in enumerate(ref) if w != 0}
+            assert model.valuations == {i: valuations[i] for i in model.weights}
 
     def test_dimension_mismatch(self, cabello):
         with pytest.raises(ValueError):
