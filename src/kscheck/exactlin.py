@@ -76,18 +76,18 @@ class RVector:
 
     def scale(self, c: Scalar) -> "RVector":
         f = _frac(c)
-        return RVector(tuple(f * x for x in self.entries))
+        return RVector(tuple([f * x for x in self.entries]))
 
     def __add__(self, other: "RVector") -> "RVector":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return RVector(tuple(x + y for x, y in zip(self.entries, other.entries)))
+        return RVector(tuple([x + y for x, y in zip(self.entries, other.entries)]))
 
     def __sub__(self, other: "RVector") -> "RVector":
         return self + (-other)
 
     def __neg__(self) -> "RVector":
-        return RVector(tuple(-x for x in self.entries))
+        return RVector(tuple([-x for x in self.entries]))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.entries) + ")"
@@ -157,7 +157,7 @@ class RMatrix:
         return all(x == 0 for r in self.rows for x in r)
 
     def transpose(self) -> "RMatrix":
-        return RMatrix(tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)))
+        return RMatrix(tuple([tuple([row[j] for row in self.rows]) for j in range(self.ncols)]))
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -166,7 +166,7 @@ class RMatrix:
 
     def scale(self, c: Scalar) -> "RMatrix":
         f = _frac(c)
-        return RMatrix(tuple(tuple(f * x for x in row) for row in self.rows))
+        return RMatrix(tuple([tuple([f * x for x in row]) for row in self.rows]))
 
     def apply(self, v: RVector) -> RVector:
         """Matrix-vector product."""
@@ -177,7 +177,7 @@ class RMatrix:
     def __add__(self, other: "RMatrix") -> "RMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        return RMatrix(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
+        return RMatrix(tuple([tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.rows, other.rows)]))
 
     def __sub__(self, other: "RMatrix") -> "RMatrix":
         return self + other.scale(-1)
@@ -204,7 +204,7 @@ class RMatrix:
 
 def outer(u: RVector, v: RVector) -> RMatrix:
     """Outer product u v^T."""
-    return RMatrix(tuple(tuple(a * b for b in v) for a in u))
+    return RMatrix(tuple([tuple([a * b for b in v]) for a in u]))
 
 
 def trace_product(a: RMatrix, b: RMatrix) -> Fraction:

@@ -4,7 +4,8 @@ A scenario is a deduplicated family of rays together with the contexts
 that reference them. On top of it this module provides:
 
 * exhaustive search and counting of two-valued valuations (exactly one
-  ray per context assigned 1),
+  ray per context assigned 1) by one iterative depth-first search over
+  ray bitmasks,
 * parity certificates of non-colorability (every ray multiplicity even,
   context count odd),
 * the functional-composition checks a valuation must satisfy,
@@ -14,17 +15,20 @@ that reference them. On top of it this module provides:
 
 Search and counting are deterministic: contexts are processed in input
 order and rays in context order, so the first valuation found and the
-enumeration order are stable across runs.
+enumeration order are stable across runs. Counting and the model's
+enumeration give up after SEARCH_NODE_BUDGET search nodes; finding and
+enumerating valuations have no budget.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .exactlin import RVector, Scalar, _int_nonneg_solve
 from .qlogic import Context, Ray, validate_context
@@ -32,10 +36,10 @@ from .qlogic import Context, Ray, validate_context
 if TYPE_CHECKING:
     from .probability import DensityOperator
 
-# Exhaustive operations refuse components larger than this. 2^30 raw
-# assignments is far beyond anything the pruned search actually visits,
-# but the bound keeps the guarantee honest.
-EXHAUSTIVE_RAY_BOUND = 30
+# count_valuations and noncontextual_model give up after this many search
+# nodes, a node being one ray set to 1. The refusal is then about the work
+# done, not about the size of the input.
+SEARCH_NODE_BUDGET = 1_000_000
 
 # noncontextual_model materializes one LP column per valuation; beyond
 # this the exact simplex stops being a desk-scale computation.
@@ -47,7 +51,8 @@ class ScenarioError(ValueError):
 
 
 class ScenarioTooLargeError(ScenarioError):
-    """Scenario exceeds the exhaustive-search bound."""
+    """Exhaustive work exceeds the search-node budget or the model's
+    valuation limit."""
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,13 @@ class NoncontextualModel:
         )
 
 
+class _SearchTables(NamedTuple):
+    context_rays: tuple[tuple[int, ...], ...]  # ray indices, in context order
+    context_masks: tuple[int, ...]
+    forced: tuple[int, ...]  # per ray: every other ray sharing a context with it
+    at_risk: tuple[tuple[int, ...], ...]  # per ray: contexts meeting forced, minus its own
+
+
 @dataclass(frozen=True)
 class KSScenario:
     """Deduplicated ray list plus the contexts referencing it."""
@@ -165,23 +177,43 @@ class KSScenario:
         return {r.id: i for i, r in enumerate(self.rays)}
 
     @cached_property
-    def _context_indices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self._ray_index[r.id] for r in c.rays) for c in self.contexts)
+    def _tables(self) -> _SearchTables:
+        """Bitmask tables of the valuation search, built once per scenario.
 
-    @cached_property
-    def _ray_contexts(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.rays]
-        for k, ctx in enumerate(self._context_indices):
-            for r in ctx:
-                out[r].append(k)
-        return tuple(tuple(v) for v in out)
+        Ray ``i`` is bit ``i``. Setting a ray to 1 forces 0 on every ray in
+        its ``forced`` mask, and only the contexts in its ``at_risk`` tuple
+        can be left with every ray 0 by that.
+        """
+        context_rays = tuple([tuple([self._ray_index[r.id] for r in c.rays]) for c in self.contexts])
+        context_masks = tuple([sum([1 << i for i in rays]) for rays in context_rays])
+        ray_contexts: list[list[int]] = [[] for _ in self.rays]
+        for k, rays in enumerate(context_rays):
+            for i in rays:
+                ray_contexts[i].append(k)
+        # Contexts sharing a ray with context k, k included.
+        linked: list[set[int]] = [set() for _ in context_rays]
+        for own in ray_contexts:
+            for k in own:
+                linked[k].update(own)
+        forced = []
+        at_risk = []
+        for i, own in enumerate(ray_contexts):
+            mask = 0
+            reached: set[int] = set()
+            for k in own:
+                mask |= context_masks[k]
+                reached |= linked[k]
+            forced.append(mask ^ 1 << i)
+            at_risk.append(tuple(reached.difference(own)))
+        return _SearchTables(context_rays, context_masks, tuple(forced), tuple(at_risk))
 
     def ray_by_id(self, ray_id: str) -> Ray:
         return self.rays[self._ray_index[ray_id]]
 
     def multiplicities(self) -> dict[str, int]:
         """How many contexts each ray appears in."""
-        return {r.id: len(self._ray_contexts[i]) for i, r in enumerate(self.rays)}
+        counts = Counter(r.id for c in self.contexts for r in c.rays)
+        return {r.id: counts[r.id] for r in self.rays}
 
 
 RaySpec = tuple[str, Union[RVector, Iterable[Scalar]]]
@@ -278,72 +310,52 @@ def without_context(s: KSScenario, index: int) -> KSScenario:
     return KSScenario(dim=s.dim, rays=rays, contexts=contexts)
 
 
-def _solutions(
-    context_rays: Sequence[tuple[int, ...]],
-    ray_contexts: Sequence[tuple[int, ...]],
-    nrays: int,
-) -> Iterator[tuple[int, ...]]:
-    """Backtracking core: yield every 0/1 assignment with exactly one 1
-    per context, as tuples indexed like the ray list.
+def _search(order: Sequence[int], tables: _SearchTables, budget: float = math.inf) -> Iterator[int]:
+    """Yield, as a mask of the rays set to 1, every 0/1 assignment of the
+    rays of the contexts in ``order`` with exactly one 1 per context.
 
-    Contexts are settled in index order. Picking the 1 of a context
-    immediately forces 0 on every other ray of every context sharing it;
-    a context driven to all zeros kills the branch.
+    Depth-first over an explicit stack with one frame per open context.
+    Contexts are settled in the given order and rays in context order, so
+    solutions come in lexicographic order of the choices. Setting a ray to
+    1 forces 0 on every ray sharing a context with it; a context left with
+    every ray 0 kills the branch. Raises ScenarioTooLargeError once more
+    than ``budget`` rays have been set to 1.
     """
-    assign = [-1] * nrays
-    ncontexts = len(context_rays)
-
-    def settle(k: int) -> Iterator[tuple[int, ...]]:
-        if k == ncontexts:
-            yield tuple(assign)
-            return
-        ctx = context_rays[k]
-        if any(assign[r] == 1 for r in ctx):
-            yield from settle(k + 1)
-            return
-        for r in ctx:
-            if assign[r] != -1:
-                continue
-            assign[r] = 1
-            changed = [r]
-            touched: set[int] = set()
-            dead = False
-            for c2 in ray_contexts[r]:
-                for p in context_rays[c2]:
-                    if p == r or assign[p] == 0:
-                        continue
-                    if assign[p] == 1:
-                        dead = True
-                        break
-                    assign[p] = 0
-                    changed.append(p)
-                    touched.update(ray_contexts[p])
-                if dead:
-                    break
-            if not dead:
-                for c2 in touched:
-                    if c2 > k and all(assign[p] == 0 for p in context_rays[c2]):
-                        dead = True
-                        break
-            if not dead:
-                yield from settle(k + 1)
-            for p in changed:
-                assign[p] = -1
-
-    # settle refers to itself through its closure cell. Clearing the cell
-    # when the search ends or is abandoned frees the search tables at once
-    # instead of leaving a cycle for the garbage collector.
-    try:
-        yield from settle(0)
-    finally:
-        del settle
+    context_rays, masks, forced, at_risk = tables
+    depth = len(order)
+    nodes = 0
+    stack = [(0, 0, 0, iter(context_rays[order[0]]))]  # (level, ones, zeros, rays left)
+    while stack:
+        level, ones, zeros, rays = stack[-1]
+        r = next(rays, None)
+        if r is None:
+            stack.pop()
+        elif not zeros >> r & 1:
+            nodes += 1
+            if nodes > budget:
+                raise ScenarioTooLargeError(
+                    f"search gave up after visiting {budget} nodes (rays set to 1)"
+                )
+            z = zeros | forced[r]
+            for k in at_risk[r]:
+                if masks[k] & z == masks[k]:
+                    break  # context k has no ray left for its 1
+            else:
+                child = ones | 1 << r
+                level += 1
+                while level < depth and masks[order[level]] & child:
+                    level += 1
+                if level == depth:
+                    yield child
+                else:
+                    stack.append((level, child, z, iter(context_rays[order[level]])))
 
 
-def _components(s: KSScenario) -> list[tuple[list[int], list[int]]]:
+def _components(s: KSScenario) -> list[list[int]]:
     """Connected components of the context-intertwining structure.
 
     Two contexts are connected when they share a ray. Returns, per
-    component, the context indices (input order) and ray indices.
+    component, its context indices in input order.
     """
     parent = list(range(len(s.rays)))
 
@@ -353,65 +365,51 @@ def _components(s: KSScenario) -> list[tuple[list[int], list[int]]]:
             x = parent[x]
         return x
 
-    for ctx in s._context_indices:
+    context_rays = s._tables.context_rays
+    for ctx in context_rays:
         root = find(ctx[0])
         for r in ctx[1:]:
             parent[find(r)] = root
 
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for k, ctx in enumerate(s._context_indices):
-        groups.setdefault(find(ctx[0]), ([], []))[0].append(k)
-    for i in range(len(s.rays)):
-        groups[find(i)][1].append(i)
-    return [groups[root] for root in sorted(groups, key=lambda r: groups[r][0][0])]
+    groups: dict[int, list[int]] = {}
+    for k, ctx in enumerate(context_rays):
+        groups.setdefault(find(ctx[0]), []).append(k)
+    return list(groups.values())
 
 
-def _component_solutions(s: KSScenario, context_ids: list[int], ray_ids: list[int]):
-    local = {g: i for i, g in enumerate(ray_ids)}
-    ctxs = [tuple([local[r] for r in s._context_indices[k]]) for k in context_ids]
-    ray_ctx: list[list[int]] = [[] for _ in ray_ids]
-    for k, ctx in enumerate(ctxs):
-        for r in ctx:
-            ray_ctx[r].append(k)
-    return _solutions(ctxs, [tuple(v) for v in ray_ctx], len(ray_ids))
+def _valuation(s: KSScenario, ones: int) -> Valuation:
+    return Valuation({r.id: ones >> i & 1 for i, r in enumerate(s.rays)})
 
 
 def find_valuation(s: KSScenario) -> Valuation | None:
     """First valuation in deterministic search order, or None.
 
-    Unlike :func:`count_valuations` this has no size bound; the search
+    Unlike :func:`count_valuations` this has no node budget; the search
     stops at the first complete assignment.
     """
-    hit = next(_solutions(s._context_indices, s._ray_contexts, len(s.rays)), None)
-    if hit is None:
-        return None
-    return Valuation({r.id: hit[i] for i, r in enumerate(s.rays)})
+    ones = next(_search(range(len(s.contexts)), s._tables), None)
+    return None if ones is None else _valuation(s, ones)
 
 
 def enumerate_valuations(s: KSScenario) -> Iterator[Valuation]:
-    """All valuations in deterministic order. May be a large iteration;
-    callers that need the number first should use count_valuations."""
-    for hit in _solutions(s._context_indices, s._ray_contexts, len(s.rays)):
-        yield Valuation({r.id: hit[i] for i, r in enumerate(s.rays)})
+    """All valuations in deterministic order, with no node budget. May be
+    a large iteration; callers that need the number first should use
+    count_valuations."""
+    for ones in _search(range(len(s.contexts)), s._tables):
+        yield _valuation(s, ones)
 
 
-def count_valuations(s: KSScenario, *, max_component_rays: int = EXHAUSTIVE_RAY_BOUND) -> int:
+def count_valuations(s: KSScenario) -> int:
     """Exact number of valuations, by exhaustive pruned enumeration.
 
     The scenario splits into connected components of intertwined
     contexts; valuations multiply across components, so each component is
-    enumerated independently and the bound applies per component.
+    enumerated on its own. Each component's search gives up with
+    ScenarioTooLargeError after SEARCH_NODE_BUDGET nodes.
     """
-    comps = _components(s)
-    for _, ray_ids in comps:
-        if len(ray_ids) > max_component_rays:
-            raise ScenarioTooLargeError(
-                f"component with {len(ray_ids)} rays exceeds the exhaustive bound "
-                f"of {max_component_rays}"
-            )
     total = 1
-    for context_ids, ray_ids in comps:
-        total *= sum(1 for _ in _component_solutions(s, context_ids, ray_ids))
+    for order in _components(s):
+        total *= sum(1 for _ in _search(order, s._tables, SEARCH_NODE_BUDGET))
         if total == 0:
             return 0
     return total
@@ -499,7 +497,9 @@ def noncontextual_model(
     Returns the model or None when the system is infeasible. INFEASIBLE
     here is a theorem: no tolerance is involved anywhere.
 
-    The LP is built in integers from the search's 0/1 tuples, every row
+    The valuations are enumerated once, under SEARCH_NODE_BUDGET, and
+    more than ``max_valuations`` of them raise ScenarioTooLargeError.
+    The LP is built in integers from the search's ray masks, every row
     scaled by the lcm of the targets' denominators, and solved by the
     integer simplex behind :func:`kscheck.exactlin.nonneg_solve`, so the
     vertex is the one ``nonneg_solve`` returns on the same columns.
@@ -509,25 +509,23 @@ def noncontextual_model(
 
     if rho.dim != s.dim:
         raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
-    n = count_valuations(s)
-    if n == 0:
+    search = _search(range(len(s.contexts)), s._tables, SEARCH_NODE_BUDGET)
+    hits = list(itertools.islice(search, max_valuations + 1))
+    if not hits:
         return None
-    if n > max_valuations:
+    if len(hits) > max_valuations:
         raise ScenarioTooLargeError(
-            f"{n} valuations exceed the model feasibility limit of {max_valuations}"
+            f"more than {max_valuations} valuations exceed the model feasibility limit"
         )
-    hits = list(_solutions(s._context_indices, s._ray_contexts, len(s.rays)))
     targets = [ray_probability(rho, r) for r in s.rays]
     scale = math.lcm(*[t.denominator for t in targets])
-    rows = [[hit[k] * scale for hit in hits] for k in range(len(s.rays))]
-    rows.append([scale] * n)
+    rows = [[scale if ones >> k & 1 else 0 for ones in hits] for k in range(len(s.rays))]
+    rows.append([scale] * len(hits))
     rhs = [t.numerator * (scale // t.denominator) for t in targets] + [scale]
     weights = _int_nonneg_solve(rows, rhs)
     if weights is None:
         return None
-    support = {
-        i: Valuation({r.id: hits[i][k] for k, r in enumerate(s.rays)}) for i in weights
-    }
+    support = {i: _valuation(s, hits[i]) for i in weights}
     return NoncontextualModel(weights=weights, valuations=support)
 
 

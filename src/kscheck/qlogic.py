@@ -105,8 +105,8 @@ class Projector:
     """Symmetric idempotent matrix.
 
     The constructor checks symmetry and idempotence, the latter with a
-    full ``m @ m``. :func:`projector_of`, whose rank-1 matrices are
-    idempotent by construction, skips those checks.
+    full ``m @ m``. :func:`projector_of` and :func:`boolean_algebra_of`,
+    whose matrices are projectors by construction, skip those checks.
     """
 
     matrix: RMatrix
@@ -155,8 +155,14 @@ def projector_of(ray: Ray) -> Projector:
     """
     v = ray.ints
     n = _dot(v, v)
+    return _unchecked_projector(RMatrix(tuple([tuple([Fraction(a * b, n) for b in v]) for a in v])))
+
+
+def _unchecked_projector(m: RMatrix) -> Projector:
+    """Projector on a matrix that is symmetric and idempotent by
+    construction, without the constructor's checks."""
     p = object.__new__(Projector)
-    object.__setattr__(p, "matrix", RMatrix(tuple(tuple(Fraction(a * b, n) for b in v) for a in v)))
+    object.__setattr__(p, "matrix", m)
     return p
 
 
@@ -383,7 +389,9 @@ def boolean_algebra_of(context: Context) -> frozenset[Projector]:
     """All 2^d sums of atomic projectors of the context.
 
     This is the Boolean algebra the context generates inside the projector
-    lattice; it always contains the zero projector and the identity.
+    lattice; it always contains the zero projector and the identity. The
+    atoms of a validated context are mutually orthogonal, so every sum is
+    a projector by construction and skips the constructor's checks.
     """
     atoms = [projector_of(r) for r in context.rays]
     dim = context.dim
@@ -393,5 +401,5 @@ def boolean_algebra_of(context: Context) -> frozenset[Projector]:
             total = RMatrix.zeros(dim, dim)
             for p in subset:
                 total = total + p.matrix
-            elements.add(Projector(total))
+            elements.add(_unchecked_projector(total))
     return frozenset(elements)

@@ -81,6 +81,28 @@ def brute_force_count(s: KSScenario) -> int:
     return count
 
 
+def reference_valuations(s: KSScenario) -> list[tuple[str, ...]]:
+    """Every valuation, as the sorted ids of its rays set to 1, in the
+    order a depth-first search settling contexts by index and trying rays
+    in context order finds them.
+
+    Brute force over all 2^n raw assignments. The order is lexicographic
+    in the key: for each context in index order, the position within the
+    context of the ray it sets to 1.
+    """
+    n = len(s.rays)
+    assert n <= 20, "oracle is for small scenarios only"
+    index = {r.id: i for i, r in enumerate(s.rays)}
+    contexts = [tuple(index[rid] for rid in c.ray_ids) for c in s.contexts]
+    found = []
+    for bits in itertools.product((0, 1), repeat=n):
+        if all(sum(bits[i] for i in ctx) == 1 for ctx in contexts):
+            key = tuple(next(pos for pos, i in enumerate(ctx) if bits[i]) for ctx in contexts)
+            ones = tuple(sorted(r.id for r in s.rays if bits[index[r.id]]))
+            found.append((key, ones))
+    return [ones for _, ones in sorted(found)]
+
+
 def subscenario(s: KSScenario, context_indices) -> KSScenario:
     """Scenario restricted to a subset of contexts (rays re-collected)."""
     chosen = [s.contexts[i] for i in context_indices]

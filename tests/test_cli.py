@@ -84,6 +84,16 @@ class TestColor:
         assert run(["color", small_file]) == 0
         assert capsys.readouterr().out == "a 1\nb 0\n"
 
+    def test_count_over_node_budget_exits_two(self, small_file, monkeypatch, capsys):
+        import kscheck.ksengine
+
+        monkeypatch.setattr(kscheck.ksengine, "SEARCH_NODE_BUDGET", 1)
+        assert run(["color", small_file, "--count"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "after visiting 1 nodes" in captured.err
+
 
 class TestParity:
     def test_certificate(self, cabello_file, capsys):

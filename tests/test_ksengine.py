@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kscheck import cabello18
+from kscheck import cabello18, ksengine
 from kscheck.ksengine import (
     KSScenario,
     ScenarioError,
@@ -30,6 +30,7 @@ from helpers import (
     gram_schmidt,
     rand_mixed_state,
     reference_nonneg_solve,
+    reference_valuations,
     single_context_scenario,
     subscenario,
     two_disjoint_contexts_scenario,
@@ -39,6 +40,11 @@ from helpers import (
 @pytest.fixture(scope="module")
 def cabello():
     return cabello18()
+
+
+def standard_basis(n):
+    rays = [(f"e{i}", tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
+    return build_scenario(rays, [[rid for rid, _ in rays]])
 
 
 class TestBuildScenario:
@@ -155,13 +161,71 @@ class TestCountValuations:
         for v in vals:
             assert verify_func(v, s).ok
 
-    def test_component_bound_is_enforced(self):
-        n = 31
-        rays = [(f"e{i}", tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
-        s = build_scenario(rays, [[rid for rid, _ in rays]])
-        with pytest.raises(ScenarioTooLargeError):
+    def test_basis_of_31_is_counted(self):
+        s = standard_basis(31)
+        assert count_valuations(s) == 31
+        assert find_valuation(s) is not None
+
+    def test_node_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 10)
+        s = standard_basis(31)
+        with pytest.raises(ScenarioTooLargeError, match="after visiting 10 nodes"):
             count_valuations(s)
-        assert find_valuation(s) is not None  # search itself has no bound
+        assert find_valuation(s) is not None  # find has no budget
+
+
+# Two dim-4 bases sharing no ray with cabello18 or with each other.
+DISJOINT_BASES = (
+    ((1, 2, 0, 0), (2, -1, 0, 0), (0, 0, 1, 3), (0, 0, 3, -1)),
+    ((1, 0, 0, 2), (0, 1, 3, 0), (0, 3, -1, 0), (2, 0, 0, -1)),
+)
+
+
+def interleaved_scenario(cabello, picks):
+    """Cabello contexts ``picks``, each followed by a disjoint basis, so the
+    components alternate by context index."""
+    referenced = {rid for k in picks for rid in cabello.contexts[k].ray_ids}
+    rays = [(r.id, r.ints) for r in cabello.rays if r.id in referenced]
+    contexts = []
+    for k, basis in zip(picks, DISJOINT_BASES):
+        ids = [f"x{k}_{i}" for i in range(4)]
+        rays += zip(ids, basis)
+        contexts += [list(cabello.contexts[k].ray_ids), ids]
+    return build_scenario(rays, contexts)
+
+
+class TestSearchOrder:
+    """Find, enumerate and count against a brute force that knows only
+    the order: contexts by index, rays in context order."""
+
+    def check(self, s):
+        expected = reference_valuations(s)
+        assert [v.ones() for v in enumerate_valuations(s)] == expected
+        first = find_valuation(s)
+        assert (first.ones() if first else None) == (expected[0] if expected else None)
+        assert count_valuations(s) == len(expected)
+
+    def test_cabello_subscenarios(self, cabello):
+        rng = random.Random(6)
+        for _ in range(10):
+            self.check(subscenario(cabello, rng.sample(range(9), rng.randint(1, 4))))
+
+    def test_interleaved_components(self, cabello):
+        rng = random.Random(8)
+        for _ in range(3):
+            s = interleaved_scenario(cabello, rng.sample(range(9), 2))
+            assert len(s.rays) <= 16
+            self.check(s)
+
+    def test_chain_of_1500_contexts(self):
+        n = 1500
+        rays, contexts = [], []
+        for k in range(1, n + 1):
+            rays += [(f"a{k}", (1, k)), (f"b{k}", (k, -1))]
+            contexts.append([f"a{k}", f"b{k}"])
+        s = build_scenario(rays, contexts)
+        assert find_valuation(s).ones() == tuple(sorted(f"a{k}" for k in range(1, n + 1)))
+        assert count_valuations(s) == 2**n
 
 
 class TestWithoutContext:
@@ -300,6 +364,26 @@ class TestNoncontextualModel:
             assert model is not None
             assert model.weights == {i: w for i, w in enumerate(ref) if w != 0}
             assert model.valuations == {i: valuations[i] for i in model.weights}
+
+    def test_one_search_per_model(self, cabello, monkeypatch):
+        searches = []
+
+        def spy(*args):
+            searches.append(args)
+            return search(*args)
+
+        search = ksengine._search
+        monkeypatch.setattr(ksengine, "_search", spy)
+        for k in range(9):
+            noncontextual_model(without_context(cabello, k), DensityOperator.maximally_mixed(4))
+        assert len(searches) == 9
+
+    def test_valuation_limit(self):
+        s = single_context_scenario()
+        rho = DensityOperator.maximally_mixed(4)
+        with pytest.raises(ScenarioTooLargeError, match="more than 3 valuations"):
+            noncontextual_model(s, rho, max_valuations=3)
+        assert noncontextual_model(s, rho, max_valuations=4) is not None
 
     def test_dimension_mismatch(self, cabello):
         with pytest.raises(ValueError):
