@@ -9,10 +9,11 @@ Scenario files::
     context r1 r2 r3 r4
 
 Exactly one ``dim`` line, before any declaration. Each ``ray`` line gives
-an id and dim coordinates, each an integer or a rational ``p/q``. Each
-``context`` line lists dim previously declared ray ids. Blank lines and
-lines starting with ``#`` are ignored. Errors carry the 1-based line and
-column of the offending token.
+an id and dim coordinates, each an integer or a rational ``p/q``; the
+coordinates are read as integers, with the line's denominators cleared.
+Each ``context`` line lists dim previously declared ray ids. Blank lines
+and lines starting with ``#`` are ignored. Errors carry the 1-based line
+and column of the offending token.
 
 State files describe a density operator in one of three forms::
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exactlin import RMatrix, RVector
@@ -40,6 +42,7 @@ from .ksengine import KSScenario, _assemble
 from .probability import DensityOperator
 from .qlogic import Context, ContextError, Ray, validate_context
 
+_TOKEN_RE = re.compile(r"\S+")
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 _DIM_RE = re.compile(r"^[0-9]+$")
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_@.\-]*$")
@@ -60,27 +63,50 @@ def _tokenize(raw: str) -> list[tuple[int, str]]:
     """Split a line into (column, token) pairs; comment lines are empty."""
     if raw.lstrip().startswith("#"):
         return []
-    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw)]
+    return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(raw)]
+
+
+def _rational_parts(token: str) -> tuple[int, int]:
+    """``(numerator, denominator)`` of an integer or ``p/q`` token, as
+    written: not reduced, the denominator positive.
+
+    Raises ``ValueError`` on anything else, on a zero denominator, and,
+    from ``int``, on more digits than the interpreter converts.
+    """
+    if not _RATIONAL_RE.match(token):
+        raise ValueError(f"invalid rational {token!r}")
+    num, _, den = token.partition("/")
+    d = int(den) if den else 1
+    if d == 0:
+        raise ValueError(f"zero denominator in {token!r}")
+    return int(num), d
 
 
 def parse_rational(token: str) -> Fraction:
     """Parse an integer or ``p/q`` token. Decimal notation is rejected."""
-    if not _RATIONAL_RE.match(token):
-        raise ValueError(f"invalid rational {token!r}")
-    _, _, den = token.partition("/")
-    if den and int(den) == 0:
-        raise ValueError(f"zero denominator in {token!r}")
-    return Fraction(token)
+    return Fraction(*_rational_parts(token))
+
+
+def _parts_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> list[tuple[int, int]]:
+    parts = []
+    for col, tok in tokens:
+        try:
+            parts.append(_rational_parts(tok))
+        except ValueError as exc:
+            raise ParseError(line, col, str(exc)) from None
+    return parts
+
+
+def _ints_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> tuple[int, ...]:
+    """Integer coordinates proportional to the tokens' rationals: each is
+    multiplied by the lcm of the denominators."""
+    parts = _parts_from_tokens(tokens, line)
+    scale = lcm(*[d for _, d in parts])
+    return tuple([n * (scale // d) for n, d in parts])
 
 
 def _coords_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> RVector:
-    values = []
-    for col, tok in tokens:
-        try:
-            values.append(parse_rational(tok))
-        except ValueError as exc:
-            raise ParseError(line, col, str(exc)) from None
-    return RVector(tuple(values))
+    return RVector(tuple([Fraction(n, d) for n, d in _parts_from_tokens(tokens, line)]))
 
 
 def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
@@ -112,9 +138,12 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
             if len(rest) != 1:
                 raise ParseError(line, key_col, "dim takes exactly one argument")
             col, tok = rest[0]
-            if not _DIM_RE.match(tok) or int(tok) < 1:
+            try:
+                dim = int(tok) if _DIM_RE.match(tok) else 0
+            except ValueError:  # more digits than int() converts
+                dim = 0
+            if dim < 1:
                 raise ParseError(line, col, f"invalid dimension {tok!r}")
-            dim = int(tok)
 
         elif key == "ray":
             if dim is None:
@@ -128,11 +157,11 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
                 raise ParseError(line, id_col, f"invalid ray id {rid!r}")
             if rid in ray_pos:
                 raise ParseError(line, id_col, f"duplicate ray id {rid!r}")
-            coords = _coords_from_tokens(rest[1:], line)
-            if coords.is_zero():
+            ints = _ints_from_tokens(rest[1:], line)
+            if not any(ints):
                 raise ParseError(line, rest[1][0], f"ray {rid!r} is the zero vector")
             ray_pos[rid] = (line, id_col)
-            rays[rid] = Ray(rid, coords)
+            rays[rid] = Ray(rid, ints)
 
         elif key == "context":
             if dim is None:

@@ -535,10 +535,25 @@ def orthogonality_graph(s: KSScenario) -> tuple[tuple[str, str], ...]:
     Vertices are ray ids; an edge joins two rays whose coordinate vectors
     have dot product zero. Pairs and the list itself are sorted by id, so
     the output is deterministic.
+
+    The dot products of each ray with every later one are summed column
+    by column, one list per nonzero coordinate; the scenario guarantees
+    that all rays have its dimension.
     """
     ordered = sorted(s.rays, key=lambda r: r.id)
-    return tuple(
-        (a.id, b.id)
-        for a, b in itertools.combinations(ordered, 2)
-        if a.is_orthogonal_to(b)
-    )
+    ids = [r.id for r in ordered]
+    columns = [list(column) for column in zip(*[r.ints for r in ordered])]
+    edges = []
+    for i, r in enumerate(ordered, start=1):
+        dots: list[int] = []
+        for x, column in zip(r.ints, columns):
+            if x:
+                later = column[i:]
+                # dots is empty before the first nonzero coordinate, and
+                # when no ray comes later.
+                if dots:
+                    dots = [d + x * y for d, y in zip(dots, later)]
+                else:
+                    dots = [x * y for y in later]
+        edges.extend([(r.id, b) for b, dot in zip(ids[i:], dots) if not dot])
+    return tuple(edges)

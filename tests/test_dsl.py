@@ -1,8 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kscheck import cabello18_text
+from kscheck import Ray, cabello18_text
+from kscheck.cli import run
 from kscheck.dsl import (
     ParseError,
     parse_rational,
@@ -244,3 +247,181 @@ class TestParseState:
     def test_component_line_shape(self):
         with pytest.raises(ParseError, match="expected 'w"):
             parse_state("mixed\npure 1 0 0 0\n", 4)
+
+
+def _int_digit_limit() -> int:
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+# Three contexts in dimension 3; ``a`` and ``c`` each lie in two of them.
+BASE_RAYS = {
+    "a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1), "d": (0, 1, 1),
+    "e": (0, 1, -1), "f": (1, 2, 0), "g": (2, -1, 0),
+}
+BASE_CONTEXTS = [["a", "b", "c"], ["a", "d", "e"], ["c", "f", "g"]]
+
+token_styles = st.tuples(
+    st.integers(1, 3),  # factor by which p/q is left unreduced
+    st.sampled_from(["", "+", "-"]),  # sign shown on a nonnegative value; "-" only on zero
+    st.sampled_from(["", "0", "00"]),  # leading zeros
+    st.booleans(),  # write "/1" on integers
+)
+
+
+def rational_token(value: Fraction, style) -> str:
+    """``value`` as a reader might write it: an optional ``+``, leading
+    zeros, an unreduced ``p/q``, ``-0`` for zero."""
+    k, sign, zeros, slash_one = style
+    num, den = value.numerator * k, value.denominator * k
+    if num < 0:
+        sign = "-"
+    elif num > 0 and sign == "-":
+        sign = ""
+    token = f"{sign}{zeros}{abs(num)}"
+    if den != 1 or slash_one:
+        token += f"/{zeros}{den}"
+    return token
+
+
+@st.composite
+def rescaled_documents(draw):
+    """The base scenario with every ray rescaled by a random rational and
+    written with random tokens. Some rays get a second, proportional
+    declaration under the id ``<id>_dup``, used in a copy of one of the
+    ray's contexts; the declarations come in random order.
+
+    Returns the text, every declaration as ``(id, tokens, base id)``, and
+    the contexts as id lists.
+    """
+    scales = st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1), st.integers(1, 6))
+    declared = []
+    contexts = [list(c) for c in BASE_CONTEXTS]
+    for rid, v in BASE_RAYS.items():
+        copies = [rid, rid + "_dup"] if draw(st.booleans()) else [rid]
+        for copy in copies:
+            c = draw(scales)
+            styles = draw(st.lists(token_styles, min_size=3, max_size=3))
+            declared.append((copy, [rational_token(c * x, t) for x, t in zip(v, styles)], rid))
+        if len(copies) == 2:
+            context = next(ctx for ctx in BASE_CONTEXTS if rid in ctx)
+            contexts.append([copies[1] if x == rid else x for x in context])
+    declared = draw(st.permutations(declared))
+    lines = ["dim 3"]
+    lines += [f"ray {rid} " + " ".join(tokens) for rid, tokens, _ in declared]
+    lines += ["context " + " ".join(c) for c in contexts]
+    return "\n".join(lines) + "\n", declared, contexts
+
+
+class TestIntegerParse:
+    @given(rescaled_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_rays_match_the_fraction_route(self, doc):
+        text, declared, contexts = doc
+        minted = {r.id: r.ints for r in parse_scenario(text, merge=False).rays}
+        first = {}
+        for rid, tokens, base in declared:
+            want = Ray(rid, [Fraction(t) for t in tokens]).ints
+            for k, c in enumerate(contexts, start=1):
+                if rid in c:
+                    assert minted[f"{rid}@c{k}"] == want
+            first.setdefault(base, rid)
+        merged = parse_scenario(text)
+        assert [r.id for r in merged.rays] == list(first.values())
+        assert [r.ints for r in merged.rays] == [BASE_RAYS[base] for base in first]
+        keeper = {rid: first[base] for rid, _, base in declared}
+        assert [list(c.ray_ids) for c in merged.contexts] == [
+            [keeper[rid] for rid in c] for c in contexts
+        ]
+
+    def test_scenario_parse_builds_no_fraction(self, monkeypatch):
+        built = []
+        real = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            built.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        text = "dim 3\nray a 1/2 -1/2 0\nray b 2/6 1/3 +0\nray c 0 -0 007\ncontext a b c\n"
+        for merge in (True, False):
+            s = parse_scenario(text, merge=merge)
+        assert built == []
+        assert [r.ints for r in s.rays] == [(1, -1, 0), (1, 1, 0), (0, 0, 1)]
+        Fraction(1, 2)
+        assert built == [(1, 2)]
+
+
+@pytest.mark.skipif(_int_digit_limit() == 0, reason="the interpreter has no integer digit limit")
+class TestOversizedIntegers:
+    @pytest.fixture()
+    def big(self):
+        return "1" * (_int_digit_limit() + 1)
+
+    def test_ray_coordinate(self, big):
+        for token in (big, f"1/{big}", f"-{big}/3"):
+            e = err(f"dim 2\nray a 0 {token}\nray b 1 0\ncontext a b\n")
+            assert (e.line, e.column) == (2, 9) and "limit" in e.message
+
+    def test_dimension(self, big):
+        e = err(f"dim {big}\n")
+        assert (e.line, e.column) == (1, 5) and "invalid dimension" in e.message
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("pure 1 {big}\n", (1, 8)),
+            ("mixed\nw 1/{big} pure 1 0\nw 1/2 pure 0 1\n", (2, 3)),
+            ("mixed\nw 1/2 pure 1 0\nw 1/2 pure {big} 1\n", (3, 12)),
+            ("matrix\n1/2 0\n0 {big}/2\n", (3, 3)),
+        ],
+    )
+    def test_state(self, big, text, position):
+        with pytest.raises(ParseError) as excinfo:
+            parse_state(text.format(big=big), 2)
+        e = excinfo.value
+        assert (e.line, e.column) == position and "limit" in e.message
+
+    def test_cli_check_exits_two_with_one_error_line(self, big, tmp_path, capsys):
+        path = tmp_path / "big.ks"
+        path.write_text(f"dim 2\nray a 0 {big}\nray b 1 0\ncontext a b\n", encoding="utf-8")
+        assert run(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: line 2, column 9: ")
+
+
+FUZZ_TOKENS = [
+    "dim", "ray", "context", "pure", "mixed", "matrix", "w",
+    "a", "b", "c", "a@c1", "_x.y-z",
+    "0", "1", "-1", "2", "+3", "007", "-0",
+    "1/2", "-3/4", "2/4", "1/0", "0/0",
+    "\u0663", "\uff11/\uff12", "\u00b2", "1.5", "#", "#x", "x#",
+]
+
+
+# Each piece is a token and the whitespace after it, so one draw per piece.
+FUZZ_PIECES = [t + gap for t in FUZZ_TOKENS for gap in (" ", "\t", "\n", "\r\n", "  ")]
+
+
+def fuzz_documents():
+    return st.lists(st.sampled_from(FUZZ_PIECES), max_size=40).map("".join)
+
+
+class TestFuzz:
+    @given(fuzz_documents(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_scenario_text_parses_or_raises_a_positioned_error(self, text, merge):
+        try:
+            parse_scenario(text, merge=merge)
+        except ParseError as e:
+            assert e.line >= 1 and e.column >= 1
+
+    @given(fuzz_documents(), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_state_text_parses_or_raises_a_positioned_error(self, text, dim):
+        try:
+            parse_state(text, dim)
+        except ParseError as e:
+            assert e.line >= 1 and e.column >= 1
