@@ -37,10 +37,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .exactlin import RMatrix, RVector
+from .exactlin import RMatrix
 from .ksengine import KSScenario, _assemble
 from .probability import DensityOperator
-from .qlogic import Context, ContextError, Ray, validate_context
+from .qlogic import Context, Ray, validate_context
 
 _TOKEN_RE = re.compile(r"\S+")
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
@@ -105,8 +105,8 @@ def _ints_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> tuple[int
     return tuple([n * (scale // d) for n, d in parts])
 
 
-def _coords_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> RVector:
-    return RVector(tuple([Fraction(n, d) for n, d in _parts_from_tokens(tokens, line)]))
+def _coords_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> tuple[Fraction, ...]:
+    return tuple([Fraction(n, d) for n, d in _parts_from_tokens(tokens, line)])
 
 
 def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
@@ -177,7 +177,7 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
                 ids.append(rid)
             try:
                 contexts.append(validate_context([rays[rid] for rid in ids], dim))
-            except ContextError as exc:
+            except ValueError as exc:  # a ContextError, or a violation too long to print
                 raise ParseError(line, key_col, str(exc)) from None
 
         else:
@@ -233,9 +233,9 @@ def parse_state(text: str, dim: int) -> DensityOperator:
             raise ParseError(line, key_col, f"pure state needs {dim} coordinates")
         if len(lines) > 1:
             raise ParseError(lines[1][0], lines[1][1][0][0], "unexpected content after pure state")
-        coords = _coords_from_tokens(tokens[1:], line)
+        ints = _ints_from_tokens(tokens[1:], line)
         try:
-            return DensityOperator.pure(coords)
+            return DensityOperator.pure(ints)
         except ValueError as exc:
             raise ParseError(line, tokens[1][0], str(exc)) from None
 
@@ -244,7 +244,7 @@ def parse_state(text: str, dim: int) -> DensityOperator:
             raise ParseError(line, tokens[1][0], "mixed takes no arguments on its own line")
         if len(lines) == 1:
             raise ParseError(line, key_col, "mixed state needs at least one component line")
-        parts: list[tuple[Fraction, RVector]] = []
+        parts: list[tuple[Fraction, tuple[int, ...]]] = []
         total = Fraction(0)
         for cline, ctokens in lines[1:]:
             if len(ctokens) != dim + 3 or ctokens[0][1] != "w" or ctokens[2][1] != "pure":
@@ -258,10 +258,10 @@ def parse_state(text: str, dim: int) -> DensityOperator:
                 raise ParseError(cline, wcol, str(exc)) from None
             if weight < 0:
                 raise ParseError(cline, wcol, f"negative mixture weight {weight}")
-            coords = _coords_from_tokens(ctokens[3:], cline)
-            if coords.is_zero():
+            ints = _ints_from_tokens(ctokens[3:], cline)
+            if not any(ints):
                 raise ParseError(cline, ctokens[3][0], "zero vector in mixture component")
-            parts.append((weight, coords))
+            parts.append((weight, ints))
             total += weight
         if total != 1:
             raise ParseError(lines[-1][0], 1, f"mixture weights sum to {total}, expected 1")
@@ -276,7 +276,7 @@ def parse_state(text: str, dim: int) -> DensityOperator:
         for rline, rtokens in lines[1:]:
             if len(rtokens) != dim:
                 raise ParseError(rline, rtokens[0][0], f"matrix row needs {dim} entries")
-            rows.append(tuple(_coords_from_tokens(rtokens, rline)))
+            rows.append(_coords_from_tokens(rtokens, rline))
         try:
             return DensityOperator(RMatrix(tuple(rows)))
         except ValueError as exc:

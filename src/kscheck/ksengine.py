@@ -278,19 +278,15 @@ def _assemble(
         out_rays = list(keeper.values())
         out_contexts = [Context(tuple(keeper[r.ints] for r in c.rays)) for c in contexts]
     else:
-        out_rays = []
-        out_contexts = []
-        minted: set[str] = set()
-        for k, c in enumerate(contexts, start=1):
-            fresh = []
-            for r in c.rays:
-                mid = f"{r.id}@c{k}"
-                if mid in minted:
-                    raise ScenarioError(f"minted ray id collision: {mid!r}")
-                minted.add(mid)
-                fresh.append(Ray(mid, r.ints))
-            out_rays.extend(fresh)
-            out_contexts.append(Context(tuple(fresh)))
+        # Minted ids are distinct. k has no "@", so a minted id's last "@c"
+        # is the appended one, and the id gives back the declared id and k.
+        # A validated context never repeats an id: a repeated ray coincides
+        # with itself.
+        out_contexts = [
+            Context(tuple([Ray(f"{r.id}@c{k}", r.ints) for r in c.rays]))
+            for k, c in enumerate(contexts, start=1)
+        ]
+        out_rays = [r for c in out_contexts for r in c.rays]
     return KSScenario(dim=dim, rays=tuple(out_rays), contexts=tuple(out_contexts))
 
 

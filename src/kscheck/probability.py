@@ -25,7 +25,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from .exactlin import RMatrix, RVector, Scalar, _frac, trace_product
-from .qlogic import Context, Projector, Ray, _canonical_ints, resolves_identity
+from .qlogic import Context, Projector, Ray, _canonical_ints, validate_context
 
 if TYPE_CHECKING:
     from .ksengine import KSScenario
@@ -319,15 +319,18 @@ def finite_pvm_check(contexts: Sequence[Context]) -> PvmReport:
     atoms in B, the first and third hold by construction, and
     M(B) + M(complement of B) = M(all outcomes), so the complement rule
     fails on every B exactly when M(all outcomes) is not the identity.
-    That one check runs, in integers (:func:`resolves_identity`).
+    That one check runs: the atoms sum to the identity exactly when
+    :func:`validate_context` accepts them, so a context whose rays differ
+    in dimension is reported like any other non-basis.
     """
     violations: list[str] = []
     for k, c in enumerate(contexts):
         atoms = {r.id: r for r in c.rays}
-        if resolves_identity(list(atoms.values()), c.dim):
-            continue
-        violations.append(f"context {k + 1}: M(all outcomes) != identity")
-        for size in range(len(atoms) + 1):
-            for combo in itertools.combinations(atoms, size):
-                violations.append(f"context {k + 1}: complement rule fails on {sorted(combo)}")
+        try:
+            validate_context(list(atoms.values()), c.dim)
+        except ValueError:  # a ContextError, or a violation too long to print
+            violations.append(f"context {k + 1}: M(all outcomes) != identity")
+            for size in range(len(atoms) + 1):
+                for combo in itertools.combinations(atoms, size):
+                    violations.append(f"context {k + 1}: complement rule fails on {sorted(combo)}")
     return PvmReport(tuple(violations))

@@ -301,8 +301,8 @@ class ContextError(ValueError):
 class Context:
     """Maximal family of mutually orthogonal rays.
 
-    Use :func:`validate_context` to construct one; it performs the
-    cardinality, orthogonality and resolution-of-identity checks.
+    Use :func:`validate_context` to construct one; its cardinality and
+    orthogonality checks decide resolution of the identity.
     """
 
     rays: tuple[Ray, ...]
@@ -323,43 +323,21 @@ class Context:
         return len(self.rays)
 
 
-def resolves_identity(rays: Sequence[Ray], dim: int) -> bool:
-    """Whether the rank-1 projectors of ``rays`` sum to the identity.
-
-    Decided exactly in integers over the common denominator
-    L = lcm(v . v): the test is sum over the rays of (L / v . v) v v^T
-    == L I, so no Fraction matrix and no projector is built.
-    """
-    for r in rays:
-        if r.dim != dim:
-            raise ValueError(f"ray {r.id} has dimension {r.dim}, expected {dim}")
-    norms = [_dot(r.ints, r.ints) for r in rays]
-    common = lcm(*norms)
-    total = [[0] * dim for _ in range(dim)]
-    for r, n in zip(rays, norms):
-        w = common // n
-        v = r.ints
-        for i, x in enumerate(v):
-            if x:
-                row, wx = total[i], w * x
-                for j, y in enumerate(v):
-                    if y:
-                        row[j] += wx * y
-    return all(
-        total[i][j] == (common if i == j else 0) for i in range(dim) for j in range(dim)
-    )
-
-
 def validate_context(rays: Sequence[Ray], dim: int) -> Context:
     """Check that ``rays`` form a complete measurement context in ``dim``.
 
     One pass over the canonical integer coordinates: there must be
     exactly ``dim`` rays, no two may coincide, and every pair must have
-    integer dot product zero. Pairwise orthogonality then forces the
-    projectors to sum to the identity, and that is still asserted
-    exactly, in integers over the common denominator, by
-    :func:`resolves_identity`. Raises :class:`ContextError` listing every
+    integer dot product zero. Raises :class:`ContextError` listing every
     violation found.
+
+    No separate check that the projectors sum to the identity is needed:
+    for nonzero rays in dimension d they do exactly when there are d rays
+    and they are pairwise orthogonal. An orthogonal basis resolves the
+    identity. Conversely, each rank-1 projector has trace 1, so the trace
+    of the sum gives n = d; the square matrix U whose columns are the
+    normalised rays then satisfies U U^T = I, so U is orthogonal and
+    U^T U = I, i.e. the rays are pairwise orthogonal.
     """
     violations: list[str] = []
     rays = tuple(rays)
@@ -379,9 +357,6 @@ def validate_context(rays: Sequence[Ray], dim: int) -> Context:
                 violations.append(f"rays {a} and {b} are not orthogonal (dot = {dot})")
     if violations:
         raise ContextError(violations)
-    if not resolves_identity(rays, dim):
-        # Each rank-1 projector has trace 1, so the sum has trace len(rays).
-        raise ContextError([f"projectors do not resolve the identity (sum trace {len(rays)})"])
     return Context(rays)
 
 

@@ -19,13 +19,9 @@ from functools import cached_property
 from typing import Iterable, Union
 
 from .exactlin import RMatrix, RVector, Scalar, outer
-from .qlogic import Projector
+from .qlogic import Projector, _as_vector
 
 Vec = Union[RVector, Iterable[Scalar]]
-
-
-def _as_vector(v: Vec) -> RVector:
-    return v if isinstance(v, RVector) else RVector(tuple(v))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
+import io
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from kscheck import Ray, cabello18_text
+from kscheck import DensityOperator, Ray, cabello18_text
 from kscheck.cli import run
 from kscheck.dsl import (
     ParseError,
@@ -269,6 +272,9 @@ token_styles = st.tuples(
 )
 
 
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
 def rational_token(value: Fraction, style) -> str:
     """``value`` as a reader might write it: an optional ``+``, leading
     zeros, an unreduced ``p/q``, ``-0`` for zero."""
@@ -334,6 +340,27 @@ class TestIntegerParse:
             [keeper[rid] for rid in c] for c in contexts
         ]
 
+    @given(
+        st.lists(
+            st.lists(st.tuples(rationals, token_styles), min_size=3, max_size=3),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_states_match_the_fraction_route(self, components):
+        lines, coords = [], []
+        for component in components:
+            tokens = [rational_token(x, style) for x, style in component]
+            lines.append(" ".join(tokens))
+            coords.append([Fraction(t) for t in tokens])
+        assume(all(any(c) for c in coords))
+        assert parse_state(f"pure {lines[0]}\n", 3) == DensityOperator.pure(coords[0])
+        n = len(lines)
+        text = "mixed\n" + "".join(f"w 1/{n} pure {line}\n" for line in lines)
+        weights = [Fraction(1, n)] * n
+        assert parse_state(text, 3) == DensityOperator.mixture(list(zip(weights, coords)))
+
     def test_scenario_parse_builds_no_fraction(self, monkeypatch):
         built = []
         real = Fraction.__new__
@@ -382,6 +409,26 @@ class TestOversizedIntegers:
         e = excinfo.value
         assert (e.line, e.column) == position and "limit" in e.message
 
+    def unprintable_context(self):
+        # Every token is within the limit, but the cleared coordinates of a
+        # are not, so the context's violation message cannot be printed.
+        n = _int_digit_limit()
+        a = f"{'9' * n}/1{'0' * (n - 1)} {'1' * n}/{'1' * (n - 1)}3"
+        return f"dim 2\nray a {a}\nray b 1 1\ncontext a b\n"
+
+    def test_unprintable_context(self):
+        e = err(self.unprintable_context())
+        assert (e.line, e.column) == (4, 1) and "limit" in e.message
+
+    def test_cli_check_unprintable_context(self, tmp_path, capsys):
+        path = tmp_path / "unprintable.ks"
+        path.write_text(self.unprintable_context(), encoding="utf-8")
+        assert run(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: line 4, column 1: ")
+
     def test_cli_check_exits_two_with_one_error_line(self, big, tmp_path, capsys):
         path = tmp_path / "big.ks"
         path.write_text(f"dim 2\nray a 0 {big}\nray b 1 0\ncontext a b\n", encoding="utf-8")
@@ -425,3 +472,18 @@ class TestFuzz:
             parse_state(text, dim)
         except ParseError as e:
             assert e.line >= 1 and e.column >= 1
+
+    @given(fuzz_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_cli_check_exits_zero_or_two_with_one_positioned_error_line(
+        self, tmp_path_factory, text
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.ks"
+        path.write_text(text, encoding="utf-8")
+        out, errs = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(errs):
+            code = run(["check", str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"error: line \d+, column \d+: [^\n]*\n", errs.getvalue())

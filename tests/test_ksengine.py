@@ -101,6 +101,19 @@ class TestBuildScenario:
         with pytest.raises(ScenarioError):
             build_scenario([], [])
 
+    def test_minted_ids_are_distinct(self):
+        # Declared ids that already end in "@c<k>", and twelve contexts, so
+        # that k reaches two digits.
+        rays = [("a", (1, 0, 0)), ("a@c1", (0, 1, 0)), ("a@c1@c2", (0, 0, 1))]
+        ids = [rid for rid, _ in rays]
+        contexts = [list(p) for p in itertools.permutations(ids)] * 2
+        s = build_scenario(rays, contexts, merge=False)
+        minted = [r.id for r in s.rays]
+        assert len(set(minted)) == len(minted) == sum(map(len, contexts))
+        assert "a@c1@c12" in minted and "a@c1@c2@c1" in minted
+        with pytest.raises(ContextError, match="coincide"):
+            build_scenario(rays, [["a", "a", "a@c1"], ids], merge=False)
+
     def test_scenario_invariants_checked_directly(self, cabello):
         # one context references only 4 of the 18 rays
         with pytest.raises(ScenarioError, match="not used"):

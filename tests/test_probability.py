@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,16 @@ class TestPvm:
             "context 1: complement rule fails on ['b']",
             "context 1: complement rule fails on ['a', 'b']",
         )
+
+    def test_mixed_dimension_context_is_reported_not_raised(self):
+        c = Context((Ray("a", (1, 0)), Ray("b", (0, 0, 1))))
+        assert finite_pvm_check([c]).violations[0] == "context 1: M(all outcomes) != identity"
+
+    def test_unprintable_context_is_reported_not_raised(self):
+        # The violation message cannot print coordinates this long.
+        big = 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+        c = Context((Ray("a", (big, 1)), Ray("b", (1, 1))))
+        assert not finite_pvm_check([c]).ok
 
 
 class TestMeanValue:

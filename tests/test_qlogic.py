@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kscheck.exactlin import RMatrix, RVector, outer
+from kscheck.probability import finite_pvm_check
 from kscheck.qlogic import (
     Context,
     ContextError,
@@ -18,7 +19,6 @@ from kscheck.qlogic import (
     meet,
     ortho,
     projector_of,
-    resolves_identity,
     validate_context,
 )
 
@@ -217,9 +217,15 @@ class TestValidateContext:
         for r in rays:
             v = r.coords
             total = total + outer(v, v).scale(Fraction(1) / v.dot(v))
-        assert resolves_identity(rays, dim) == (total == RMatrix.identity(dim))
+        try:
+            validate_context(rays, dim)
+            accepted = True
+        except ContextError:
+            accepted = False
+        assert accepted == (total == RMatrix.identity(dim))
+        assert finite_pvm_check([Context(tuple(rays))]).ok == accepted
         if orthogonal:
-            assert resolves_identity(rays, dim)
+            assert accepted
 
 
 class TestBooleanAlgebra:
