@@ -9,7 +9,8 @@ reach ambient dimension 31 and more, are handled in integers by
 :mod:`kscheck.qlogic`, and these Fraction matrices serve states,
 projectors and subspaces, where dimensions stay small. The simplex of
 :func:`nonneg_solve` takes Fraction input but pivots fraction-free, on an
-integer tableau over one common denominator.
+integer tableau with the matrix and the right-hand side each cleared of
+its own denominators.
 
 Vectors and matrices are immutable and hashable.
 """
@@ -268,24 +269,30 @@ def nonneg_solve(a: RMatrix, b: RVector) -> RVector | None:
     Phase-one simplex with Bland's pivoting rule, so termination is
     guaranteed and the feasibility verdict is a theorem, not a numerical
     judgement. The tableau is pivoted in integers
-    (:func:`_int_nonneg_solve`), every division exact, after scaling
-    ``a`` and ``b`` by the lcm ``L`` of all their denominators. Scaling
-    every row by one positive ``L`` keeps each basis feasible or not,
-    multiplies the artificial variables and the phase-one objective by
-    ``L``, and changes no reduced-cost sign and no ratio-test order. So
-    the pivots are Bland's pivots on the rational tableau, as before, and
-    ``x`` is the vertex the same simplex over ``Fraction`` entries returns.
+    (:func:`_int_nonneg_solve`), every division exact. ``a`` is scaled by
+    the lcm ``alpha`` of its own denominators and ``b`` by the lcm
+    ``beta`` of its own, so the integer system is ``a' y = b'`` with
+    ``a' = alpha a``, ``b' = beta b``, and ``x = (alpha / beta) y``.
+    That substitution scales every structural variable by
+    ``beta / alpha`` and every artificial by ``beta``: structural reduced
+    costs are multiplied by ``alpha``, artificial ones are unchanged, and
+    each ratio of the ratio test is multiplied by the positive scale of
+    the entering variable. No sign, ratio order or tie moves, so the
+    pivots are Bland's pivots on the rational tableau, and ``x`` is the
+    vertex the same simplex over ``Fraction`` entries returns.
     """
     m, n = a.nrows, a.ncols
     if b.dim != m:
         raise ValueError(f"right-hand side has dim {b.dim}, expected {m}")
-    scale = math.lcm(*(x.denominator for x in itertools.chain(b.entries, *a.rows)))
-    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in a.rows]
-    rhs = [x.numerator * (scale // x.denominator) for x in b.entries]
+    alpha = math.lcm(*(x.denominator for x in itertools.chain(*a.rows)))
+    beta = math.lcm(*(x.denominator for x in b.entries))
+    rows = [[x.numerator * (alpha // x.denominator) for x in row] for row in a.rows]
+    rhs = [x.numerator * (beta // x.denominator) for x in b.entries]
     support = _int_nonneg_solve(rows, rhs)
     if support is None:
         return None
-    return RVector(tuple(support.get(j, Fraction(0)) for j in range(n)))
+    unit = Fraction(alpha, beta)
+    return RVector(tuple(support[j] * unit if j in support else 0 for j in range(n)))
 
 
 def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] | None:
@@ -301,31 +308,43 @@ def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] |
     minor of the initial tableau. Signs are those of the rational tableau
     since ``d > 0``, and the ratio test compares ``T[i][w] / T[i][e]`` by
     cross-multiplication, so Bland's choices are unchanged.
+
+    No artificial column is stored: the tableau is ``n + 1`` wide, and
+    the artificial of row ``i`` keeps only its index ``n + i`` in
+    ``basis``, for the ratio test's tie-break. A column's update reads
+    only itself and the pivot column, so dropping columns changes no
+    other entry. The vertex is the one of the method that keeps them:
+
+    * Bland's rule enters the lowest index with a negative reduced cost,
+      and artificials come after every structural column. So an
+      artificial could enter only once every structural reduced cost is
+      >= 0, and until then both methods make the same pivots.
+    * At that point the basis is optimal for the phase-one LP restricted
+      to the structural columns and the artificials still basic.
+    * If its objective is 0, ``x`` solves ``a @ x = b``, and 0 is also
+      the optimum of the full phase-one LP. Each later pivot of the full
+      method lowers the objective by its step times a negative reduced
+      cost, so every step is 0: the pivots are degenerate, the basic
+      solution does not move, and both methods return the same ``x``.
+    * If it is > 0, no ``x >= 0`` solves ``a @ x = b``, since such an
+      ``x`` with the basic artificials at 0 would reach objective 0 in
+      the restricted LP. Both methods return None.
     """
     m, n = len(a), len(a[0])
-    width = n + m
 
     # Rows with negative right-hand side are negated so the artificial
     # basis starts feasible.
-    tableau: list[list[int]] = []
-    for i in range(m):
-        row, rhs = a[i], b[i]
-        if rhs < 0:
-            row, rhs = [-x for x in row], -rhs
-        art = [0] * m
-        art[i] = 1
-        tableau.append(row + art + [rhs])
+    tableau = [row + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs] for row, rhs in zip(a, b)]
     basis = [n + i for i in range(m)]
 
     # Objective: minimize the sum of artificials. Under the artificial
-    # basis the reduced cost of column j is -sum of its structural column,
-    # and z[width] carries minus the current objective value.
+    # basis the reduced cost of column j is -sum of its column, and z[n]
+    # carries minus the current objective value.
     z = [-sum(col) for col in zip(*tableau)]
-    z[n:width] = [0] * m
     d = 1
 
     while True:
-        enter = next((j for j in range(width) if z[j] < 0), None)
+        enter = next((j for j in range(n) if z[j] < 0), None)
         if enter is None:
             break
         leave = -1
@@ -337,8 +356,8 @@ def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] |
                     continue
                 # Compare ratios rhs / coef of rows i and leave; both
                 # coefficients are positive.
-                mine = tableau[i][width] * tableau[leave][enter]
-                best = tableau[leave][width] * coef
+                mine = tableau[i][n] * tableau[leave][enter]
+                best = tableau[leave][n] * coef
                 if mine < best or (mine == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
@@ -353,12 +372,12 @@ def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] |
         d = p
         basis[leave] = enter
 
-    if z[width] != 0:
+    if z[n] != 0:
         return None
     return {
-        var: Fraction(tableau[i][width], d)
+        var: Fraction(tableau[i][n], d)
         for i, var in enumerate(basis)
-        if var < n and tableau[i][width] != 0
+        if var < n and tableau[i][n] != 0
     }
 
 

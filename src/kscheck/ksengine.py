@@ -276,7 +276,11 @@ def _assemble(
         for r in declared:
             keeper.setdefault(r.ints, r)
         out_rays = list(keeper.values())
-        out_contexts = [Context(tuple(keeper[r.ints] for r in c.rays)) for c in contexts]
+        if len(out_rays) == len(declared):
+            # No two declared rays coincide, so every ray is its own keeper.
+            out_contexts = list(contexts)
+        else:
+            out_contexts = [Context(tuple([keeper[r.ints] for r in c.rays])) for c in contexts]
     else:
         # Minted ids are distinct. k has no "@", so a minted id's last "@c"
         # is the appended one, and the id gives back the declared id and k.
@@ -495,10 +499,13 @@ def noncontextual_model(
 
     The valuations are enumerated once, under SEARCH_NODE_BUDGET, and
     more than ``max_valuations`` of them raise ScenarioTooLargeError.
-    The LP is built in integers from the search's ray masks, every row
-    scaled by the lcm of the targets' denominators, and solved by the
-    integer simplex behind :func:`kscheck.exactlin.nonneg_solve`, so the
-    vertex is the one ``nonneg_solve`` returns on the same columns.
+    The LP is built in integers from the search's ray masks: the 0/1
+    valuation columns and the all-ones row as they are, and only the
+    right-hand side scaled, by the lcm ``scale`` of the targets'
+    denominators. It is solved by the integer simplex behind
+    :func:`kscheck.exactlin.nonneg_solve`, and the weights are its
+    solution divided by ``scale``. That is the scaling ``nonneg_solve``
+    applies to the same columns, so the vertex is the one it returns.
     Valuation objects are built for the support only.
     """
     from .probability import ray_probability
@@ -515,12 +522,13 @@ def noncontextual_model(
         )
     targets = [ray_probability(rho, r) for r in s.rays]
     scale = math.lcm(*[t.denominator for t in targets])
-    rows = [[scale if ones >> k & 1 else 0 for ones in hits] for k in range(len(s.rays))]
-    rows.append([scale] * len(hits))
+    rows = [[ones >> k & 1 for ones in hits] for k in range(len(s.rays))]
+    rows.append([1] * len(hits))
     rhs = [t.numerator * (scale // t.denominator) for t in targets] + [scale]
-    weights = _int_nonneg_solve(rows, rhs)
-    if weights is None:
+    solution = _int_nonneg_solve(rows, rhs)
+    if solution is None:
         return None
+    weights = {i: y / scale for i, y in solution.items()}
     support = {i: _valuation(s, hits[i]) for i in weights}
     return NoncontextualModel(weights=weights, valuations=support)
 

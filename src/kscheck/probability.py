@@ -325,12 +325,12 @@ def finite_pvm_check(contexts: Sequence[Context]) -> PvmReport:
     """
     violations: list[str] = []
     for k, c in enumerate(contexts):
-        atoms = {r.id: r for r in c.rays}
         try:
-            validate_context(list(atoms.values()), c.dim)
+            validate_context(c.rays, c.dim)
         except ValueError:  # a ContextError, or a violation too long to print
             violations.append(f"context {k + 1}: M(all outcomes) != identity")
-            for size in range(len(atoms) + 1):
-                for combo in itertools.combinations(atoms, size):
+            ids = c.ray_ids
+            for size in range(len(ids) + 1):
+                for combo in itertools.combinations(ids, size):
                     violations.append(f"context {k + 1}: complement rule fails on {sorted(combo)}")
     return PvmReport(tuple(violations))

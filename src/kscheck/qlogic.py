@@ -302,7 +302,8 @@ class Context:
     """Maximal family of mutually orthogonal rays.
 
     Use :func:`validate_context` to construct one; its cardinality and
-    orthogonality checks decide resolution of the identity.
+    orthogonality checks decide resolution of the identity. Ray ids are
+    the context's outcomes, so they must be distinct.
     """
 
     rays: tuple[Ray, ...]
@@ -310,6 +311,8 @@ class Context:
     def __post_init__(self) -> None:
         if not self.rays:
             raise ValueError("a context needs at least one ray")
+        if len({r.id for r in self.rays}) != len(self.rays):
+            raise ValueError("a context's ray ids must be distinct")
 
     @property
     def dim(self) -> int:

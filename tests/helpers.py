@@ -142,13 +142,16 @@ def gram_schmidt(vectors):
     return [tuple(b) for b in basis]
 
 
-def reference_nonneg_solve(a_rows, b):
+def reference_nonneg_solve(a_rows, b, pivots=None):
     """Vertex x >= 0 with a @ x = b, or None: the phase-one simplex with
     Bland's rule over plain Fractions, on lists of rows.
 
     This is the ``Fraction`` tableau ``exactlin.nonneg_solve`` used
     before it pivoted in integers, kept here so tests can pin the vertex
-    it returns. Same pivot rule, same tie-break, no shared code.
+    it returns. Same pivot rule, same tie-break, no shared code. It keeps
+    the artificial columns, so an artificial may enter the basis again.
+    If ``pivots`` is a list, each pivot appends ``(row, entering
+    column)`` to it; column ``n + i`` is the artificial of row ``i``.
     """
     m, n = len(b), len(a_rows[0])
     tableau = []
@@ -191,6 +194,8 @@ def reference_nonneg_solve(a_rows, b):
             f = z[enter]
             z = [x - f * y for x, y in zip(z, tableau[leave])]
         basis[leave] = enter
+        if pivots is not None:
+            pivots.append((leave, enter))
 
     if z[width] != 0:
         return None

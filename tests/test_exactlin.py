@@ -238,11 +238,48 @@ def lp_systems(draw):
     return rows, b
 
 
+# Primes near 10^4, so the lcm of a right-hand side's denominators runs to
+# tens of digits, as the model LP's targets' can.
+LARGE_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
+
+
+@st.composite
+def model_lps(draw):
+    """A system shaped like ``noncontextual_model``'s LP.
+
+    Up to 5 rows of 0/1 entries, some repeating an earlier row, then the
+    all-ones row, over up to 8 columns. The right-hand side is either
+    a @ x0 for weights x0 >= 0 summing to 1 over large coprime
+    denominators, or targets in [0, 1] over distinct large primes with
+    1 for the all-ones row.
+    """
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    rows = []
+    for i in range(m):
+        if i and draw(st.booleans()):
+            rows.append(list(rows[draw(st.integers(0, i - 1))]))
+        else:
+            rows.append([draw(st.integers(0, 1)) for _ in range(n)])
+    rows.append([1] * n)
+    if draw(st.booleans()):
+        raw = [Fraction(draw(st.integers(0, 50)), draw(st.sampled_from(LARGE_PRIMES))) for _ in range(n)]
+        if not any(raw):
+            raw[0] = Fraction(1)
+        total = sum(raw)
+        x0 = [x / total for x in raw]
+        b = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+    else:
+        primes = draw(st.permutations(LARGE_PRIMES))[:m]
+        b = [Fraction(draw(st.integers(0, p)), p) for p in primes] + [Fraction(1)]
+    return rows, b
+
+
 class TestNonnegSolveMatchesFractionSimplex:
     """The integer tableau pivots exactly like the Fraction one it replaced."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(lp_systems())
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(lp_systems(), model_lps()))
     def test_same_vertex_or_same_none(self, system):
         rows, b = system
         x = nonneg_solve(RMatrix(tuple(map(tuple, rows))), RVector(tuple(b)))
@@ -251,6 +288,36 @@ class TestNonnegSolveMatchesFractionSimplex:
             assert x is None
         else:
             assert x is not None and list(x.entries) == ref
+
+    @pytest.mark.parametrize(
+        "rows, b, expected",
+        [
+            # Feasible. The reference reaches phase-one objective 0 after
+            # two pivots, with row 2's artificial still basic at 0. Every
+            # structural reduced cost is then >= 0, and Bland's rule enters
+            # row 0's artificial in a degenerate pivot. The integer tableau
+            # stores no artificial column and stops before that pivot, so
+            # this pins that stopping there gives the same vertex.
+            ([[-1, -1], [1, 2], [0, 2]], [-1, 1, 0], [1, 0]),
+            # Infeasible. Every structural reduced cost is >= 0 while the
+            # objective is still positive. The reference goes on to enter
+            # row 0's artificial and ends with two artificials basic; the
+            # integer tableau stops earlier and must also answer None.
+            ([[-1, -1], [-1, 0], [1, 2]], [-1, 0, 1], None),
+        ],
+    )
+    def test_same_answer_where_the_reference_enters_an_artificial(self, rows, b, expected):
+        m, n = len(rows), len(rows[0])
+        pivots = []
+        assert reference_nonneg_solve(rows, b, pivots) == expected
+        assert any(enter >= n for _, enter in pivots), "an artificial must enter"
+        basis = list(range(n, n + m))
+        for row, enter in pivots:
+            basis[row] = enter
+        if expected is None:
+            assert sum(var >= n for var in basis) == 2
+        x = nonneg_solve(RMatrix(tuple(map(tuple, rows))), RVector(tuple(b)))
+        assert x is None if expected is None else list(x.entries) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(lp_systems())

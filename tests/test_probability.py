@@ -291,6 +291,20 @@ class TestPvm:
         assert not finite_pvm_check([c]).ok
 
 
+    def test_repeated_ray_id_reaches_neither_caller(self):
+        # finite_pvm_check keys atoms by id and would judge this basis on
+        # one ray, while context_distribution refuses repeated outcomes.
+        # The constructor now refuses the context for both.
+        rho = DensityOperator.maximally_mixed(2)
+        rays = (Ray("a", (1, 0)), Ray("a", (0, 1)))
+        with pytest.raises(ValueError, match="ray ids must be distinct"):
+            finite_pvm_check([Context(rays)])
+        with pytest.raises(ValueError, match="ray ids must be distinct"):
+            context_distribution(rho, Context(rays))
+        c = Context((Ray("a", (1, 0)), Ray("b", (0, 1))))
+        assert finite_pvm_check([c]).ok
+        assert context_distribution(rho, c).weights == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+
 class TestMeanValue:
     def test_context_observable_expectation(self, cabello):
         # <A> = trace(rho A) must equal the eigenvalue-weighted Born sum

@@ -201,6 +201,15 @@ class TestValidateContext:
         with pytest.raises(ContextError, match="coincide"):
             validate_context(bad, 4)
 
+    def test_repeated_ray_id_is_rejected(self):
+        # An orthonormal basis, but ids are outcomes: two rays named "a"
+        # would be one outcome to everything keyed by id.
+        rays = (Ray("a", (1, 0)), Ray("a", (0, 1)))
+        with pytest.raises(ValueError, match="ray ids must be distinct"):
+            Context(rays)
+        with pytest.raises(ValueError, match="ray ids must be distinct"):
+            validate_context(rays, 2)
+
     @given(st.data())
     @settings(deadline=None)
     def test_integer_identity_check_matches_fraction_projector_sum(self, data):
