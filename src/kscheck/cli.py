@@ -81,11 +81,11 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dot_text(s: KSScenario) -> str:
+def _dot_text(s: KSScenario, edges: Sequence[tuple[str, str]]) -> str:
     lines = ["graph orthogonality {"]
     for ray in sorted(s.rays, key=lambda r: r.id):
         lines.append(f'  "{ray.id}";')
-    for a, b in orthogonality_graph(s):
+    for a, b in edges:
         lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -94,7 +94,7 @@ def _dot_text(s: KSScenario) -> str:
 def _cmd_graph(args: argparse.Namespace) -> int:
     s = _load_scenario(args.file)
     edges = orthogonality_graph(s)
-    Path(args.dot).write_text(_dot_text(s), encoding="utf-8")
+    Path(args.dot).write_text(_dot_text(s, edges), encoding="utf-8")
     print(f"wrote {args.dot} ({len(s.rays)} vertices, {len(edges)} edges)")
     return 0
 

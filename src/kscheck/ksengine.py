@@ -3,9 +3,8 @@
 A scenario is a deduplicated family of rays together with the contexts
 that reference them. On top of it this module provides:
 
-* exhaustive search and counting of two-valued valuations (exactly one
-  ray per context assigned 1) by one iterative depth-first search over
-  ray bitmasks,
+* exhaustive search, enumeration and counting of two-valued valuations
+  (exactly one ray per context assigned 1) over ray bitmasks,
 * parity certificates of non-colorability (every ray multiplicity even,
   context count odd),
 * the functional-composition checks a valuation must satisfy,
@@ -13,11 +12,16 @@ that reference them. On top of it this module provides:
   weights over all valuations reproducing every ray's Born probability,
 * the orthogonality graph of the ray family.
 
-Search and counting are deterministic: contexts are processed in input
-order and rays in context order, so the first valuation found and the
-enumeration order are stable across runs. Counting and the model's
-enumeration give up after SEARCH_NODE_BUDGET search nodes; finding and
-enumerating valuations have no budget.
+Finding, enumerating, counting and the model first look for an odd set
+of contexts covering every ray an even number of times, found once per
+scenario by elimination over GF(2); such a set rules out every
+valuation, so no search runs. Otherwise finding and enumerating search
+depth-first, contexts in input order and rays in context order, so the
+first valuation found and the enumeration order are stable across runs.
+Counting shows no order, so it branches on the context with the fewest
+open rays and caches the count of each residual scenario. Counting and
+the model's enumeration give up after SEARCH_NODE_BUDGET search nodes;
+finding and enumerating valuations have no budget.
 """
 
 from __future__ import annotations
@@ -177,6 +181,16 @@ class KSScenario:
         return {r.id: i for i, r in enumerate(self.rays)}
 
     @cached_property
+    def _context_rays(self) -> tuple[tuple[int, ...], ...]:
+        """Per context, the indices of its rays in context order."""
+        return tuple([tuple([self._ray_index[r.id] for r in c.rays]) for c in self.contexts])
+
+    @cached_property
+    def _context_masks(self) -> tuple[int, ...]:
+        """Per context, the mask of its rays: ray ``i`` is bit ``i``."""
+        return tuple([sum([1 << i for i in rays]) for rays in self._context_rays])
+
+    @cached_property
     def _tables(self) -> _SearchTables:
         """Bitmask tables of the valuation search, built once per scenario.
 
@@ -184,8 +198,8 @@ class KSScenario:
         its ``forced`` mask, and only the contexts in its ``at_risk`` tuple
         can be left with every ray 0 by that.
         """
-        context_rays = tuple([tuple([self._ray_index[r.id] for r in c.rays]) for c in self.contexts])
-        context_masks = tuple([sum([1 << i for i in rays]) for rays in context_rays])
+        context_rays = self._context_rays
+        context_masks = self._context_masks
         ray_contexts: list[list[int]] = [[] for _ in self.rays]
         for k, rays in enumerate(context_rays):
             for i in rays:
@@ -206,6 +220,50 @@ class KSScenario:
             forced.append(mask ^ 1 << i)
             at_risk.append(tuple(reached.difference(own)))
         return _SearchTables(context_rays, context_masks, tuple(forced), tuple(at_risk))
+
+    @cached_property
+    def _parity_subset(self) -> int | None:
+        """An odd set of contexts covering every ray an even number of
+        times, as a mask of context indices (context ``k`` is bit ``k``),
+        or None when there is none.
+
+        Such a set rules out every valuation. The XOR of its contexts' ray
+        masks is 0, so each ray lies in an even number of its contexts.
+        Summing "exactly one ray is 1" over the set therefore counts every
+        ray's value an even number of times, and the total is even. Yet it
+        is one per context of the set, so it is odd.
+
+        The set is found by elimination over GF(2) on the rows
+        ``mask << 1 | 1``, whose low bit counts the contexts summed: a row
+        reduces to 1 exactly when an odd sum of ray masks is 0. A context
+        holding a ray that lies in no other context cannot be in the set,
+        so it is skipped, and a scenario where no ray lies in two contexts
+        has no set at all.
+        """
+        masks = self._context_masks
+        seen = shared = 0
+        for m in masks:
+            shared |= seen & m
+            seen |= m
+        if not shared:
+            return None
+        lone = seen ^ shared
+        # Reduced rows keyed by the bit length of their leading bit. Only
+        # rows other than 0 and 1 are stored, so no key is 0 or 1.
+        pivots: dict[int, tuple[int, int]] = {}
+        for k, m in enumerate(masks):
+            if m & lone:
+                continue
+            row, subset = m << 1 | 1, 1 << k
+            while row.bit_length() in pivots:
+                pivot, pivot_subset = pivots[row.bit_length()]
+                row ^= pivot
+                subset ^= pivot_subset
+            if row == 1:
+                return subset
+            if row:
+                pivots[row.bit_length()] = (row, subset)
+        return None
 
     def ray_by_id(self, ray_id: str) -> Ray:
         return self.rays[self._ray_index[ray_id]]
@@ -310,6 +368,10 @@ def without_context(s: KSScenario, index: int) -> KSScenario:
     return KSScenario(dim=s.dim, rays=rays, contexts=contexts)
 
 
+def _gave_up(budget: float) -> ScenarioTooLargeError:
+    return ScenarioTooLargeError(f"search gave up after visiting {budget} nodes (rays set to 1)")
+
+
 def _search(order: Sequence[int], tables: _SearchTables, budget: float = math.inf) -> Iterator[int]:
     """Yield, as a mask of the rays set to 1, every 0/1 assignment of the
     rays of the contexts in ``order`` with exactly one 1 per context.
@@ -333,9 +395,7 @@ def _search(order: Sequence[int], tables: _SearchTables, budget: float = math.in
         elif not zeros >> r & 1:
             nodes += 1
             if nodes > budget:
-                raise ScenarioTooLargeError(
-                    f"search gave up after visiting {budget} nodes (rays set to 1)"
-                )
+                raise _gave_up(budget)
             z = zeros | forced[r]
             for k in at_risk[r]:
                 if masks[k] & z == masks[k]:
@@ -349,6 +409,98 @@ def _search(order: Sequence[int], tables: _SearchTables, budget: float = math.in
                     yield child
                 else:
                     stack.append((level, child, z, iter(context_rays[order[level]])))
+
+
+def _frame(open_rays: int, masks: Sequence[int]) -> list[int]:
+    """Counting frame [open rays, choices left, count so far] of a live
+    state whose unsettled contexts are the ones in ``masks`` meeting
+    ``open_rays``.
+
+    When those contexts share no open ray, each picks its 1 on its own:
+    the count is the product of their numbers of open rays, and no choice
+    is left. Otherwise the choices are the open rays of the context with
+    the fewest of them, the first such context on a tie.
+    """
+    best, fewest, covered = 0, math.inf, 0
+    for m in masks:
+        n = (m & open_rays).bit_count()
+        covered += n
+        if n and n < fewest:
+            best, fewest = m & open_rays, n
+    if covered == open_rays.bit_count():
+        sizes = [(m & open_rays).bit_count() for m in masks if m & open_rays]
+        return [open_rays, 0, math.prod(sizes)]
+    return [open_rays, best, 0]
+
+
+def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> int:
+    """Number of 0/1 assignments of the rays of the contexts in
+    ``component`` with exactly one 1 per context.
+
+    A state is the mask of the open rays: those neither set to 1 nor
+    forced to 0. Settling a context closes all its rays, so in a live
+    state, where every unsettled context still has an open ray, an open
+    ray lies in no settled context. The unsettled contexts are then
+    exactly those that meet the mask, and each one's choices are its rays
+    in the mask, so the mask alone fixes the number of ways to finish.
+    Each state is counted once and cached under its mask. A state that
+    leaves some context with every ray closed is dead and counts 0.
+
+    Depth-first over an explicit stack of :func:`_frame` frames. Raises
+    ScenarioTooLargeError once more than ``budget`` rays have been set to
+    1, counting every open ray of a state whose count is a product, such
+    as a component of one context.
+    """
+    _, masks, forced, at_risk = tables
+    # Chains and unmerged scenarios are many one-context components, so
+    # these skip the cache and the stack.
+    if len(component) == 1:
+        n = masks[component[0]].bit_count()
+        if n > budget:
+            raise _gave_up(budget)
+        return n
+    own = [masks[k] for k in component]
+    everything = 0
+    for m in own:
+        everything |= m
+    cache: dict[int, int] = {}
+    nodes = 0
+    stack: list[list[int]] = []
+    state: int | None = everything  # a state to expand before going on
+    while True:
+        if state is not None:
+            frame = _frame(state, own)
+            if not frame[1]:
+                nodes += state.bit_count()
+                if nodes > budget:
+                    raise _gave_up(budget)
+            stack.append(frame)
+            state = None
+        frame = stack[-1]
+        open_rays, left, total = frame
+        if not left:
+            cache[open_rays] = total
+            stack.pop()
+            if not stack:
+                return total
+            stack[-1][2] += total
+            continue
+        low = left & -left
+        frame[1] = left ^ low
+        nodes += 1
+        if nodes > budget:
+            raise _gave_up(budget)
+        r = low.bit_length() - 1
+        child = open_rays & ~(forced[r] | low)
+        for k in at_risk[r]:
+            if masks[k] & open_rays and not masks[k] & child:
+                break  # context k has no ray left for its 1
+        else:
+            known = cache.get(child)
+            if known is None:
+                state = child
+            else:
+                frame[2] += known
 
 
 def _components(s: KSScenario) -> list[list[int]]:
@@ -365,7 +517,7 @@ def _components(s: KSScenario) -> list[list[int]]:
             x = parent[x]
         return x
 
-    context_rays = s._tables.context_rays
+    context_rays = s._context_rays
     for ctx in context_rays:
         root = find(ctx[0])
         for r in ctx[1:]:
@@ -387,6 +539,8 @@ def find_valuation(s: KSScenario) -> Valuation | None:
     Unlike :func:`count_valuations` this has no node budget; the search
     stops at the first complete assignment.
     """
+    if s._parity_subset is not None:
+        return None
     ones = next(_search(range(len(s.contexts)), s._tables), None)
     return None if ones is None else _valuation(s, ones)
 
@@ -395,21 +549,28 @@ def enumerate_valuations(s: KSScenario) -> Iterator[Valuation]:
     """All valuations in deterministic order, with no node budget. May be
     a large iteration; callers that need the number first should use
     count_valuations."""
+    if s._parity_subset is not None:
+        return
     for ones in _search(range(len(s.contexts)), s._tables):
         yield _valuation(s, ones)
 
 
 def count_valuations(s: KSScenario) -> int:
-    """Exact number of valuations, by exhaustive pruned enumeration.
+    """Exact number of valuations.
 
-    The scenario splits into connected components of intertwined
-    contexts; valuations multiply across components, so each component is
-    enumerated on its own. Each component's search gives up with
-    ScenarioTooLargeError after SEARCH_NODE_BUDGET nodes.
+    0 at once when an odd set of contexts covers every ray an even number
+    of times. Otherwise the scenario splits into connected components of
+    intertwined contexts; valuations multiply across components, so each
+    component is counted on its own, branching on the context with the
+    fewest open rays and caching the count of each residual state. Each
+    component's count gives up with ScenarioTooLargeError after
+    SEARCH_NODE_BUDGET nodes.
     """
+    if s._parity_subset is not None:
+        return 0
     total = 1
-    for order in _components(s):
-        total *= sum(1 for _ in _search(order, s._tables, SEARCH_NODE_BUDGET))
+    for component in _components(s):
+        total *= _count(component, s._tables, SEARCH_NODE_BUDGET)
         if total == 0:
             return 0
     return total
@@ -497,8 +658,11 @@ def noncontextual_model(
     Returns the model or None when the system is infeasible. INFEASIBLE
     here is a theorem: no tolerance is involved anywhere.
 
-    The valuations are enumerated once, under SEARCH_NODE_BUDGET, and
-    more than ``max_valuations`` of them raise ScenarioTooLargeError.
+    A scenario with an odd set of contexts covering every ray an even
+    number of times has no valuation, so its answer is None with no
+    search. Otherwise the valuations are enumerated once, under
+    SEARCH_NODE_BUDGET, and more than ``max_valuations`` of them raise
+    ScenarioTooLargeError.
     The LP is built in integers from the search's ray masks: the 0/1
     valuation columns and the all-ones row as they are, and only the
     right-hand side scaled, by the lcm ``scale`` of the targets'
@@ -512,6 +676,8 @@ def noncontextual_model(
 
     if rho.dim != s.dim:
         raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
+    if s._parity_subset is not None:
+        return None
     search = _search(range(len(s.contexts)), s._tables, SEARCH_NODE_BUDGET)
     hits = list(itertools.islice(search, max_valuations + 1))
     if not hits:

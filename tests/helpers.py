@@ -81,6 +81,22 @@ def brute_force_count(s: KSScenario) -> int:
     return count
 
 
+def has_parity_subset(s: KSScenario) -> bool:
+    """Whether some odd set of contexts covers every ray an even number of
+    times, by trying every odd set of contexts."""
+    k = len(s.contexts)
+    assert k <= 12, "oracle is for small scenarios only"
+    for size in range(1, k + 1, 2):
+        for chosen in itertools.combinations(s.contexts, size):
+            cover: dict[str, int] = {}
+            for c in chosen:
+                for rid in c.ray_ids:
+                    cover[rid] = cover.get(rid, 0) + 1
+            if all(n % 2 == 0 for n in cover.values()):
+                return True
+    return False
+
+
 def reference_valuations(s: KSScenario) -> list[tuple[str, ...]]:
     """Every valuation, as the sorted ids of its rays set to 1, in the
     order a depth-first search settling contexts by index and trying rays

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from kscheck.qlogic import ContextError
 from helpers import (
     brute_force_count,
     gram_schmidt,
+    has_parity_subset,
     rand_mixed_state,
     reference_nonneg_solve,
     reference_valuations,
@@ -186,6 +188,48 @@ class TestCountValuations:
             count_valuations(s)
         assert find_valuation(s) is not None  # find has no budget
 
+    def test_node_budget_is_enforced_while_branching(self, cabello, monkeypatch):
+        s = without_context(cabello, 0)
+        monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 5)
+        with pytest.raises(ScenarioTooLargeError, match="after visiting 5 nodes"):
+            count_valuations(s)
+        monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 100)
+        assert count_valuations(s) == 26
+
+    def test_path_is_counted_from_cached_residuals(self, monkeypatch):
+        # Contexts {s_k, t_k, s_k+1} in a path: a valuation is a 0/1 string
+        # s_0..s_n with no two adjacent 1s, and there are Fibonacci(n + 3)
+        # of them. Each residual is a suffix of the path, so with its count
+        # cached the work is linear; without, it is one node per valuation.
+        # s_2j = (1, j, j^2) and s_2j+1 = (j(j+1), -(2j+1), 1) are each
+        # orthogonal to the next; t_k is the cross product s_k x s_k+1.
+        n = 40
+        s = []
+        for k in range(n + 1):
+            j = k // 2
+            s.append((1, j, j * j) if k % 2 == 0 else (j * (j + 1), -k, 1))
+        rays = [(f"s{k}", v) for k, v in enumerate(s)]
+        for k in range(n):
+            (a, b, c), (x, y, z) = s[k], s[k + 1]
+            rays.append((f"t{k}", (b * z - c * y, c * x - a * z, a * y - b * x)))
+        scenario = build_scenario(rays, [[f"s{k}", f"t{k}", f"s{k + 1}"] for k in range(n)])
+        assert len(scenario.rays) == 2 * n + 1
+        monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 1000)
+        fib = [0, 1]
+        while len(fib) < n + 4:
+            fib.append(fib[-1] + fib[-2])
+        assert count_valuations(scenario) == fib[n + 3]
+
+    def test_star_of_1500_contexts(self):
+        # Every context holds the shared ray c. With c set to 1 all other
+        # rays are 0; with c at 0 each context picks one of its two.
+        n = 1500
+        rays, contexts = [("c", (0, 0, 1))], []
+        for k in range(1, n + 1):
+            rays += [(f"a{k}", (1, k, 0)), (f"b{k}", (k, -1, 0))]
+            contexts.append([f"a{k}", f"b{k}", "c"])
+        assert count_valuations(build_scenario(rays, contexts)) == 2**n + 1
+
 
 # Two dim-4 bases sharing no ray with cabello18 or with each other.
 DISJOINT_BASES = (
@@ -287,6 +331,68 @@ class TestParityCertificate:
                 checked += 1
         cert = parity_certificate(cabello)
         assert cert is not None and count_valuations(cabello) == 0
+
+
+def with_disjoint_basis(cabello):
+    """cabello18 plus one basis sharing no ray with it: the whole set has
+    rays of multiplicity 1 and an even number of contexts."""
+    rays = [(r.id, r.ints) for r in cabello.rays]
+    ids = [f"x{i}" for i in range(4)]
+    rays += zip(ids, DISJOINT_BASES[0])
+    return build_scenario(rays, [list(c.ray_ids) for c in cabello.contexts] + [ids])
+
+
+class TestParityRefutation:
+    """Find, enumerate, count and the model answer at once when an odd set
+    of contexts covers every ray an even number of times."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return search(*args)
+
+        search = ksengine._search
+        monkeypatch.setattr(ksengine, "_search", spy)
+        return calls
+
+    def test_refuted_without_search(self, cabello, searches):
+        extended = with_disjoint_basis(cabello)
+        assert parity_certificate(extended) is None
+        for s in (cabello, extended):
+            assert find_valuation(s) is None
+            assert count_valuations(s) == 0
+            assert list(enumerate_valuations(s)) == []
+            assert noncontextual_model(s, DensityOperator.maximally_mixed(4)) is None
+        assert searches == []
+
+    def test_subset_is_odd_and_covers_evenly(self, cabello):
+        s = with_disjoint_basis(cabello)
+        subset = s._parity_subset
+        chosen = [c for k, c in enumerate(s.contexts) if subset >> k & 1]
+        assert subset < 1 << len(s.contexts) and len(chosen) % 2 == 1
+        cover = Counter(rid for c in chosen for rid in c.ray_ids)
+        assert all(n % 2 == 0 for n in cover.values())
+
+    def test_fires_exactly_where_a_subset_exists(self, cabello):
+        rng = random.Random(10)
+        scenarios = [interleaved_scenario(cabello, rng.sample(range(9), 2)) for _ in range(6)]
+        for _ in range(30):
+            scenarios.append(subscenario(cabello, rng.sample(range(9), rng.randint(1, 9))))
+        refuted = 0
+        for s in scenarios:
+            found = s._parity_subset is not None
+            assert found == has_parity_subset(s)
+            if found:
+                refuted += 1
+                assert brute_force_count(s) == 0
+        assert 0 < refuted < len(scenarios)
+
+    def test_scenarios_without_shared_rays_have_none(self):
+        for s in (cabello18(merge=False), standard_basis(31), two_disjoint_contexts_scenario()):
+            assert s._parity_subset is None
 
 
 class TestVerifyFunc:
