@@ -15,6 +15,9 @@ Each ``context`` line lists dim previously declared ray ids. Blank lines
 and lines starting with ``#`` are ignored. Errors carry the 1-based line
 and column of the offending token.
 
+Each line is read as its list of whitespace-separated words. A word's
+column is computed only when an error is raised, from the line itself.
+
 State files describe a density operator in one of three forms::
 
     pure 1 1 0 0
@@ -34,16 +37,18 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from math import lcm
-from typing import Sequence
 
 from .exactlin import RMatrix
 from .ksengine import KSScenario, _assemble
 from .probability import DensityOperator
 from .qlogic import Context, Ray, validate_context
 
-_TOKEN_RE = re.compile(r"\S+")
+_WORD_RE = re.compile(r"\S+")  # the words of str.split(), which splits on the same whitespace
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+# Words that _RATIONAL_RE accepts with no "/", joined by single spaces.
+_INTEGERS_RE = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
 _DIM_RE = re.compile(r"^[0-9]+$")
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_@.\-]*$")
 _KEYWORDS = {"dim", "ray", "context"}
@@ -59,11 +64,15 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _tokenize(raw: str) -> list[tuple[int, str]]:
-    """Split a line into (column, token) pairs; comment lines are empty."""
-    if raw.lstrip().startswith("#"):
-        return []
-    return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(raw)]
+def _words(raw: str) -> list[str]:
+    """The words of a line; a comment line has none."""
+    words = raw.split()
+    return [] if words and words[0].startswith("#") else words
+
+
+def _column(raw: str, k: int) -> int:
+    """1-based column of word ``k`` (0-based) of ``raw``."""
+    return next(islice(_WORD_RE.finditer(raw), k, None)).start() + 1
 
 
 def _rational_parts(token: str) -> tuple[int, int]:
@@ -87,26 +96,37 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(*_rational_parts(token))
 
 
-def _parts_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> list[tuple[int, int]]:
+def _parts(line: int, raw: str, words: list[str], first: int) -> list[tuple[int, int]]:
+    """:func:`_rational_parts` of each of ``words[first:]``, raising a
+    ParseError at the first word that is not a rational."""
     parts = []
-    for col, tok in tokens:
+    for k in range(first, len(words)):
         try:
-            parts.append(_rational_parts(tok))
+            parts.append(_rational_parts(words[k]))
         except ValueError as exc:
-            raise ParseError(line, col, str(exc)) from None
+            raise ParseError(line, _column(raw, k), str(exc)) from None
     return parts
 
 
-def _ints_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> tuple[int, ...]:
-    """Integer coordinates proportional to the tokens' rationals: each is
-    multiplied by the lcm of the denominators."""
-    parts = _parts_from_tokens(tokens, line)
+def _ints(line: int, raw: str, words: list[str], first: int) -> tuple[int, ...]:
+    """Integer coordinates proportional to the rationals ``words[first:]``:
+    each is multiplied by the lcm of the denominators.
+
+    Integers alone, the usual case, are checked by one match over the
+    joined words and read by ``int``. The match keeps out what ``int``
+    would accept beyond ``_RATIONAL_RE``: ``1_0``, non-ASCII digits,
+    surrounding spaces. Every other case, errors included, goes word by
+    word through :func:`_parts`.
+    """
+    coords = words[first:]
+    if _INTEGERS_RE.fullmatch(" ".join(coords)):
+        try:
+            return tuple(map(int, coords))
+        except ValueError:  # more digits than int() converts; _parts raises
+            pass
+    parts = _parts(line, raw, words, first)
     scale = lcm(*[d for _, d in parts])
     return tuple([n * (scale // d) for n, d in parts])
-
-
-def _coords_from_tokens(tokens: Sequence[tuple[int, str]], line: int) -> tuple[Fraction, ...]:
-    return tuple([Fraction(n, d) for n, d in _parts_from_tokens(tokens, line)])
 
 
 def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
@@ -119,69 +139,72 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
     per context occurrence.
     """
     dim: int | None = None
-    ray_pos: dict[str, tuple[int, int]] = {}
+    ray_line: dict[str, int] = {}
     rays: dict[str, Ray] = {}
     contexts: list[Context] = []
+    used: set[str] = set()
 
-    for line, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
-        if not tokens:
+    lines = text.splitlines()
+    for line, raw in enumerate(lines, start=1):
+        words = _words(raw)
+        if not words:
             continue
-        key_col, key = tokens[0]
-        rest = tokens[1:]
+        key = words[0]
 
         if key == "dim":
             if dim is not None:
-                raise ParseError(line, key_col, "duplicate dim declaration")
+                raise ParseError(line, _column(raw, 0), "duplicate dim declaration")
             if rays or contexts:
-                raise ParseError(line, key_col, "dim must come before any declaration")
-            if len(rest) != 1:
-                raise ParseError(line, key_col, "dim takes exactly one argument")
-            col, tok = rest[0]
+                raise ParseError(line, _column(raw, 0), "dim must come before any declaration")
+            if len(words) != 2:
+                raise ParseError(line, _column(raw, 0), "dim takes exactly one argument")
+            tok = words[1]
             try:
                 dim = int(tok) if _DIM_RE.match(tok) else 0
             except ValueError:  # more digits than int() converts
                 dim = 0
             if dim < 1:
-                raise ParseError(line, col, f"invalid dimension {tok!r}")
+                raise ParseError(line, _column(raw, 1), f"invalid dimension {tok!r}")
 
         elif key == "ray":
             if dim is None:
-                raise ParseError(line, key_col, "dim must be declared before rays")
-            if len(rest) != dim + 1:
-                raise ParseError(line, key_col, f"ray needs an id and {dim} coordinates")
-            id_col, rid = rest[0]
+                raise ParseError(line, _column(raw, 0), "dim must be declared before rays")
+            if len(words) != dim + 2:
+                raise ParseError(line, _column(raw, 0), f"ray needs an id and {dim} coordinates")
+            rid = words[1]
             if rid in _KEYWORDS:
-                raise ParseError(line, id_col, f"{rid!r} is a reserved word")
+                raise ParseError(line, _column(raw, 1), f"{rid!r} is a reserved word")
             if not _ID_RE.match(rid):
-                raise ParseError(line, id_col, f"invalid ray id {rid!r}")
-            if rid in ray_pos:
-                raise ParseError(line, id_col, f"duplicate ray id {rid!r}")
-            ints = _ints_from_tokens(rest[1:], line)
+                raise ParseError(line, _column(raw, 1), f"invalid ray id {rid!r}")
+            if rid in rays:
+                raise ParseError(line, _column(raw, 1), f"duplicate ray id {rid!r}")
+            ints = _ints(line, raw, words, 2)
             if not any(ints):
-                raise ParseError(line, rest[1][0], f"ray {rid!r} is the zero vector")
-            ray_pos[rid] = (line, id_col)
+                raise ParseError(line, _column(raw, 2), f"ray {rid!r} is the zero vector")
+            ray_line[rid] = line
             rays[rid] = Ray(rid, ints)
 
         elif key == "context":
             if dim is None:
-                raise ParseError(line, key_col, "dim must be declared before contexts")
-            if len(rest) != dim:
-                raise ParseError(line, key_col, f"context has {len(rest)} rays, needs {dim}")
-            ids = []
-            for col, rid in rest:
-                if rid not in ray_pos:
-                    raise ParseError(line, col, f"undeclared ray id {rid!r}")
-                if rid in ids:
-                    raise ParseError(line, col, f"ray {rid!r} repeated in context")
-                ids.append(rid)
+                raise ParseError(line, _column(raw, 0), "dim must be declared before contexts")
+            if len(words) != dim + 1:
+                raise ParseError(
+                    line, _column(raw, 0), f"context has {len(words) - 1} rays, needs {dim}"
+                )
+            ids = words[1:]
+            for k, rid in enumerate(ids):
+                if rid not in rays:
+                    raise ParseError(line, _column(raw, k + 1), f"undeclared ray id {rid!r}")
+                if ids.index(rid) != k:
+                    raise ParseError(line, _column(raw, k + 1), f"ray {rid!r} repeated in context")
             try:
                 contexts.append(validate_context([rays[rid] for rid in ids], dim))
             except ValueError as exc:  # a ContextError, or a violation too long to print
-                raise ParseError(line, key_col, str(exc)) from None
+                raise ParseError(line, _column(raw, 0), str(exc)) from None
+            used.update(ids)
 
         else:
-            raise ParseError(line, key_col, f"unknown keyword {key!r}")
+            raise ParseError(line, _column(raw, 0), f"unknown keyword {key!r}")
 
     if dim is None:
         raise ParseError(1, 1, "missing dim declaration")
@@ -190,11 +213,10 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
     if not contexts:
         raise ParseError(1, 1, "no context declarations")
 
-    referenced = {r.id for ctx in contexts for r in ctx.rays}
-    for rid in rays:
-        if rid not in referenced:
-            rline, rcol = ray_pos[rid]
-            raise ParseError(rline, rcol, f"ray {rid!r} is not used in any context")
+    if len(used) != len(rays):
+        rid = next(rid for rid in rays if rid not in used)
+        rline = ray_line[rid]
+        raise ParseError(rline, _column(lines[rline - 1], 1), f"ray {rid!r} is not used in any context")
 
     return _assemble(list(rays.values()), contexts, merge=merge, dim=dim)
 
@@ -219,48 +241,49 @@ def parse_state(text: str, dim: int) -> DensityOperator:
     ambient dimension."""
     lines = []
     for line, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
-        if tokens:
-            lines.append((line, tokens))
+        words = _words(raw)
+        if words:
+            lines.append((line, raw, words))
     if not lines:
         raise ParseError(1, 1, "empty state file")
 
-    line, tokens = lines[0]
-    key_col, kind = tokens[0]
+    line, raw, words = lines[0]
+    kind = words[0]
 
     if kind == "pure":
-        if len(tokens) != dim + 1:
-            raise ParseError(line, key_col, f"pure state needs {dim} coordinates")
+        if len(words) != dim + 1:
+            raise ParseError(line, _column(raw, 0), f"pure state needs {dim} coordinates")
         if len(lines) > 1:
-            raise ParseError(lines[1][0], lines[1][1][0][0], "unexpected content after pure state")
-        ints = _ints_from_tokens(tokens[1:], line)
+            raise ParseError(
+                lines[1][0], _column(lines[1][1], 0), "unexpected content after pure state"
+            )
+        ints = _ints(line, raw, words, 1)
         try:
             return DensityOperator.pure(ints)
         except ValueError as exc:
-            raise ParseError(line, tokens[1][0], str(exc)) from None
+            raise ParseError(line, _column(raw, 1), str(exc)) from None
 
     if kind == "mixed":
-        if len(tokens) != 1:
-            raise ParseError(line, tokens[1][0], "mixed takes no arguments on its own line")
+        if len(words) != 1:
+            raise ParseError(line, _column(raw, 1), "mixed takes no arguments on its own line")
         if len(lines) == 1:
-            raise ParseError(line, key_col, "mixed state needs at least one component line")
+            raise ParseError(line, _column(raw, 0), "mixed state needs at least one component line")
         parts: list[tuple[Fraction, tuple[int, ...]]] = []
         total = Fraction(0)
-        for cline, ctokens in lines[1:]:
-            if len(ctokens) != dim + 3 or ctokens[0][1] != "w" or ctokens[2][1] != "pure":
+        for cline, craw, cwords in lines[1:]:
+            if len(cwords) != dim + 3 or cwords[0] != "w" or cwords[2] != "pure":
                 raise ParseError(
-                    cline, ctokens[0][0], f"expected 'w <weight> pure <{dim} coordinates>'"
+                    cline, _column(craw, 0), f"expected 'w <weight> pure <{dim} coordinates>'"
                 )
-            wcol, wtok = ctokens[1]
             try:
-                weight = parse_rational(wtok)
+                weight = parse_rational(cwords[1])
             except ValueError as exc:
-                raise ParseError(cline, wcol, str(exc)) from None
+                raise ParseError(cline, _column(craw, 1), str(exc)) from None
             if weight < 0:
-                raise ParseError(cline, wcol, f"negative mixture weight {weight}")
-            ints = _ints_from_tokens(ctokens[3:], cline)
+                raise ParseError(cline, _column(craw, 1), f"negative mixture weight {weight}")
+            ints = _ints(cline, craw, cwords, 3)
             if not any(ints):
-                raise ParseError(cline, ctokens[3][0], "zero vector in mixture component")
+                raise ParseError(cline, _column(craw, 3), "zero vector in mixture component")
             parts.append((weight, ints))
             total += weight
         if total != 1:
@@ -268,18 +291,20 @@ def parse_state(text: str, dim: int) -> DensityOperator:
         return DensityOperator.mixture(parts)
 
     if kind == "matrix":
-        if len(tokens) != 1:
-            raise ParseError(line, tokens[1][0], "matrix takes no arguments on its own line")
+        if len(words) != 1:
+            raise ParseError(line, _column(raw, 1), "matrix takes no arguments on its own line")
         if len(lines) != dim + 1:
-            raise ParseError(line, key_col, f"matrix form needs exactly {dim} rows")
+            raise ParseError(line, _column(raw, 0), f"matrix form needs exactly {dim} rows")
         rows = []
-        for rline, rtokens in lines[1:]:
-            if len(rtokens) != dim:
-                raise ParseError(rline, rtokens[0][0], f"matrix row needs {dim} entries")
-            rows.append(_coords_from_tokens(rtokens, rline))
+        for rline, rraw, rwords in lines[1:]:
+            if len(rwords) != dim:
+                raise ParseError(rline, _column(rraw, 0), f"matrix row needs {dim} entries")
+            rows.append(tuple([Fraction(n, d) for n, d in _parts(rline, rraw, rwords, 0)]))
         try:
             return DensityOperator(RMatrix(tuple(rows)))
         except ValueError as exc:
-            raise ParseError(line, key_col, str(exc)) from None
+            raise ParseError(line, _column(raw, 0), str(exc)) from None
 
-    raise ParseError(line, key_col, f"state must start with 'pure', 'mixed' or 'matrix', got {kind!r}")
+    raise ParseError(
+        line, _column(raw, 0), f"state must start with 'pure', 'mixed' or 'matrix', got {kind!r}"
+    )

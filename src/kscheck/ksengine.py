@@ -239,7 +239,16 @@ class KSScenario:
         holding a ray that lies in no other context cannot be in the set,
         so it is skipped, and a scenario where no ray lies in two contexts
         has no set at all.
+
+        In odd dimension there is no set either. A validated context has
+        ``dim`` rays, so an odd set of contexts has an odd number
+        ``dim * |set|`` of ray slots, while a cover meeting every ray an
+        even number of times has an even number. So the elimination runs
+        in even dimension only. (None decides no verdict: the search that
+        follows it is exact.)
         """
+        if self.dim % 2:
+            return None
         masks = self._context_masks
         seen = shared = 0
         for m in masks:
@@ -328,6 +337,11 @@ def _assemble(
 
     Merging and minting only swap a ray for one with the same canonical
     coordinates, so the contexts stay valid and are not validated again.
+    The callers guarantee the scenario's invariants: the declared ids are
+    unique, every context has dimension ``dim`` and holds declared rays
+    only, and every declared ray lies in some context. Merging keeps one
+    ray per coordinates and minting one per occurrence, so they still
+    hold, and the scenario is built without the constructor's checks.
     """
     if merge:
         keeper: dict[tuple[int, ...], Ray] = {}
@@ -349,7 +363,21 @@ def _assemble(
             for k, c in enumerate(contexts, start=1)
         ]
         out_rays = [r for c in out_contexts for r in c.rays]
-    return KSScenario(dim=dim, rays=tuple(out_rays), contexts=tuple(out_contexts))
+    return _unchecked_scenario(dim, tuple(out_rays), tuple(out_contexts))
+
+
+def _unchecked_scenario(
+    dim: int, rays: tuple[Ray, ...], contexts: tuple[Context, ...]
+) -> KSScenario:
+    """Scenario whose invariants hold by construction, without the
+    constructor's checks: unique ray ids, one dimension, at least one ray
+    and one context, every context ray a scenario ray and no unused ray.
+    """
+    s = object.__new__(KSScenario)
+    object.__setattr__(s, "dim", dim)
+    object.__setattr__(s, "rays", rays)
+    object.__setattr__(s, "contexts", contexts)
+    return s
 
 
 def without_context(s: KSScenario, index: int) -> KSScenario:
@@ -365,7 +393,9 @@ def without_context(s: KSScenario, index: int) -> KSScenario:
         raise ScenarioError("cannot delete the only context of a scenario")
     referenced = {r.id for c in contexts for r in c.rays}
     rays = tuple(r for r in s.rays if r.id in referenced)
-    return KSScenario(dim=s.dim, rays=rays, contexts=contexts)
+    # Keeps a subset of a scenario's contexts and exactly the rays they
+    # reference, so every invariant of s still holds.
+    return _unchecked_scenario(s.dim, rays, contexts)
 
 
 def _gave_up(budget: float) -> ScenarioTooLargeError:
@@ -706,24 +736,50 @@ def orthogonality_graph(s: KSScenario) -> tuple[tuple[str, str], ...]:
     have dot product zero. Pairs and the list itself are sorted by id, so
     the output is deterministic.
 
-    The dot products of each ray with every later one are summed column
-    by column, one list per nonzero coordinate; the scenario guarantees
-    that all rays have its dimension.
+    The rays, sorted by id, are packed into slots of ``width`` bits: each
+    coordinate column is one int holding ray ``j``'s coordinate in slot
+    ``j``, at bit ``j * width``. Starting from ``biased``, which holds
+    ``bias = dim * m**2`` in every slot, with ``m`` the largest absolute
+    coordinate, one multiply-add per nonzero coordinate of ray ``i`` sums
+    ``bias`` plus its dot product with ray ``j`` into slot ``j``, for
+    every ``j`` at once. Term by term, every dot product lies in
+    ``[-bias, bias]``, so each slot's sum lies in ``[0, 2 * bias]``, and
+    ``width`` is the least multiple of 8 with ``2 * bias < 2**(width -
+    1)``. So the slots of the nonnegative total are its base-``2**width``
+    digits, with no carry between them and the top bit of each 0. XOR
+    with ``biased`` then zeroes exactly the slots of dot product 0, and
+    the zero-slot test ``~((diff | highs) - ones) & highs`` sets the top
+    bit of exactly those: ``diff | highs`` puts a 1 above each slot's
+    value, and subtracting 1 per slot borrows it, within the slot,
+    exactly when the value is 0. Shifted down by ``width - 1``, each
+    slot's flag is bit 0 of the slot's first byte and every other bit is
+    0, so every ``width // 8``-th byte reads 1 on an edge and 0 otherwise,
+    and ``itertools.compress`` picks the edges without a Python step per
+    pair.
     """
     ordered = sorted(s.rays, key=lambda r: r.id)
     ids = [r.id for r in ordered]
-    columns = [list(column) for column in zip(*[r.ints for r in ordered])]
+    n = len(ordered)
+    bias = s.dim * max([abs(x) for r in ordered for x in r.ints]) ** 2
+    step = ((2 * bias).bit_length() + 8) // 8  # bytes per slot
+    width = 8 * step
+    columns = [0] * s.dim
+    for r in reversed(ordered):
+        columns = [(c << width) + x for c, x in zip(columns, r.ints)]
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+    highs = ones << width - 1
+    biased = bias * ones
     edges = []
-    for i, r in enumerate(ordered, start=1):
-        dots: list[int] = []
+    for i, r in enumerate(ordered):
+        acc = biased
         for x, column in zip(r.ints, columns):
             if x:
-                later = column[i:]
-                # dots is empty before the first nonzero coordinate, and
-                # when no ray comes later.
-                if dots:
-                    dots = [d + x * y for d, y in zip(dots, later)]
-                else:
-                    dots = [x * y for y in later]
-        edges.extend([(r.id, b) for b, dot in zip(ids[i:], dots) if not dot])
+                acc += x * column
+        diff = acc ^ biased
+        # Only the slots of the rays after i are kept.
+        zero = (~((diff | highs) - ones) & highs) >> width * (i + 1) + width - 1
+        if zero:
+            # The bytes stop at the last edge; compress stops with them.
+            hits = zero.to_bytes((zero.bit_length() + 7) // 8, "little")[::step]
+            edges.extend([(r.id, b) for b in itertools.compress(ids[i + 1 :], hits)])
     return tuple(edges)

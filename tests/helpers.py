@@ -7,7 +7,9 @@ so they can serve as oracles for it.
 """
 
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 from kscheck import (
@@ -15,8 +17,10 @@ from kscheck import (
     KSScenario,
     RMatrix,
     RVector,
+    Ray,
     Subspace,
     build_scenario,
+    validate_context,
 )
 
 
@@ -265,3 +269,187 @@ def brute_force_feasible(a_rows, b):
             if y is not None and all(v >= 0 for v in y):
                 return True
     return False
+
+
+# --- reference text reader ---------------------------------------------------
+#
+# The scenario and state readers as they were when every token carried its
+# column: ``\S+`` matches with their start, and each coordinate checked on
+# its own. Shares no code with ``kscheck.dsl``; the package is used only for
+# what the text turns into (rays, contexts, density operators), so that
+# messages coming from those match.
+
+_REF_TOKEN = re.compile(r"\S+")
+_REF_RATIONAL = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+_REF_DIM = re.compile(r"^[0-9]+$")
+_REF_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_@.\-]*$")
+
+
+class ReferenceParseError(Exception):
+    def __init__(self, line, column, message):
+        super().__init__(line, column, message)
+        self.line, self.column, self.message = line, column, message
+
+
+def _ref_tokens(raw):
+    if raw.lstrip().startswith("#"):
+        return []
+    return [(m.start() + 1, m.group()) for m in _REF_TOKEN.finditer(raw)]
+
+
+def _ref_parts(token):
+    if not _REF_RATIONAL.match(token):
+        raise ValueError(f"invalid rational {token!r}")
+    num, _, den = token.partition("/")
+    d = int(den) if den else 1
+    if d == 0:
+        raise ValueError(f"zero denominator in {token!r}")
+    return int(num), d
+
+
+def _ref_parts_at(tokens, line):
+    parts = []
+    for col, tok in tokens:
+        try:
+            parts.append(_ref_parts(tok))
+        except ValueError as exc:
+            raise ReferenceParseError(line, col, str(exc)) from None
+    return parts
+
+
+def _ref_ints(tokens, line):
+    parts = _ref_parts_at(tokens, line)
+    scale = math.lcm(*[d for _, d in parts])
+    return tuple(n * (scale // d) for n, d in parts)
+
+
+def reference_parse_scenario(text):
+    """``(dim, [(id, ints)], [context ids])`` as declared, before merging,
+    or ReferenceParseError with the line, column and message."""
+    dim = None
+    pos, rays, contexts = {}, {}, []
+    for line, raw in enumerate(text.splitlines(), start=1):
+        tokens = _ref_tokens(raw)
+        if not tokens:
+            continue
+        (key_col, key), rest = tokens[0], tokens[1:]
+        if key == "dim":
+            if dim is not None:
+                raise ReferenceParseError(line, key_col, "duplicate dim declaration")
+            if rays or contexts:
+                raise ReferenceParseError(line, key_col, "dim must come before any declaration")
+            if len(rest) != 1:
+                raise ReferenceParseError(line, key_col, "dim takes exactly one argument")
+            col, tok = rest[0]
+            try:
+                dim = int(tok) if _REF_DIM.match(tok) else 0
+            except ValueError:
+                dim = 0
+            if dim < 1:
+                raise ReferenceParseError(line, col, f"invalid dimension {tok!r}")
+        elif key == "ray":
+            if dim is None:
+                raise ReferenceParseError(line, key_col, "dim must be declared before rays")
+            if len(rest) != dim + 1:
+                raise ReferenceParseError(line, key_col, f"ray needs an id and {dim} coordinates")
+            id_col, rid = rest[0]
+            if rid in ("dim", "ray", "context"):
+                raise ReferenceParseError(line, id_col, f"{rid!r} is a reserved word")
+            if not _REF_ID.match(rid):
+                raise ReferenceParseError(line, id_col, f"invalid ray id {rid!r}")
+            if rid in pos:
+                raise ReferenceParseError(line, id_col, f"duplicate ray id {rid!r}")
+            ints = _ref_ints(rest[1:], line)
+            if not any(ints):
+                raise ReferenceParseError(line, rest[1][0], f"ray {rid!r} is the zero vector")
+            pos[rid] = (line, id_col)
+            rays[rid] = ints
+        elif key == "context":
+            if dim is None:
+                raise ReferenceParseError(line, key_col, "dim must be declared before contexts")
+            if len(rest) != dim:
+                raise ReferenceParseError(line, key_col, f"context has {len(rest)} rays, needs {dim}")
+            ids = []
+            for col, rid in rest:
+                if rid not in pos:
+                    raise ReferenceParseError(line, col, f"undeclared ray id {rid!r}")
+                if rid in ids:
+                    raise ReferenceParseError(line, col, f"ray {rid!r} repeated in context")
+                ids.append(rid)
+            try:
+                validate_context([Ray(rid, rays[rid]) for rid in ids], dim)
+            except ValueError as exc:
+                raise ReferenceParseError(line, key_col, str(exc)) from None
+            contexts.append(ids)
+        else:
+            raise ReferenceParseError(line, key_col, f"unknown keyword {key!r}")
+    if dim is None:
+        raise ReferenceParseError(1, 1, "missing dim declaration")
+    if not rays:
+        raise ReferenceParseError(1, 1, "no ray declarations")
+    if not contexts:
+        raise ReferenceParseError(1, 1, "no context declarations")
+    referenced = {rid for c in contexts for rid in c}
+    for rid in rays:
+        if rid not in referenced:
+            raise ReferenceParseError(*pos[rid], f"ray {rid!r} is not used in any context")
+    return dim, list(rays.items()), contexts
+
+
+def reference_parse_state(text, dim):
+    """The :class:`DensityOperator` a state file describes, or
+    ReferenceParseError with the line, column and message."""
+    lines = [(n, t) for n, t in ((n, _ref_tokens(raw)) for n, raw in enumerate(text.splitlines(), 1)) if t]
+    if not lines:
+        raise ReferenceParseError(1, 1, "empty state file")
+    line, tokens = lines[0]
+    key_col, kind = tokens[0]
+    if kind == "pure":
+        if len(tokens) != dim + 1:
+            raise ReferenceParseError(line, key_col, f"pure state needs {dim} coordinates")
+        if len(lines) > 1:
+            raise ReferenceParseError(lines[1][0], lines[1][1][0][0], "unexpected content after pure state")
+        ints = _ref_ints(tokens[1:], line)
+        try:
+            return DensityOperator.pure(ints)
+        except ValueError as exc:
+            raise ReferenceParseError(line, tokens[1][0], str(exc)) from None
+    if kind == "mixed":
+        if len(tokens) != 1:
+            raise ReferenceParseError(line, tokens[1][0], "mixed takes no arguments on its own line")
+        if len(lines) == 1:
+            raise ReferenceParseError(line, key_col, "mixed state needs at least one component line")
+        parts, total = [], Fraction(0)
+        for cline, ctokens in lines[1:]:
+            if len(ctokens) != dim + 3 or ctokens[0][1] != "w" or ctokens[2][1] != "pure":
+                raise ReferenceParseError(
+                    cline, ctokens[0][0], f"expected 'w <weight> pure <{dim} coordinates>'"
+                )
+            weight = Fraction(*_ref_parts_at([ctokens[1]], cline)[0])
+            if weight < 0:
+                raise ReferenceParseError(cline, ctokens[1][0], f"negative mixture weight {weight}")
+            ints = _ref_ints(ctokens[3:], cline)
+            if not any(ints):
+                raise ReferenceParseError(cline, ctokens[3][0], "zero vector in mixture component")
+            parts.append((weight, ints))
+            total += weight
+        if total != 1:
+            raise ReferenceParseError(lines[-1][0], 1, f"mixture weights sum to {total}, expected 1")
+        return DensityOperator.mixture(parts)
+    if kind == "matrix":
+        if len(tokens) != 1:
+            raise ReferenceParseError(line, tokens[1][0], "matrix takes no arguments on its own line")
+        if len(lines) != dim + 1:
+            raise ReferenceParseError(line, key_col, f"matrix form needs exactly {dim} rows")
+        rows = []
+        for rline, rtokens in lines[1:]:
+            if len(rtokens) != dim:
+                raise ReferenceParseError(rline, rtokens[0][0], f"matrix row needs {dim} entries")
+            rows.append(tuple(Fraction(n, d) for n, d in _ref_parts_at(rtokens, rline)))
+        try:
+            return DensityOperator(RMatrix(tuple(rows)))
+        except ValueError as exc:
+            raise ReferenceParseError(line, key_col, str(exc)) from None
+    raise ReferenceParseError(
+        line, key_col, f"state must start with 'pure', 'mixed' or 'matrix', got {kind!r}"
+    )

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kscheck import DensityOperator, Ray, cabello18_text
+from kscheck import DensityOperator, KSScenario, Ray, build_scenario, cabello18_text
 from kscheck.cli import run
 from kscheck.dsl import (
     ParseError,
@@ -16,6 +16,8 @@ from kscheck.dsl import (
     parse_state,
     serialize_scenario,
 )
+
+from helpers import ReferenceParseError, reference_parse_scenario, reference_parse_state
 
 GOOD = """\
 # a single complete context in dimension 2
@@ -115,6 +117,20 @@ class TestParseScenario:
         e = err("dim 2\nray a \u0663 0\nray b 0 1\ncontext a b\n")
         assert (e.line, e.column) == (2, 7)
         assert "invalid rational" in e.message
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661\u0662", "+-1", "1/-2", "0x1"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_coordinates_int_reads_are_rejected_with_column(self, token, position):
+        # int() reads the first two tokens; only _RATIONAL_RE's language is
+        # accepted, in every coordinate position, for scenarios and states.
+        coords = ["0", "0", "1"]
+        coords[position] = token
+        e = err(f"dim 3\nray a {' '.join(coords)}\n")
+        assert (e.line, e.column, e.message) == (2, 7 + 2 * position, f"invalid rational {token!r}")
+        with pytest.raises(ParseError) as excinfo:
+            parse_state(f"pure {' '.join(coords)}\n", 3)
+        e = excinfo.value
+        assert (e.line, e.column, e.message) == (1, 6 + 2 * position, f"invalid rational {token!r}")
 
     def test_undeclared_ray_id(self):
         e = err("dim 2\nray a 0 1\ncontext a b\n")
@@ -324,7 +340,8 @@ class TestIntegerParse:
     @settings(max_examples=60, deadline=None)
     def test_rays_match_the_fraction_route(self, doc):
         text, declared, contexts = doc
-        minted = {r.id: r.ints for r in parse_scenario(text, merge=False).rays}
+        unmerged = parse_scenario(text, merge=False)
+        minted = {r.id: r.ints for r in unmerged.rays}
         first = {}
         for rid, tokens, base in declared:
             want = Ray(rid, [Fraction(t) for t in tokens]).ints
@@ -339,6 +356,9 @@ class TestIntegerParse:
         assert [list(c.ray_ids) for c in merged.contexts] == [
             [keeper[rid] for rid in c] for c in contexts
         ]
+        # Assembled without the constructor's checks, yet they pass.
+        for s in (merged, unmerged):
+            assert KSScenario(dim=3, rays=s.rays, contexts=s.contexts) == s
 
     @given(
         st.lists(
@@ -445,15 +465,51 @@ FUZZ_TOKENS = [
     "0", "1", "-1", "2", "+3", "007", "-0",
     "1/2", "-3/4", "2/4", "1/0", "0/0",
     "\u0663", "\uff11/\uff12", "\u00b2", "1.5", "#", "#x", "x#",
+    # int() accepts the first two, and the last has one digit more than
+    # int() converts by default.
+    "1_0", "\u0661\u0662", "+-1", "1/-2", "9" * 4301,
 ]
 
+# Whitespace that splits words, and for the last two lines too:
+# str.split(), str.splitlines() and \S+ must agree on every one.
+FUZZ_GAPS = (" ", "\t", "\n", "\r\n", "  ", "\u00a0", "\u2003", "\x1c", "\x85")
 
 # Each piece is a token and the whitespace after it, so one draw per piece.
-FUZZ_PIECES = [t + gap for t in FUZZ_TOKENS for gap in (" ", "\t", "\n", "\r\n", "  ")]
+FUZZ_PIECES = [t + gap for t in FUZZ_TOKENS for gap in FUZZ_GAPS]
 
 
 def fuzz_documents():
     return st.lists(st.sampled_from(FUZZ_PIECES), max_size=40).map("".join)
+
+
+# Valid state files in dimension 2, to corrupt.
+STATES_2 = [
+    "pure 1 -1/2\n",
+    "mixed\nw 1/3 pure 1 0\nw 2/3 pure 1 1\n",
+    "matrix\n1/2 0\n0 1/2\n",
+]
+
+
+@st.composite
+def corrupted_documents(draw, documents):
+    """A valid document with a few words swapped for fuzz tokens or for
+    other words of the document, and a few gaps for fuzz whitespace, so
+    errors arise deep in lines too."""
+    text = draw(documents)
+    pieces = re.split(r"(\s+)", text)  # words at even indices, gaps at odd
+    words = st.sampled_from(FUZZ_TOKENS) | st.sampled_from([w for w in pieces[::2] if w])
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(pieces) - 1))
+        pieces[k] = draw(st.sampled_from(FUZZ_GAPS) if k % 2 else words)
+    return "".join(pieces)
+
+
+def outcome(parse, *args, **kwargs):
+    """What a reader returns, or its error's (line, column, message)."""
+    try:
+        return parse(*args, **kwargs)
+    except (ParseError, ReferenceParseError) as e:
+        return (e.line, e.column, e.message)
 
 
 class TestFuzz:
@@ -472,6 +528,25 @@ class TestFuzz:
             parse_state(text, dim)
         except ParseError as e:
             assert e.line >= 1 and e.column >= 1
+
+    @given(
+        fuzz_documents() | corrupted_documents(rescaled_documents().map(lambda doc: doc[0])),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scenario_matches_the_positioned_reference(self, text, merge):
+        try:
+            dim, rays, contexts = reference_parse_scenario(text)
+        except ReferenceParseError as e:
+            expected = (e.line, e.column, e.message)
+        else:
+            expected = build_scenario(rays, contexts, merge=merge, dim=dim)
+        assert outcome(parse_scenario, text, merge=merge) == expected
+
+    @given(fuzz_documents() | corrupted_documents(st.sampled_from(STATES_2)), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_state_matches_the_positioned_reference(self, text, dim):
+        assert outcome(parse_state, text, dim) == outcome(reference_parse_state, text, dim)
 
     @given(fuzz_documents())
     @settings(max_examples=100, deadline=None)

@@ -23,8 +23,7 @@ from kscheck.ksengine import (
     without_context,
 )
 from kscheck.probability import DensityOperator, born
-from kscheck.qlogic import projector_of
-from kscheck.qlogic import ContextError
+from kscheck.qlogic import ContextError, Ray, projector_of
 
 from helpers import (
     brute_force_count,
@@ -120,6 +119,20 @@ class TestBuildScenario:
         # one context references only 4 of the 18 rays
         with pytest.raises(ScenarioError, match="not used"):
             KSScenario(dim=4, rays=cabello.rays, contexts=cabello.contexts[:1])
+
+    def test_every_invariant_checked_directly(self, cabello):
+        rays, contexts = cabello.rays, cabello.contexts
+        renamed = (Ray(rays[0].id, (0, 0, 1, 1)),) + rays[1:]
+        cases = [
+            ((4, rays + rays[:1], contexts), "unique"),
+            ((4, (), contexts), "at least one"),
+            ((4, rays, ()), "at least one"),
+            ((3, rays, contexts), "dimension"),
+            ((4, renamed, contexts), "not a scenario ray"),
+        ]
+        for (dim, r, c), match in cases:
+            with pytest.raises(ScenarioError, match=match):
+                KSScenario(dim=dim, rays=r, contexts=c)
 
 
 class TestFindValuation:
@@ -303,6 +316,15 @@ class TestWithoutContext:
         with pytest.raises(IndexError):
             without_context(cabello, 9)
 
+    def test_equals_the_checked_constructor(self, cabello):
+        # The unmerged set drops the four rays of the deleted context.
+        for s in (cabello, cabello18(merge=False)):
+            for k in range(9):
+                contexts = s.contexts[:k] + s.contexts[k + 1:]
+                kept = {rid for c in contexts for rid in c.ray_ids}
+                rays = tuple(r for r in s.rays if r.id in kept)
+                assert without_context(s, k) == KSScenario(dim=4, rays=rays, contexts=contexts)
+
 
 class TestParityCertificate:
     def test_cabello_certificate(self, cabello):
@@ -389,6 +411,34 @@ class TestParityRefutation:
                 refuted += 1
                 assert brute_force_count(s) == 0
         assert 0 < refuted < len(scenarios)
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_odd_dimension_has_none(self, dim):
+        grid = sorted({Ray("", v).ints for v in itertools.product((-1, 0, 1), repeat=dim) if any(v)})
+        rng = random.Random(dim)
+
+        def random_basis():
+            while True:
+                basis = []
+                for v in rng.sample(grid, len(grid)):
+                    if all(sum(x * y for x, y in zip(v, b)) == 0 for b in basis):
+                        basis.append(v)
+                if len(basis) == dim:
+                    return tuple(sorted(basis))
+
+        shared = 0
+        for _ in range(12):
+            bases = sorted({random_basis() for _ in range(rng.randint(2, 5))})
+            vectors = sorted({v for b in bases for v in b})
+            if len(vectors) > 14:
+                continue
+            ids = {v: f"r{i}" for i, v in enumerate(vectors)}
+            s = build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in bases])
+            shared += max(s.multiplicities().values()) > 1
+            assert s._parity_subset is None
+            assert not has_parity_subset(s)
+            assert count_valuations(s) == brute_force_count(s)
+        assert shared >= 3
 
     def test_scenarios_without_shared_rays_have_none(self):
         for s in (cabello18(merge=False), standard_basis(31), two_disjoint_contexts_scenario()):
@@ -536,11 +586,38 @@ class TestOrthogonalityGraph:
             expected = by_id[a].coords.dot(by_id[b].coords) == 0
             assert ((a, b) in edges) == expected
 
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [(1,)],
+            [(1, 1), (1, -1)],
+            [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)],
+        ],
+    )
+    def test_dot_products_at_the_slot_bound(self, basis):
+        # With every coordinate +-1, a ray's copies in other contexts have
+        # dot product dim * m**2, the bound the slots are sized by, so the
+        # biased sum reaches its largest value, 2 * dim * m**2. Canonical
+        # rays have a positive first nonzero coordinate, so -dim * m**2
+        # cannot occur.
+        dim = len(basis)
+        ids = [f"h{i}" for i in range(dim)]
+        s = build_scenario(list(zip(ids, basis)), [ids, ids, ids], merge=False)
+        expected = tuple(
+            (a.id, b.id)
+            for a, b in itertools.combinations(sorted(s.rays, key=lambda r: r.id), 2)
+            if not sum(x * y for x, y in zip(a.ints, b.ints))
+        )
+        assert orthogonality_graph(s) == expected
+        assert len(expected) == 3 * dim * (dim - 1) * 3 // 2
+
     @given(st.data())
     @settings(deadline=None)
     def test_edges_are_the_pairs_with_zero_rational_dot(self, data):
-        dim = data.draw(st.integers(2, 4))
-        entries = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
+        dim = data.draw(st.integers(1, 6))
+        big = 10**24
+        entry = st.integers(-1, 1) | st.integers(-big, big) | st.sampled_from([-big, big])
+        entries = st.lists(entry, min_size=dim, max_size=dim)
         rays, contexts = [], []
         for k in range(data.draw(st.integers(1, 4))):
             basis = gram_schmidt(data.draw(st.lists(entries, min_size=dim, max_size=dim)))
