@@ -4,7 +4,9 @@ Subcommands:
 
 * ``check <file>``: validate a scenario file.
 * ``color <file> [--count] [--no-merge]``: find (or count) valuations.
-* ``parity <file>``: look for a parity certificate of non-colorability.
+* ``parity <file>``: look for a parity certificate of non-colorability:
+  an odd set of contexts covering every ray an even number of times,
+  printed as its size and each ray's multiplicity over it.
 * ``graph <file> --dot <out>``: write the orthogonality graph in DOT form.
 * ``model <file> --state <statefile>``: noncontextual-model feasibility.
 * ``prob <file> --state <statefile> [--context <k>]``: Born distributions.

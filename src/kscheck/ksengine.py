@@ -5,8 +5,8 @@ that reference them. On top of it this module provides:
 
 * exhaustive search, enumeration and counting of two-valued valuations
   (exactly one ray per context assigned 1) over ray bitmasks,
-* parity certificates of non-colorability (every ray multiplicity even,
-  context count odd),
+* parity certificates of non-colorability (an odd set of contexts in
+  which every ray occurs an even number of times),
 * the functional-composition checks a valuation must satisfy,
 * exact feasibility of a noncontextual model: nonnegative rational
   weights over all valuations reproducing every ray's Born probability,
@@ -19,9 +19,12 @@ valuation, so no search runs. Otherwise finding and enumerating search
 depth-first, contexts in input order and rays in context order, so the
 first valuation found and the enumeration order are stable across runs.
 Counting shows no order, so it branches on the context with the fewest
-open rays and caches the count of each residual scenario. Counting and
-the model's enumeration give up after SEARCH_NODE_BUDGET search nodes;
-finding and enumerating valuations have no budget.
+open rays and caches the count of each residual scenario. Both keep a
+state as the mask of the rays still open and expand it by one step that
+checks only the contexts of the rays it closes, so the tables they share
+are linear in the input. Counting and the model's enumeration give up
+after SEARCH_NODE_BUDGET search nodes; finding and enumerating
+valuations have no budget.
 """
 
 from __future__ import annotations
@@ -90,23 +93,33 @@ class Valuation:
 class ParityCertificate:
     """Even/odd bookkeeping that rules out valuations outright.
 
-    If every ray occurs an even number of times across the contexts while
-    the number of contexts is odd, then summing the per-context constraint
-    "values sum to 1" over all contexts gives an even total on one side
-    and an odd total on the other. No valuation can exist.
+    ``contexts`` are the 0-based indices, in increasing order, of an odd
+    set of contexts, and ``ray_multiplicities`` counts each ray over that
+    set. If every ray occurs an even number of times there, then summing
+    the per-context constraint "values sum to 1" over the set gives an even
+    total on one side and an odd total on the other. No valuation can
+    exist.
     """
 
     ray_multiplicities: Mapping[str, int]
-    context_count: int
+    contexts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         mults = dict(self.ray_multiplicities)
         for rid, m in mults.items():
             if m <= 0 or m % 2 != 0:
                 raise ValueError(f"multiplicity of {rid} is {m}, expected even and positive")
-        if self.context_count % 2 != 1:
-            raise ValueError(f"context count {self.context_count} is not odd")
+        contexts = tuple(self.contexts)
+        if list(contexts) != sorted(set(contexts)) or min(contexts, default=0) < 0:
+            raise ValueError("context indices must be increasing and nonnegative")
+        if len(contexts) % 2 != 1:
+            raise ValueError(f"context count {len(contexts)} is not odd")
         object.__setattr__(self, "ray_multiplicities", mults)
+        object.__setattr__(self, "contexts", contexts)
+
+    @property
+    def context_count(self) -> int:
+        return len(self.contexts)
 
 
 @dataclass(frozen=True)
@@ -145,7 +158,7 @@ class _SearchTables(NamedTuple):
     context_rays: tuple[tuple[int, ...], ...]  # ray indices, in context order
     context_masks: tuple[int, ...]
     forced: tuple[int, ...]  # per ray: every other ray sharing a context with it
-    at_risk: tuple[tuple[int, ...], ...]  # per ray: contexts meeting forced, minus its own
+    ray_contexts: tuple[tuple[int, ...], ...]  # per ray: the contexts holding it
 
 
 @dataclass(frozen=True)
@@ -167,7 +180,9 @@ class KSScenario:
             if r.dim != self.dim:
                 raise ScenarioError(f"ray {r.id} has dimension {r.dim}, expected {self.dim}")
         referenced: set[str] = set()
-        for c in self.contexts:
+        for k, c in enumerate(self.contexts, start=1):
+            if len(c) != self.dim:
+                raise ScenarioError(f"context {k} has {len(c)} rays, expected {self.dim}")
             for r in c.rays:
                 if by_id.get(r.id) != r:
                     raise ScenarioError(f"context ray {r.id} is not a scenario ray")
@@ -195,8 +210,8 @@ class KSScenario:
         """Bitmask tables of the valuation search, built once per scenario.
 
         Ray ``i`` is bit ``i``. Setting a ray to 1 forces 0 on every ray in
-        its ``forced`` mask, and only the contexts in its ``at_risk`` tuple
-        can be left with every ray 0 by that.
+        its ``forced`` mask. ``ray_contexts`` lists each ray's contexts, one
+        entry per ray slot, so every table is linear in the input.
         """
         context_rays = self._context_rays
         context_masks = self._context_masks
@@ -204,22 +219,15 @@ class KSScenario:
         for k, rays in enumerate(context_rays):
             for i in rays:
                 ray_contexts[i].append(k)
-        # Contexts sharing a ray with context k, k included.
-        linked: list[set[int]] = [set() for _ in context_rays]
-        for own in ray_contexts:
-            for k in own:
-                linked[k].update(own)
         forced = []
-        at_risk = []
         for i, own in enumerate(ray_contexts):
             mask = 0
-            reached: set[int] = set()
             for k in own:
                 mask |= context_masks[k]
-                reached |= linked[k]
             forced.append(mask ^ 1 << i)
-            at_risk.append(tuple(reached.difference(own)))
-        return _SearchTables(context_rays, context_masks, tuple(forced), tuple(at_risk))
+        return _SearchTables(
+            context_rays, context_masks, tuple(forced), tuple(map(tuple, ray_contexts))
+        )
 
     @cached_property
     def _parity_subset(self) -> int | None:
@@ -240,12 +248,12 @@ class KSScenario:
         so it is skipped, and a scenario where no ray lies in two contexts
         has no set at all.
 
-        In odd dimension there is no set either. A validated context has
-        ``dim`` rays, so an odd set of contexts has an odd number
-        ``dim * |set|`` of ray slots, while a cover meeting every ray an
-        even number of times has an even number. So the elimination runs
-        in even dimension only. (None decides no verdict: the search that
-        follows it is exact.)
+        In odd dimension there is no set either. Every context has ``dim``
+        rays (the constructor checks it), so an odd set of contexts has an
+        odd number ``dim * |set|`` of ray slots, while a cover meeting every
+        ray an even number of times has an even number. So the elimination
+        runs in even dimension only. (None decides no verdict: the search
+        that follows it is exact.)
         """
         if self.dim % 2:
             return None
@@ -402,43 +410,68 @@ def _gave_up(budget: float) -> ScenarioTooLargeError:
     return ScenarioTooLargeError(f"search gave up after visiting {budget} nodes (rays set to 1)")
 
 
-def _search(order: Sequence[int], tables: _SearchTables, budget: float = math.inf) -> Iterator[int]:
+def _step(open_rays: int, r: int, tables: _SearchTables) -> int | None:
+    """Open rays after setting the open ray ``r`` to 1 in the live state
+    ``open_rays``, or None when that leaves a context with no ray for its 1.
+
+    A state is the mask of the open rays: those neither set to 1 nor forced
+    to 0. It is live when every context without a 1 still has an open ray.
+    Setting ``r`` to 1 closes ``r`` and the open rays of ``forced[r]``, and
+    settles every context holding ``r``. Only a context that lost an open
+    ray can die, so only the contexts of the newly closed rays are checked.
+    Each of them held an open ray, and in a live state an open ray lies in
+    no settled context, so each is unsettled. It dies exactly when none of
+    its rays stays open, unless it holds ``r``. ``kept`` still holds ``r``,
+    so one test covers both.
+    """
+    _, masks, forced, ray_contexts = tables
+    closed = open_rays & forced[r]
+    kept = open_rays ^ closed
+    while closed:
+        low = closed & -closed
+        for k in ray_contexts[low.bit_length() - 1]:
+            if not masks[k] & kept:
+                return None
+        closed ^= low
+    return kept ^ 1 << r
+
+
+def _search(tables: _SearchTables, budget: float = math.inf) -> Iterator[int]:
     """Yield, as a mask of the rays set to 1, every 0/1 assignment of the
-    rays of the contexts in ``order`` with exactly one 1 per context.
+    rays with exactly one 1 per context.
 
     Depth-first over an explicit stack with one frame per open context.
-    Contexts are settled in the given order and rays in context order, so
-    solutions come in lexicographic order of the choices. Setting a ray to
-    1 forces 0 on every ray sharing a context with it; a context left with
-    every ray 0 kills the branch. Raises ScenarioTooLargeError once more
-    than ``budget`` rays have been set to 1.
+    Contexts are settled in input order and rays in context order, so
+    solutions come in lexicographic order of the choices. A state is the
+    mask of the open rays, expanded by :func:`_step`; ``ones`` is kept only
+    to yield the valuation. In a live state a context is settled exactly
+    when it has no open ray, so the next frame is the next context that
+    meets the mask. Raises ScenarioTooLargeError once more than ``budget``
+    rays have been set to 1.
     """
-    context_rays, masks, forced, at_risk = tables
-    depth = len(order)
+    context_rays, masks, forced, _ = tables
+    depth = len(masks)
     nodes = 0
-    stack = [(0, 0, 0, iter(context_rays[order[0]]))]  # (level, ones, zeros, rays left)
+    # (level, ones, open rays, rays left)
+    stack = [(0, 0, (1 << len(forced)) - 1, iter(context_rays[0]))]
     while stack:
-        level, ones, zeros, rays = stack[-1]
+        level, ones, open_rays, rays = stack[-1]
         r = next(rays, None)
         if r is None:
             stack.pop()
-        elif not zeros >> r & 1:
+        elif open_rays >> r & 1:
             nodes += 1
             if nodes > budget:
                 raise _gave_up(budget)
-            z = zeros | forced[r]
-            for k in at_risk[r]:
-                if masks[k] & z == masks[k]:
-                    break  # context k has no ray left for its 1
-            else:
-                child = ones | 1 << r
+            child = _step(open_rays, r, tables)
+            if child is not None:
                 level += 1
-                while level < depth and masks[order[level]] & child:
+                while level < depth and not masks[level] & child:
                     level += 1
                 if level == depth:
-                    yield child
+                    yield ones | 1 << r
                 else:
-                    stack.append((level, child, z, iter(context_rays[order[level]])))
+                    stack.append((level, ones | 1 << r, child, iter(context_rays[level])))
 
 
 def _frame(open_rays: int, masks: Sequence[int]) -> list[int]:
@@ -467,21 +500,20 @@ def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> in
     """Number of 0/1 assignments of the rays of the contexts in
     ``component`` with exactly one 1 per context.
 
-    A state is the mask of the open rays: those neither set to 1 nor
-    forced to 0. Settling a context closes all its rays, so in a live
-    state, where every unsettled context still has an open ray, an open
-    ray lies in no settled context. The unsettled contexts are then
+    A state is the mask of the open rays, as in :func:`_step`, which
+    expands it. Settling a context closes all its rays, so in a live state
+    an open ray lies in no settled context. The unsettled contexts are then
     exactly those that meet the mask, and each one's choices are its rays
     in the mask, so the mask alone fixes the number of ways to finish.
-    Each state is counted once and cached under its mask. A state that
-    leaves some context with every ray closed is dead and counts 0.
+    Each state is counted once and cached under its mask. A dead state
+    counts 0.
 
     Depth-first over an explicit stack of :func:`_frame` frames. Raises
     ScenarioTooLargeError once more than ``budget`` rays have been set to
     1, counting every open ray of a state whose count is a product, such
     as a component of one context.
     """
-    _, masks, forced, at_risk = tables
+    masks = tables.context_masks
     # Chains and unmerged scenarios are many one-context components, so
     # these skip the cache and the stack.
     if len(component) == 1:
@@ -520,12 +552,8 @@ def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> in
         nodes += 1
         if nodes > budget:
             raise _gave_up(budget)
-        r = low.bit_length() - 1
-        child = open_rays & ~(forced[r] | low)
-        for k in at_risk[r]:
-            if masks[k] & open_rays and not masks[k] & child:
-                break  # context k has no ray left for its 1
-        else:
+        child = _step(open_rays, low.bit_length() - 1, tables)
+        if child is not None:
             known = cache.get(child)
             if known is None:
                 state = child
@@ -571,7 +599,7 @@ def find_valuation(s: KSScenario) -> Valuation | None:
     """
     if s._parity_subset is not None:
         return None
-    ones = next(_search(range(len(s.contexts)), s._tables), None)
+    ones = next(_search(s._tables), None)
     return None if ones is None else _valuation(s, ones)
 
 
@@ -581,7 +609,7 @@ def enumerate_valuations(s: KSScenario) -> Iterator[Valuation]:
     count_valuations."""
     if s._parity_subset is not None:
         return
-    for ones in _search(range(len(s.contexts)), s._tables):
+    for ones in _search(s._tables):
         yield _valuation(s, ones)
 
 
@@ -607,16 +635,21 @@ def count_valuations(s: KSScenario) -> int:
 
 
 def parity_certificate(s: KSScenario) -> ParityCertificate | None:
-    """Detect the even/odd structure that forbids valuations.
+    """An odd set of contexts covering every ray an even number of times,
+    with each ray's multiplicity over it, or None when there is none.
 
-    Returns a certificate iff every ray's multiplicity across contexts is
-    even and the number of contexts is odd; otherwise None. A certificate
-    implies count_valuations(s) == 0.
+    The set is the scenario's cached GF(2) subset (see
+    ``KSScenario._parity_subset``), so a certificate exists exactly when
+    such a set does, and it implies count_valuations(s) == 0. When every
+    context is in it, the multiplicities are the whole scenario's.
     """
-    mults = s.multiplicities()
-    if len(s.contexts) % 2 == 1 and all(m % 2 == 0 for m in mults.values()):
-        return ParityCertificate(ray_multiplicities=mults, context_count=len(s.contexts))
-    return None
+    subset = s._parity_subset
+    if subset is None:
+        return None
+    contexts = tuple([k for k in range(len(s.contexts)) if subset >> k & 1])
+    counts = Counter(rid for k in contexts for rid in s.contexts[k].ray_ids)
+    mults = {r.id: counts[r.id] for r in s.rays if r.id in counts}
+    return ParityCertificate(ray_multiplicities=mults, contexts=contexts)
 
 
 @dataclass(frozen=True)
@@ -708,7 +741,7 @@ def noncontextual_model(
         raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
     if s._parity_subset is not None:
         return None
-    search = _search(range(len(s.contexts)), s._tables, SEARCH_NODE_BUDGET)
+    search = _search(s._tables, SEARCH_NODE_BUDGET)
     hits = list(itertools.islice(search, max_valuations + 1))
     if not hits:
         return None

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from kscheck import cabello18, ksengine
 from kscheck.ksengine import (
     KSScenario,
+    ParityCertificate,
     ScenarioError,
     ScenarioTooLargeError,
     Valuation,
@@ -23,7 +24,7 @@ from kscheck.ksengine import (
     without_context,
 )
 from kscheck.probability import DensityOperator, born
-from kscheck.qlogic import ContextError, Ray, projector_of
+from kscheck.qlogic import Context, ContextError, Ray, projector_of
 
 from helpers import (
     brute_force_count,
@@ -123,12 +124,14 @@ class TestBuildScenario:
     def test_every_invariant_checked_directly(self, cabello):
         rays, contexts = cabello.rays, cabello.contexts
         renamed = (Ray(rays[0].id, (0, 0, 1, 1)),) + rays[1:]
+        a, b, c = Ray("a", (1, 0, 0)), Ray("b", (0, 1, 0)), Ray("c", (0, 0, 1))
         cases = [
             ((4, rays + rays[:1], contexts), "unique"),
             ((4, (), contexts), "at least one"),
             ((4, rays, ()), "at least one"),
             ((3, rays, contexts), "dimension"),
             ((4, renamed, contexts), "not a scenario ray"),
+            ((3, (a, b, c), (Context((a, b)), Context((b, c)), Context((a, c)))), "2 rays, expected 3"),
         ]
         for (dim, r, c), match in cases:
             with pytest.raises(ScenarioError, match=match):
@@ -241,7 +244,11 @@ class TestCountValuations:
         for k in range(1, n + 1):
             rays += [(f"a{k}", (1, k, 0)), (f"b{k}", (k, -1, 0))]
             contexts.append([f"a{k}", f"b{k}", "c"])
-        assert count_valuations(build_scenario(rays, contexts)) == 2**n + 1
+        s = build_scenario(rays, contexts)
+        assert count_valuations(s) == 2**n + 1
+        v = find_valuation(s)
+        assert verify_func(v, s).ok
+        assert v.ones() == tuple(sorted(f"a{k}" for k in range(1, n + 1)))
 
 
 # Two dim-4 bases sharing no ray with cabello18 or with each other.
@@ -337,6 +344,20 @@ class TestParityCertificate:
     def test_single_context_has_none(self):
         assert parity_certificate(single_context_scenario()) is None
 
+    def test_constructor_checks(self):
+        cert = ParityCertificate(ray_multiplicities={"a": 2}, contexts=[0, 3, 4])
+        assert cert.contexts == (0, 3, 4) and cert.context_count == 3
+        cases = [
+            (({"a": 3}, (0, 1, 2)), "expected even"),
+            (({"a": 2}, (0, 1)), "not odd"),
+            (({"a": 2}, (1, 0, 2)), "increasing"),
+            (({"a": 2}, (0, 0, 1)), "increasing"),
+            (({"a": 2}, (-1, 0, 1)), "nonnegative"),
+        ]
+        for (mults, contexts), match in cases:
+            with pytest.raises(ValueError, match=match):
+                ParityCertificate(ray_multiplicities=mults, contexts=contexts)
+
     def test_deleting_a_context_kills_it(self, cabello):
         for k in range(9):
             assert parity_certificate(without_context(cabello, k)) is None
@@ -364,6 +385,74 @@ def with_disjoint_basis(cabello):
     return build_scenario(rays, [list(c.ray_ids) for c in cabello.contexts] + [ids])
 
 
+def grid_scenarios(dim, rng, tries):
+    """Scenarios of 2 to 5 random orthogonal bases of the {0, +-1}^dim
+    grid, from ``tries`` draws, keeping those of at most 14 rays."""
+    grid = sorted({Ray("", v).ints for v in itertools.product((-1, 0, 1), repeat=dim) if any(v)})
+
+    def random_basis():
+        while True:
+            basis = []
+            for v in rng.sample(grid, len(grid)):
+                if all(sum(x * y for x, y in zip(v, b)) == 0 for b in basis):
+                    basis.append(v)
+            if len(basis) == dim:
+                return tuple(sorted(basis))
+
+    out = []
+    for _ in range(tries):
+        bases = sorted({random_basis() for _ in range(rng.randint(2, 5))})
+        vectors = sorted({v for b in bases for v in b})
+        if len(vectors) > 14:
+            continue
+        ids = {v: f"r{i}" for i, v in enumerate(vectors)}
+        out.append(build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in bases]))
+    return out
+
+
+class TestStep:
+    """_step against its definition, on random live states, as id sets."""
+
+    @staticmethod
+    def live_state(s, rng):
+        """Open ray ids of a random live state: rays set to 1 share no
+        context, a ray is open when no context holding it has a 1, and
+        every context without a 1 has an open ray."""
+        contexts = [set(c.ray_ids) for c in s.contexts]
+        every = [r.id for r in s.rays]
+        while True:
+            ones = set()
+            for rid in rng.sample(every, len(every)):
+                if rng.random() < 0.3 and not any(rid in c and c & ones for c in contexts):
+                    ones.add(rid)
+            open_ids = set(every) - {rid for c in contexts if c & ones for rid in c}
+            if all(c & ones or c & open_ids for c in contexts):
+                return open_ids
+
+    def test_matches_the_definition(self, cabello):
+        rng = random.Random(12)
+        scenarios = [subscenario(cabello, rng.sample(range(9), rng.randint(2, 9))) for _ in range(8)]
+        scenarios += [interleaved_scenario(cabello, rng.sample(range(9), 2)) for _ in range(3)]
+        scenarios += grid_scenarios(3, rng, 8)
+        outcomes = Counter()
+        for s in scenarios:
+            index = {r.id: i for i, r in enumerate(s.rays)}
+            contexts = [set(c.ray_ids) for c in s.contexts]
+
+            def mask(ids):
+                return sum(1 << index[rid] for rid in ids)
+
+            for _ in range(6):
+                open_ids = self.live_state(s, rng)
+                for r in sorted(open_ids):
+                    child = open_ids - {rid for c in contexts if r in c for rid in c}
+                    dead = any(r not in c and c & open_ids and not c & child for c in contexts)
+                    got = ksengine._step(mask(open_ids), index[r], s._tables)
+                    assert got == (None if dead else mask(child))
+                    outcomes[dead] += 1
+        assert outcomes[True] > 20 and outcomes[False] > 100
+
+
 class TestParityRefutation:
     """Find, enumerate, count and the model answer at once when an odd set
     of contexts covers every ray an even number of times."""
@@ -382,7 +471,9 @@ class TestParityRefutation:
 
     def test_refuted_without_search(self, cabello, searches):
         extended = with_disjoint_basis(cabello)
-        assert parity_certificate(extended) is None
+        cert = parity_certificate(extended)
+        assert cert.contexts == tuple(range(9))
+        assert cert.ray_multiplicities == cabello.multiplicities()
         for s in (cabello, extended):
             assert find_valuation(s) is None
             assert count_valuations(s) == 0
@@ -405,35 +496,21 @@ class TestParityRefutation:
             scenarios.append(subscenario(cabello, rng.sample(range(9), rng.randint(1, 9))))
         refuted = 0
         for s in scenarios:
-            found = s._parity_subset is not None
-            assert found == has_parity_subset(s)
-            if found:
+            cert = parity_certificate(s)
+            assert (cert is not None) == has_parity_subset(s)
+            if cert is not None:
                 refuted += 1
                 assert brute_force_count(s) == 0
+                assert len(cert.contexts) % 2 == 1
+                assert cert.contexts == tuple(sorted(set(cert.contexts)))
+                chosen = [s.contexts[k] for k in cert.contexts]
+                assert Counter(rid for c in chosen for rid in c.ray_ids) == cert.ray_multiplicities
         assert 0 < refuted < len(scenarios)
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_odd_dimension_has_none(self, dim):
-        grid = sorted({Ray("", v).ints for v in itertools.product((-1, 0, 1), repeat=dim) if any(v)})
-        rng = random.Random(dim)
-
-        def random_basis():
-            while True:
-                basis = []
-                for v in rng.sample(grid, len(grid)):
-                    if all(sum(x * y for x, y in zip(v, b)) == 0 for b in basis):
-                        basis.append(v)
-                if len(basis) == dim:
-                    return tuple(sorted(basis))
-
         shared = 0
-        for _ in range(12):
-            bases = sorted({random_basis() for _ in range(rng.randint(2, 5))})
-            vectors = sorted({v for b in bases for v in b})
-            if len(vectors) > 14:
-                continue
-            ids = {v: f"r{i}" for i, v in enumerate(vectors)}
-            s = build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in bases])
+        for s in grid_scenarios(dim, random.Random(dim), 12):
             shared += max(s.multiplicities().values()) > 1
             assert s._parity_subset is None
             assert not has_parity_subset(s)
