@@ -42,7 +42,7 @@ from math import lcm
 
 from .exactlin import RMatrix
 from .ksengine import KSScenario, _assemble
-from .probability import DensityOperator
+from .probability import DensityOperator, _mixture
 from .qlogic import Context, Ray, validate_context
 
 _WORD_RE = re.compile(r"\S+")  # the words of str.split(), which splits on the same whitespace
@@ -269,7 +269,6 @@ def parse_state(text: str, dim: int) -> DensityOperator:
         if len(lines) == 1:
             raise ParseError(line, _column(raw, 0), "mixed state needs at least one component line")
         parts: list[tuple[Fraction, tuple[int, ...]]] = []
-        total = Fraction(0)
         for cline, craw, cwords in lines[1:]:
             if len(cwords) != dim + 3 or cwords[0] != "w" or cwords[2] != "pure":
                 raise ParseError(
@@ -285,10 +284,17 @@ def parse_state(text: str, dim: int) -> DensityOperator:
             if not any(ints):
                 raise ParseError(cline, _column(craw, 3), "zero vector in mixture component")
             parts.append((weight, ints))
-            total += weight
-        if total != 1:
-            raise ParseError(lines[-1][0], 1, f"mixture weights sum to {total}, expected 1")
-        return DensityOperator.mixture(parts)
+        # The weights sum to 1 iff their numerators over the lcm of their
+        # denominators sum to that lcm.
+        common = lcm(*[w.denominator for w, _ in parts])
+        total = sum([w.numerator * (common // w.denominator) for w, _ in parts])
+        if total != common:
+            raise ParseError(
+                lines[-1][0], 1, f"mixture weights sum to {Fraction(total, common)}, expected 1"
+            )
+        # Weights, vectors and their dimension are checked above: all that
+        # DensityOperator.mixture would check again.
+        return _mixture(parts)
 
     if kind == "matrix":
         if len(words) != 1:

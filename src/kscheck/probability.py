@@ -7,10 +7,11 @@ projector the probability trace(rho P). Restricting that assignment to
 one context always yields an ordinary classical probability space over
 the context's rays; that is the bridge the rest of the toolkit leans on.
 
-Every probability produced here is an exact rational. Density operators
-are only constructible from rational data (explicit matrices or convex
-mixtures of rational rays), and positive semidefiniteness is verified by
-exact symmetric elimination, never by eigenvalues.
+Every probability produced here is an exact rational. A density
+operator is stored as an integer matrix over one denominator. It comes
+from rational data only: an explicit matrix, whose positive
+semidefiniteness is decided by fraction-free elimination, never by
+eigenvalues, or a convex mixture of rational rays, which needs no check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
@@ -58,11 +59,17 @@ class FiniteProbabilitySpace:
     @classmethod
     def uniform(cls, outcomes: Iterable[Label]) -> "FiniteProbabilitySpace":
         outcomes = tuple(outcomes)
+        if not outcomes:
+            raise ValueError("a uniform space needs at least one outcome")
         w = Fraction(1, len(outcomes))
         return cls(outcomes, {o: w for o in outcomes})
 
     def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        """The sum of the weights, added in integers over the lcm of their
+        denominators."""
+        weights = self.weights.values()
+        common = lcm(*[w.denominator for w in weights])
+        return Fraction(sum([w.numerator * (common // w.denominator) for w in weights]), common)
 
 
 def event_probability(space: FiniteProbabilitySpace, event: Iterable[Label]) -> Fraction:
@@ -101,36 +108,47 @@ def check_classical_axioms(space: FiniteProbabilitySpace) -> ClassicalAxiomRepor
     return ClassicalAxiomReport(tuple(violations))
 
 
-def _is_psd(m: RMatrix) -> bool:
-    """Exact positive-semidefiniteness test by symmetric elimination.
+def _is_psd(a: list[list[int]]) -> bool:
+    """Whether the symmetric integer matrix ``a`` is PSD, by fraction-free
+    symmetric elimination (Bareiss 1968); ``a`` is overwritten.
 
-    A symmetric matrix is PSD iff this elimination never meets a negative
-    pivot, and any zero pivot comes with an all-zero remaining row.
-    Rational pivots replace the (generally irrational) eigenvalues.
+    Over Fractions, A is PSD iff elimination in order meets no negative
+    pivot and every zero pivot has a zero remaining row, which changes
+    nothing and is skipped. With K the nonzero pivots used so far, each
+    remaining ``a[i][j]`` here is det A[K+i, K+j] and ``prev`` is
+    det A[K, K] (1 for empty K), by Sylvester's identity, which also makes
+    every division exact. Over Fractions the same entry is that minor over
+    det A[K, K], the product of the positive pivots so far. So signs and
+    zeros agree, and so do the verdicts. A skipped row changes neither K
+    nor the entries, so ``prev`` stays the divisor.
     """
-    n = m.nrows
-    a = [list(row) for row in m.rows]
+    n, prev = len(a), 1
     for k in range(n):
-        d = a[k][k]
-        if d < 0:
+        p, pivot_row = a[k][k], a[k]
+        if p < 0:
             return False
-        if d == 0:
-            if any(a[k][j] != 0 for j in range(k + 1, n)):
+        if p == 0:
+            if any(pivot_row[k + 1 :]):
                 return False
             continue
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
+            row, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * pivot_row[j]) // prev
+        prev = p
     return True
 
 
-def _mixture_matrix(parts: Sequence[tuple[Fraction, RVector | Iterable[Scalar]]]) -> RMatrix:
-    """Sum of w v v^T / (v . v) over the parts (w, v).
+def _mixture(parts: Sequence[tuple[Scalar, RVector | Iterable[Scalar]]]) -> "DensityOperator":
+    """The state sum of w v v^T / (v . v) over the parts (w, v), built in
+    its integer form with no check of the result.
 
-    Accumulated in integers over the common denominator of the terms, so
-    each entry becomes a Fraction once.
+    Callers check that the weights are nonnegative and sum to 1. Then no
+    check could fail: each term is symmetric with trace w, and
+    x^T rho x = sum of w (x . v)^2 / (v . v) >= 0. Zero vectors and
+    mismatched dimensions still raise ValueError. The integer sum over
+    the lcm of the terms' denominators is divided by its gcd with that
+    lcm, which is lowest terms.
     """
     terms = [(w, _canonical_ints(coords)) for w, coords in parts]
     dim = len(terms[0][1])
@@ -146,51 +164,59 @@ def _mixture_matrix(parts: Sequence[tuple[Fraction, RVector | Iterable[Scalar]]]
                 row, sa = total[i], scale * a
                 for j, b in enumerate(v):
                     row[j] += sa * b
-    return RMatrix(tuple([tuple([Fraction(x, common) for x in row]) for row in total]))
+    g = gcd(common, *itertools.chain.from_iterable(total))
+    rho = object.__new__(DensityOperator)
+    object.__setattr__(rho, "_scaled", (common // g, tuple([tuple([x // g for x in row]) for row in total])))
+    return rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DensityOperator:
-    """Rational symmetric PSD matrix of trace one."""
+    """Rational symmetric PSD matrix of trace one.
 
-    matrix: RMatrix
+    Stored as ``_scaled = (D, R)``: the integer matrix ``R`` over one
+    denominator ``D > 0`` in lowest terms. That form is unique, so equality
+    and hashing compare it, and ``matrix`` is built from it when read.
+    ``DensityOperator(matrix)`` takes ``D`` as the lcm of the entries'
+    denominators, which is lowest terms, and checks shape, symmetry,
+    trace and, as ``D > 0``, PSD by :func:`_is_psd` on ``R``. The other
+    constructors skip those checks, which cannot fail (:func:`_mixture`).
+    """
 
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if not m.is_square():
+    _scaled: tuple[int, tuple[tuple[int, ...], ...]]
+
+    def __init__(self, matrix: RMatrix) -> None:
+        if not matrix.is_square():
             raise ValueError("density operator must be square")
-        if not m.is_symmetric():
+        common = lcm(*[x.denominator for row in matrix.rows for x in row])
+        rows = [[x.numerator * (common // x.denominator) for x in row] for row in matrix.rows]
+        if rows != [list(col) for col in zip(*rows)]:
             raise ValueError("density operator must be symmetric")
-        if m.trace() != 1:
-            raise ValueError(f"density operator must have trace 1, got {m.trace()}")
-        if not _is_psd(m):
+        trace = sum([row[i] for i, row in enumerate(rows)])
+        if trace != common:
+            raise ValueError(f"density operator must have trace 1, got {Fraction(trace, common)}")
+        scaled = (common, tuple(map(tuple, rows)))
+        if not _is_psd(rows):
             raise ValueError("density operator must be positive semidefinite")
+        object.__setattr__(self, "_scaled", scaled)
+
+    @cached_property
+    def matrix(self) -> RMatrix:
+        common, rows = self._scaled
+        return RMatrix(tuple([tuple([Fraction(x, common) for x in row]) for row in rows]))
 
     @property
     def dim(self) -> int:
-        return self.matrix.nrows
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, R) with rho = R / D, D the lcm of the entries' denominators."""
-        common = lcm(*[x.denominator for row in self.matrix.rows for x in row])
-        return common, tuple([
-            tuple([x.numerator * (common // x.denominator) for x in row])
-            for row in self.matrix.rows
-        ])
+        return len(self._scaled[1])
 
     @classmethod
     def pure(cls, coords: RVector | Iterable[Scalar]) -> "DensityOperator":
         """Pure state on the ray through ``coords``."""
-        return cls(_mixture_matrix([(Fraction(1), coords)]))
+        return _mixture([(1, coords)])
 
     @classmethod
     def mixture(cls, parts: Sequence[tuple[Scalar, RVector | Iterable[Scalar]]]) -> "DensityOperator":
-        """Convex mixture of pure states, weights summing to exactly 1.
-
-        The components are not built as states of their own: only the
-        mixture goes through the constructor's checks.
-        """
+        """Convex mixture of pure states, weights summing to exactly 1."""
         if not parts:
             raise ValueError("mixture needs at least one component")
         weights = [_frac(w) for w, _ in parts]
@@ -198,11 +224,14 @@ class DensityOperator:
             raise ValueError("mixture weights must be nonnegative")
         if sum(weights) != 1:
             raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
-        return cls(_mixture_matrix([(w, coords) for w, (_, coords) in zip(weights, parts)]))
+        return _mixture([(w, coords) for w, (_, coords) in zip(weights, parts)])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(RMatrix.identity(dim).scale(Fraction(1, dim)))
+        """The uniform mixture of a basis, the identity over ``dim``."""
+        if dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
+        return _mixture([(Fraction(1, dim), [int(i == j) for j in range(dim)]) for i in range(dim)])
 
 
 def born(rho: DensityOperator, p: Projector) -> Fraction:
@@ -217,10 +246,13 @@ def ray_probability(rho: DensityOperator, ray: Ray) -> Fraction:
     coordinates; equal to ``born(rho, projector_of(ray))`` without
     building the projector."""
     v = ray.ints
-    if rho.dim != len(v):
-        raise ValueError(f"dimension mismatch: state {rho.dim}, ray {len(v)}")
     common, rows = rho._scaled
-    quad = sum(x * sum(map(mul, row, v)) for x, row in zip(v, rows) if x)
+    if len(rows) != len(v):
+        raise ValueError(f"dimension mismatch: state {len(rows)}, ray {len(v)}")
+    quad = 0
+    for x, row in zip(v, rows):
+        if x:
+            quad += x * sum(map(mul, row, v))
     return Fraction(quad, common * sum(map(mul, v, v)))
 
 
@@ -235,9 +267,10 @@ def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilityS
     """The classical probability space a state induces on one context.
 
     Outcomes are the context's ray ids, weighted by their Born
-    probabilities v . rho v / v . v. Because the context's projectors
-    resolve the identity the weights sum to exactly 1; this is asserted,
-    not assumed.
+    probabilities v . rho v / v . v, each built once. Because the context's
+    projectors resolve the identity the weights sum to exactly 1; this is
+    checked, in integers by :meth:`FiniteProbabilitySpace.total`, not
+    assumed.
     """
     weights = {r.id: ray_probability(rho, r) for r in c.rays}
     space = FiniteProbabilitySpace(tuple([r.id for r in c.rays]), weights)

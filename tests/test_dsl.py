@@ -562,3 +562,41 @@ class TestFuzz:
         if code == 2:
             assert out.getvalue() == ""
             assert re.fullmatch(r"error: line \d+, column \d+: [^\n]*\n", errs.getvalue())
+
+    # Two contexts in dimension 2, so `prob` prints two distributions.
+    TWO_BASES = "dim 2\nray a 1 0\nray b 0 1\nray c 1 1\nray d 1 -1\ncontext a b\ncontext c d\n"
+
+    @given(
+        fuzz_documents() | corrupted_documents(st.sampled_from(STATES_2)),
+        st.sampled_from(["prob", "model"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cli_state_files_exit_cleanly(self, tmp_path_factory, text, command):
+        folder = tmp_path_factory.mktemp("fuzz")
+        scenario, state = folder / "two.ks", folder / "doc.state"
+        scenario.write_text(self.TWO_BASES, encoding="utf-8")
+        state.write_text(text, encoding="utf-8")
+        out, errs = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(errs):
+            code = run([command, str(scenario), "--state", str(state)])
+        try:
+            parse_state(text, 2)
+        except ParseError:
+            assert code == 2
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"error: line \d+, column \d+: [^\n]*\n", errs.getvalue())
+            return
+        assert errs.getvalue() == ""
+        lines = out.getvalue().splitlines()
+        if command == "prob":
+            assert code == 0
+            blocks = out.getvalue().split("\n\n")
+            assert [b.splitlines()[0] for b in blocks] == ["context 1", "context 2"]
+            for block in blocks:
+                weights = [Fraction(line.split()[1]) for line in block.splitlines()[1:]]
+                assert len(weights) == 2 and min(weights) >= 0 and sum(weights) == 1
+        elif code == 0:
+            assert lines[0] == "FEASIBLE"
+            assert sum(Fraction(line.split()[1]) for line in lines[1:]) == 1
+        else:
+            assert (code, lines) == (1, ["INFEASIBLE"])

@@ -64,6 +64,10 @@ class TestClassicalSpace:
         report = check_classical_axioms(space)
         assert any("negative" in v for v in report.violations)
 
+    def test_uniform_needs_an_outcome(self):
+        with pytest.raises(ValueError, match="at least one outcome"):
+            FiniteProbabilitySpace.uniform(())
+
     def test_structural_validation(self):
         with pytest.raises(ValueError):
             FiniteProbabilitySpace((1, 2), {1: Fraction(1)})
@@ -107,9 +111,10 @@ class TestDensityOperator:
 
     def test_psd_check_matches_principal_minor_oracle(self):
         # A symmetric matrix is PSD iff every principal minor is >= 0.
-        # Cross-check the elimination-based test against determinants
-        # computed independently by Laplace expansion.
+        # Cross-check the fraction-free elimination on integer matrices
+        # against determinants computed independently by Laplace expansion.
         import itertools
+        from math import lcm
 
         from kscheck.probability import _is_psd
 
@@ -127,28 +132,119 @@ class TestDensityOperator:
                 total += (-1) ** j * rows[0][j] * det(minor)
             return total
 
-        def psd_by_minors(m):
-            n = m.nrows
+        def psd_by_minors(rows):
+            n = len(rows)
             for size in range(1, n + 1):
                 for subset in itertools.combinations(range(n), size):
-                    sub = [[m.rows[i][j] for j in subset] for i in subset]
+                    sub = [[rows[i][j] for j in subset] for i in subset]
                     if det(sub) < 0:
                         return False
             return True
 
+        def agrees(rows):
+            expected = psd_by_minors(rows)
+            assert _is_psd([list(row) for row in rows]) == expected, rows
+            return expected
+
+        def symmetric(half):
+            n = len(half)
+            return [[half[i][j] + half[j][i] for j in range(n)] for i in range(n)]
+
+        # Rational matrices, cleared to integers: scaling by the positive
+        # lcm of the denominators keeps the sign of every minor.
         rng = random.Random(67)
-        agree_psd = agree_not = 0
+        verdicts = []
         for _ in range(150):
             n = rng.randint(1, 4)
             half = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
-            sym = RMatrix(
-                tuple(tuple(half[i][j] + half[j][i] for j in range(n)) for i in range(n))
+            sym = symmetric(half)
+            common = lcm(*[x.denominator for row in sym for x in row])
+            expected = agrees([[int(x * common) for x in row] for row in sym])
+            assert psd_by_minors(sym) == expected
+            verdicts.append(expected)
+        assert verdicts.count(True) > 10 and verdicts.count(False) > 10  # both verdicts exercised
+        rng = random.Random(71)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            verdicts.append(agrees(symmetric([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])))
+        assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+        def gram(n, k):
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            return [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+
+        # B^T B with fewer rows than columns: PSD and singular, so the
+        # elimination meets a zero pivot, whose row must be zero.
+        for _ in range(100):
+            n = rng.randint(2, 5)
+            assert agrees(gram(n, rng.randint(1, n - 1)))
+        # A zero diagonal entry with a nonzero entry in its row is never
+        # PSD: the 2x2 minor through both is negative. The rest of the
+        # matrix is PSD, so where the zero comes first nothing else fails.
+        for _ in range(100):
+            n = rng.randint(2, 5)
+            m = gram(n, rng.randint(1, n))
+            i, j = rng.sample(range(n), 2)
+            m[i] = [0] * n
+            for row in m:
+                row[i] = 0
+            m[i][j] = m[j][i] = rng.choice([-2, -1, 1, 2])
+            assert not agrees(m)
+
+    def test_maximally_mixed_needs_a_positive_dimension(self):
+        for dim in (0, -1):
+            with pytest.raises(ValueError):
+                DensityOperator.maximally_mixed(dim)
+        for dim in range(1, 6):
+            rho = DensityOperator.maximally_mixed(dim)
+            assert rho._scaled == (dim, tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+            assert DensityOperator(rho.matrix) == rho
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_unchecked_constructors_are_sound(self, data):
+        # pure and mixture skip the constructor's checks. Their states must
+        # pass those checks, in the form the constructor stores.
+        import math
+
+        dim = data.draw(st.integers(1, 5))
+        vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+        vectors = [tuple(data.draw(vector))]
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(["new", "collinear", "flipped"]))
+            if kind == "new":
+                vectors.append(tuple(data.draw(vector)))
+            else:
+                k = data.draw(st.integers(2, 3)) if kind == "collinear" else -1
+                vectors.append(tuple(k * x for x in data.draw(st.sampled_from(vectors))))
+        raw = data.draw(
+            st.lists(st.integers(0, 5), min_size=len(vectors), max_size=len(vectors)).filter(any)
+        )
+        weights = [Fraction(w, sum(raw)) for w in raw]
+        rho = DensityOperator.mixture(list(zip(weights, vectors)))
+        # The sum of w v v^T / (v . v), entry by entry in Fractions.
+        assert rho.matrix.rows == tuple(
+            tuple(
+                sum(w * Fraction(v[i] * v[j], sum(x * x for x in v)) for w, v in zip(weights, vectors))
+                for j in range(dim)
             )
-            expected = psd_by_minors(sym)
-            assert _is_psd(sym) == expected
-            agree_psd += expected
-            agree_not += not expected
-        assert agree_psd > 10 and agree_not > 10  # both verdicts exercised
+            for i in range(dim)
+        )
+        checked = DensityOperator(rho.matrix)
+        assert checked == rho and hash(checked) == hash(rho)
+        common, rows = rho._scaled
+        assert common > 0 and math.gcd(common, *[x for row in rows for x in row]) == 1
+        # The form the checked constructor stores: the lcm of the
+        # denominators and the numerators over it.
+        lcm_den = math.lcm(*[x.denominator for row in rho.matrix.rows for x in row])
+        assert rho._scaled == checked._scaled == (
+            lcm_den,
+            tuple(tuple(x.numerator * (lcm_den // x.denominator) for x in row) for row in rho.matrix.rows),
+        )
+        v, k = vectors[0], data.draw(st.integers(-4, 4).filter(bool))
+        pure = DensityOperator.pure(v)
+        assert pure == DensityOperator.pure([k * x for x in v]) == DensityOperator(pure.matrix)
+        assert hash(pure) == hash(DensityOperator.pure([Fraction(x, k) for x in v]))
 
 
 class TestBorn:
@@ -221,6 +317,11 @@ class TestContextDistribution:
         rho = DensityOperator.mixture([(Fraction(w, total), v) for w, v in parts])
         space = context_distribution(rho, context)
         assert space.weights == {r.id: born(rho, projector_of(r)) for r in context.rays}
+
+    def test_non_orthogonal_context_fails_the_sum_check(self):
+        c = Context((Ray("a", (1, 0)), Ray("b", (1, 1))))
+        with pytest.raises(AssertionError, match="sums to 3/2"):
+            context_distribution(DensityOperator.pure((1, 0)), c)
 
     def test_sums_to_one_for_random_states(self, cabello):
         rng = random.Random(23)
