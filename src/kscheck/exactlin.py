@@ -382,10 +382,18 @@ def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] |
 
 
 def _eliminate(row: list[int], prow: list[int], p: int, d: int, col: int) -> list[int]:
-    """``(p * row - row[col] * prow) // d``, exact by the Bareiss identity."""
+    """``(p * row - row[col] * prow) // d``, exact by the Bareiss identity.
+
+    When ``p == d == 1`` each entry is ``x - f * y``: the same integer
+    without the product ``p * x`` and the division, so every pivot and
+    vertex is unchanged. Most pivots of the model LP, whose valuation
+    columns are 0/1, take this step.
+    """
     f = row[col]
     if f == 0:
         if p == d:
             return row
         return [p * x // d for x in row]
+    if p == d == 1:
+        return [x - f * y for x, y in zip(row, prow)]
     return [(p * x - f * y) // d for x, y in zip(row, prow)]

@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .exactlin import RVector, Scalar, _int_nonneg_solve
-from .qlogic import Context, Ray, validate_context
+from .qlogic import Context, Ray, _dot, validate_context
 
 if TYPE_CHECKING:
     from .probability import DensityOperator
@@ -163,7 +163,13 @@ class _SearchTables(NamedTuple):
 
 @dataclass(frozen=True)
 class KSScenario:
-    """Deduplicated ray list plus the contexts referencing it."""
+    """Deduplicated ray list plus the contexts referencing it.
+
+    The constructor checks every invariant: unique ray ids, one dimension,
+    every context ``dim`` scenario rays with integer dot product 0 pairwise
+    (an orthogonal basis), and no unused ray. Orthogonality matters to the
+    model: a basis's Born probabilities sum to exactly 1.
+    """
 
     dim: int
     rays: tuple[Ray, ...]
@@ -187,6 +193,9 @@ class KSScenario:
                 if by_id.get(r.id) != r:
                     raise ScenarioError(f"context ray {r.id} is not a scenario ray")
                 referenced.add(r.id)
+            for a, b in itertools.combinations(c.rays, 2):
+                if _dot(a.ints, b.ints):
+                    raise ScenarioError(f"context {k}: rays {a.id} and {b.id} are not orthogonal")
         unused = sorted(set(by_id) - referenced)
         if unused:
             raise ScenarioError(f"rays not used in any context: {', '.join(unused)}")
@@ -281,6 +290,57 @@ class KSScenario:
             if row:
                 pivots[row.bit_length()] = (row, subset)
         return None
+
+    @cached_property
+    def _model_rays(self) -> tuple[int, ...]:
+        """Indices, in ray order, of the rays whose rows the model LP keeps:
+        every ray but those the contexts imply.
+
+        The peel: while some unpeeled context holds a ray that lies in no
+        other unpeeled context, take the lowest-indexed such context, drop
+        the row of its first such ray in context order, and mark the
+        context peeled. ``live`` counts each ray's unpeeled contexts, and
+        a context enters the heap when one of its rays' counts reaches 1,
+        which happens once per ray. It stays eligible until it is peeled,
+        because only its own peel lowers that count again. So the peel
+        takes time linear in the ray slots, up to the heap's log factor.
+
+        The dropped rows are implied. Every valuation sets exactly one ray
+        per context to 1, so on every valuation column a context's rows sum
+        to the all-ones row; every context is an orthogonal basis, so its
+        rays' Born probabilities sum to exactly 1, the ones row's target.
+        Hence a dropped ray's row equals the ones row minus the other rows
+        of its context, targets included. When it was dropped, each of
+        those other rays lay in that unpeeled context, so none had been
+        dropped before: each is kept or dropped later. Taking the dropped
+        rays in reverse peel order, each row is thus rebuilt from the ones
+        row and rows already rebuilt or kept. The kept rows and the ones
+        row therefore have the full system's feasible set, so the same
+        verdict and the same vertices. A dual vector of the kept system,
+        padded with zeros, is one of the full system.
+        """
+        # Imported here: only the model needs it, and every CLI start
+        # would pay for the import.
+        import heapq
+
+        context_rays, _, _, ray_contexts = self._tables
+        live = [len(ks) for ks in ray_contexts]
+        peeled = [False] * len(context_rays)
+        # In increasing order, so already a heap.
+        heap = [k for k, rays in enumerate(context_rays) if any(live[i] == 1 for i in rays)]
+        dropped = set()
+        while heap:
+            k = heapq.heappop(heap)
+            if peeled[k]:
+                continue
+            peeled[k] = True
+            rays = context_rays[k]
+            dropped.add(next(i for i in rays if live[i] == 1))
+            for i in rays:
+                live[i] -= 1
+                if live[i] == 1:
+                    heapq.heappush(heap, next(j for j in ray_contexts[i] if not peeled[j]))
+        return tuple([i for i in range(len(self.rays)) if i not in dropped])
 
     def ray_by_id(self, ray_id: str) -> Ray:
         return self.rays[self._ray_index[ray_id]]
@@ -379,7 +439,8 @@ def _unchecked_scenario(
 ) -> KSScenario:
     """Scenario whose invariants hold by construction, without the
     constructor's checks: unique ray ids, one dimension, at least one ray
-    and one context, every context ray a scenario ray and no unused ray.
+    and one context, every context an orthogonal basis of scenario rays
+    and no unused ray.
     """
     s = object.__new__(KSScenario)
     object.__setattr__(s, "dim", dim)
@@ -726,14 +787,18 @@ def noncontextual_model(
     search. Otherwise the valuations are enumerated once, under
     SEARCH_NODE_BUDGET, and more than ``max_valuations`` of them raise
     ScenarioTooLargeError.
-    The LP is built in integers from the search's ray masks: the 0/1
-    valuation columns and the all-ones row as they are, and only the
-    right-hand side scaled, by the lcm ``scale`` of the targets'
-    denominators. It is solved by the integer simplex behind
+    The LP has a row for each ray its contexts do not imply (see
+    ``KSScenario._model_rays``, which proves the dropped rows redundant),
+    in ray order, and the all-ones row last. It has the full system's
+    feasible set, so the verdict is the full system's and the weights are
+    one of its vertices. The LP is built in integers from the search's ray
+    masks: the 0/1 valuation columns and the all-ones row as they are,
+    and only the right-hand side scaled, by the lcm ``scale`` of the kept
+    targets' denominators. It is solved by the integer simplex behind
     :func:`kscheck.exactlin.nonneg_solve`, and the weights are its
     solution divided by ``scale``. That is the scaling ``nonneg_solve``
-    applies to the same columns, so the vertex is the one it returns.
-    Valuation objects are built for the support only.
+    applies to the same columns, so the vertex is the one it returns on
+    the kept rows. Valuation objects are built for the support only.
     """
     from .probability import ray_probability
 
@@ -749,9 +814,10 @@ def noncontextual_model(
         raise ScenarioTooLargeError(
             f"more than {max_valuations} valuations exceed the model feasibility limit"
         )
-    targets = [ray_probability(rho, r) for r in s.rays]
+    kept = s._model_rays
+    targets = [ray_probability(rho, s.rays[k]) for k in kept]
     scale = math.lcm(*[t.denominator for t in targets])
-    rows = [[ones >> k & 1 for ones in hits] for k in range(len(s.rays))]
+    rows = [[ones >> k & 1 for ones in hits] for k in kept]
     rows.append([1] * len(hits))
     rhs = [t.numerator * (scale // t.denominator) for t in targets] + [scale]
     solution = _int_nonneg_solve(rows, rhs)

@@ -271,9 +271,15 @@ def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilityS
     projectors resolve the identity the weights sum to exactly 1; this is
     checked, in integers by :meth:`FiniteProbabilitySpace.total`, not
     assumed.
+
+    The space skips the constructor's checks, which cannot fail here: a
+    :class:`Context` has distinct ray ids, so the outcomes are distinct,
+    and the weights are ``Fraction`` values keyed by exactly those ids.
     """
     weights = {r.id: ray_probability(rho, r) for r in c.rays}
-    space = FiniteProbabilitySpace(tuple([r.id for r in c.rays]), weights)
+    space = object.__new__(FiniteProbabilitySpace)
+    object.__setattr__(space, "outcomes", tuple(weights))
+    object.__setattr__(space, "weights", weights)
     if space.total() != 1:
         raise AssertionError(f"context distribution sums to {space.total()}, expected 1")
     return space

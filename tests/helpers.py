@@ -226,6 +226,46 @@ def reference_nonneg_solve(a_rows, b, pivots=None):
     return x
 
 
+def reference_peeled_rays(contexts):
+    """The rays whose rows the model LP drops, as ``(ray id, context
+    index)`` pairs in peel order, for contexts given as id lists.
+
+    Repeats until no context qualifies: the lowest-indexed unpeeled
+    context holding a ray that lies in no other unpeeled context drops its
+    first such ray, in context order, and is peeled. Every context is
+    rescanned after each peel.
+    """
+    peeled, dropped = set(), []
+    while True:
+        for k, c in enumerate(contexts):
+            if k in peeled:
+                continue
+            others = [contexts[j] for j in range(len(contexts)) if j != k and j not in peeled]
+            lone = [rid for rid in c if not any(rid in o for o in others)]
+            if lone:
+                dropped.append((lone[0], k))
+                peeled.add(k)
+                break
+        else:
+            return dropped
+
+
+def reference_rank(rows):
+    """Rank of a matrix given as rows, by plain Fraction elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        src = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def _solve_square_or_none(columns, b):
     """The unique y with sum_k y_k columns[k] = b, or None when the
     columns are dependent or the system is inconsistent. Plain Fraction

@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -562,6 +563,61 @@ class TestFuzz:
         if code == 2:
             assert out.getvalue() == ""
             assert re.fullmatch(r"error: line \d+, column \d+: [^\n]*\n", errs.getvalue())
+
+    @given(
+        fuzz_documents()
+        | corrupted_documents(rescaled_documents().map(lambda doc: doc[0]))
+        | corrupted_documents(st.sampled_from([GOOD, cabello18_text()]))
+        | st.sampled_from([GOOD, cabello18_text()]),
+        st.sampled_from(["color", "parity", "graph"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cli_scenario_files_exit_cleanly(self, tmp_path_factory, text, command):
+        folder = tmp_path_factory.mktemp("fuzz")
+        path, dot = folder / "doc.ks", folder / "doc.dot"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, str(path)] + (["--dot", str(dot)] if command == "graph" else [])
+        out, errs = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(errs):
+            code = run(argv)
+        try:
+            s = parse_scenario(text)
+        except ParseError:
+            assert code == 2
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"error: line \d+, column \d+: [^\n]*\n", errs.getvalue())
+            return
+        assert errs.getvalue() == ""
+        lines = out.getvalue().splitlines()
+        ids = [r.id for r in s.rays]
+        if command == "color":
+            if code == 1:
+                assert lines == ["NO VALUATION"]
+                return
+            assert code == 0
+            assert [line.split()[0] for line in lines] == ids
+            values = {rid: int(b) for rid, b in (line.split() for line in lines)}
+            assert set(values.values()) <= {0, 1}
+            assert all(sum(values[rid] for rid in c.ray_ids) == 1 for c in s.contexts)
+        elif command == "parity":
+            if code == 1:
+                assert lines == ["NO PARITY CERTIFICATE"]
+                return
+            assert code == 0
+            assert lines[0] == "PARITY CERTIFICATE"
+            key, count = lines[1].split()
+            assert key == "context_count" and int(count) % 2 == 1
+            multiplicities = [line.split() for line in lines[2:]]
+            assert [rid for rid, _ in multiplicities] == sorted(rid for rid, _ in multiplicities)
+            assert {rid for rid, _ in multiplicities} <= set(ids)
+            assert all(int(m) > 0 and int(m) % 2 == 0 for _, m in multiplicities)
+        else:
+            assert code == 0
+            edges = sum(a.is_orthogonal_to(b) for a, b in itertools.combinations(s.rays, 2))
+            assert lines == [f"wrote {dot} ({len(ids)} vertices, {edges} edges)"]
+            graph = dot.read_text(encoding="utf-8").splitlines()
+            assert graph[0] == "graph orthogonality {" and graph[-1] == "}"
+            assert len(graph) == 2 + len(ids) + edges
 
     # Two contexts in dimension 2, so `prob` prints two distributions.
     TWO_BASES = "dim 2\nray a 1 0\nray b 0 1\nray c 1 1\nray d 1 -1\ncontext a b\ncontext c d\n"

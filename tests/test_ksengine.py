@@ -32,6 +32,8 @@ from helpers import (
     has_parity_subset,
     rand_mixed_state,
     reference_nonneg_solve,
+    reference_peeled_rays,
+    reference_rank,
     reference_valuations,
     single_context_scenario,
     subscenario,
@@ -125,6 +127,7 @@ class TestBuildScenario:
         rays, contexts = cabello.rays, cabello.contexts
         renamed = (Ray(rays[0].id, (0, 0, 1, 1)),) + rays[1:]
         a, b, c = Ray("a", (1, 0, 0)), Ray("b", (0, 1, 0)), Ray("c", (0, 0, 1))
+        d, x, y = Ray("d", (1, 1, 0)), Ray("x", (1, 0)), Ray("y", (1, 1))
         cases = [
             ((4, rays + rays[:1], contexts), "unique"),
             ((4, (), contexts), "at least one"),
@@ -132,6 +135,8 @@ class TestBuildScenario:
             ((3, rays, contexts), "dimension"),
             ((4, renamed, contexts), "not a scenario ray"),
             ((3, (a, b, c), (Context((a, b)), Context((b, c)), Context((a, c)))), "2 rays, expected 3"),
+            ((2, (x, y), (Context((x, y)),)), "context 1: rays x and y are not orthogonal"),
+            ((3, (a, b, c, d), (Context((a, b, c)), Context((a, b, d)))), "context 2: rays a and d are not"),
         ]
         for (dim, r, c), match in cases:
             with pytest.raises(ScenarioError, match=match):
@@ -256,6 +261,23 @@ DISJOINT_BASES = (
     ((1, 2, 0, 0), (2, -1, 0, 0), (0, 0, 1, 3), (0, 0, 3, -1)),
     ((1, 0, 0, 2), (0, 1, 3, 0), (0, 3, -1, 0), (2, 0, 0, -1)),
 )
+
+
+# Four {0, +-1}^4 bases in a ring: each ray lies in two of them, so no
+# context holds a ray of its own and none is peeled. No odd subset covers
+# every ray evenly, and there are 8 valuations.
+RING_BASES = (
+    ((0, 0, 1, -1), (0, 0, 1, 1), (1, -1, 0, 0), (1, 1, 0, 0)),
+    ((0, 0, 1, -1), (1, -1, 0, 0), (1, 1, -1, -1), (1, 1, 1, 1)),
+    ((0, 0, 1, 1), (1, -1, -1, 1), (1, -1, 1, -1), (1, 1, 0, 0)),
+    ((1, -1, -1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, 1, 1, 1)),
+)
+
+
+def ring_scenario():
+    vectors = sorted({v for basis in RING_BASES for v in basis})
+    ids = {v: f"q{i}" for i, v in enumerate(vectors)}
+    return build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in RING_BASES])
 
 
 def interleaved_scenario(cabello, picks):
@@ -594,14 +616,17 @@ class TestNoncontextualModel:
     @pytest.mark.parametrize("index", range(9))
     def test_deletions_match_the_fraction_simplex(self, cabello, index):
         """Same weights and valuations as the Fraction simplex fed the
-        columns of the public enumeration and the Born targets."""
+        columns of the public enumeration and the Born targets of the rows
+        the peel keeps, and every ray's Born probability reproduced."""
         s = without_context(cabello, index)
         valuations = list(enumerate_valuations(s))
-        rows = [[v[r.id] for v in valuations] for r in s.rays] + [[1] * len(valuations)]
+        dropped = {rid for rid, _ in reference_peeled_rays([c.ray_ids for c in s.contexts])}
+        kept = [r for r in s.rays if r.id not in dropped]
+        rows = [[v[r.id] for v in valuations] for r in kept] + [[1] * len(valuations)]
         rng = random.Random(1000 + index)
         for _ in range(3):
             rho = rand_mixed_state(rng, 4, max_parts=3)
-            b = [born(rho, projector_of(r)) for r in s.rays] + [Fraction(1)]
+            b = [born(rho, projector_of(r)) for r in kept] + [Fraction(1)]
             ref = reference_nonneg_solve(rows, b)
             model = noncontextual_model(s, rho)
             if ref is None:
@@ -610,6 +635,54 @@ class TestNoncontextualModel:
             assert model is not None
             assert model.weights == {i: w for i, w in enumerate(ref) if w != 0}
             assert model.valuations == {i: valuations[i] for i in model.weights}
+            for r in s.rays:
+                assert model.ray_probability(r.id) == born(rho, projector_of(r))
+
+    def test_peeled_rows_are_implied(self, cabello, monkeypatch):
+        """On Cabello deletions, random {0, +-1}^4 subsets and a ring of
+        bases that peels nothing: the verdict is the full LP's, each
+        dropped row is the ones row minus the other rows of its context,
+        and the LP gets the reference's kept rows, which on the deletions
+        are as many as the full LP's rank."""
+        fed = []
+
+        def spy(rows, rhs):
+            fed.append(rows)
+            return solve(rows, rhs)
+
+        solve = ksengine._int_nonneg_solve
+        verdicts = Counter()
+        rng = random.Random(77)
+        deletions = [without_context(cabello, k) for k in range(9)]
+        grids = grid_scenarios(4, rng, 12) + [ring_scenario()]
+        assert len(grids) >= 7
+        assert reference_peeled_rays([c.ray_ids for c in grids[-1].contexts]) == []
+        assert count_valuations(grids[-1]) == 8 and grids[-1]._parity_subset is None
+        monkeypatch.setattr(ksengine, "_int_nonneg_solve", spy)
+        for s in deletions + grids:
+            valuations = list(enumerate_valuations(s))
+            assert valuations
+            column = {r.id: [v[r.id] for v in valuations] for r in s.rays}
+            full = list(column.values()) + [[1] * len(valuations)]
+            contexts = [c.ray_ids for c in s.contexts]
+            peeled = reference_peeled_rays(contexts)
+            for rid, k in peeled:
+                rest = [column[o] for o in contexts[k] if o != rid]
+                assert column[rid] == [1 - sum(xs) for xs in zip(*rest)]
+            dropped = {rid for rid, _ in peeled}
+            kept = [column[r.id] for r in s.rays if r.id not in dropped]
+            if s in deletions:
+                assert len(kept) + 1 == reference_rank(full)
+            for _ in range(1 if s in grids[:-1] else 2):
+                rho = rand_mixed_state(rng, 4, max_parts=3)
+                b = [born(rho, projector_of(r)) for r in s.rays] + [Fraction(1)]
+                del fed[:]
+                model = noncontextual_model(s, rho)
+                assert fed == [kept + [[1] * len(valuations)]]
+                feasible = reference_nonneg_solve(full, b) is not None
+                assert (model is not None) == feasible
+                verdicts[feasible] += 1
+        assert verdicts[True] >= 3 and verdicts[False] >= 3
 
     def test_one_search_per_model(self, cabello, monkeypatch):
         searches = []

@@ -18,7 +18,7 @@ from kscheck.probability import (
     expectation,
     finite_pvm_check,
 )
-from kscheck.ksengine import KSScenario
+from kscheck.ksengine import KSScenario, ScenarioError, _unchecked_scenario
 from kscheck.qlogic import Context, Projector, Ray, projector_of, validate_context
 
 from helpers import gram_schmidt, rand_mixed_state
@@ -323,6 +323,19 @@ class TestContextDistribution:
         with pytest.raises(AssertionError, match="sums to 3/2"):
             context_distribution(DensityOperator.pure((1, 0)), c)
 
+    def test_equals_the_checked_space(self, cabello):
+        # Built unchecked, it must equal what the constructor builds from
+        # the context's ids and the projector's Born weights.
+        rng = random.Random(29)
+        for _ in range(30):
+            rho = rand_mixed_state(rng, 4)
+            c = cabello.contexts[rng.randrange(9)]
+            space = context_distribution(rho, c)
+            weights = {r.id: born(rho, projector_of(r)) for r in c.rays}
+            assert space == FiniteProbabilitySpace(c.ray_ids, weights)
+            assert type(space.outcomes) is tuple and type(space.weights) is dict
+            assert all(type(w) is Fraction for w in space.weights.values())
+
     def test_sums_to_one_for_random_states(self, cabello):
         rng = random.Random(23)
         for _ in range(60):
@@ -347,8 +360,11 @@ class TestStateAxioms:
             assert total == 1 == born(rho, Projector.identity(4))
 
     def test_non_orthogonal_context_is_reported_not_raised(self):
+        # KSScenario refuses this context, so it is built unchecked.
         c = Context((Ray("a", (1, 0)), Ray("b", (1, 1))))
-        scenario = KSScenario(dim=2, rays=c.rays, contexts=(c,))
+        with pytest.raises(ScenarioError, match="not orthogonal"):
+            KSScenario(dim=2, rays=c.rays, contexts=(c,))
+        scenario = _unchecked_scenario(2, c.rays, (c,))
         report = check_state_axioms(DensityOperator.maximally_mixed(2), scenario)
         assert not report.ok
         assert len(report.violations) == 1
