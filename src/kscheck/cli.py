@@ -16,12 +16,15 @@ Subcommands:
 Exit codes: 0 on success (and when the asked-for object exists), 1 when a
 search comes back empty (no valuation, no certificate, no model), 2 on
 any input or usage error and on any unexpected failure, which prints a
-single ``error:`` line. All numbers printed are exact rationals.
+single ``error:`` line and nothing on stdout: a subcommand's output is
+written only when it returns. All numbers printed are exact rationals.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import re
 import sys
 from pathlib import Path
@@ -220,8 +223,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except (ValueError, OSError) as exc:
         # ParseError, ScenarioError and ContextError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)
@@ -232,6 +237,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         detail = " ".join(str(exc).split())
         print(f"error: internal failure: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 def main() -> None:

@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .exactlin import RVector, Scalar, _int_nonneg_solve
-from .qlogic import Context, Ray, _dot, validate_context
+from .qlogic import Context, Ray, _unchecked_context, validate_context
 
 if TYPE_CHECKING:
     from .probability import DensityOperator
@@ -166,9 +166,9 @@ class KSScenario:
     """Deduplicated ray list plus the contexts referencing it.
 
     The constructor checks every invariant: unique ray ids, one dimension,
-    every context ``dim`` scenario rays with integer dot product 0 pairwise
-    (an orthogonal basis), and no unused ray. Orthogonality matters to the
-    model: a basis's Born probabilities sum to exactly 1.
+    every context ray a scenario ray, so every context is an orthogonal
+    basis of ``dim`` rays (see :class:`Context`), and no unused ray. A
+    basis matters to the model: its Born probabilities sum to exactly 1.
     """
 
     dim: int
@@ -186,16 +186,11 @@ class KSScenario:
             if r.dim != self.dim:
                 raise ScenarioError(f"ray {r.id} has dimension {r.dim}, expected {self.dim}")
         referenced: set[str] = set()
-        for k, c in enumerate(self.contexts, start=1):
-            if len(c) != self.dim:
-                raise ScenarioError(f"context {k} has {len(c)} rays, expected {self.dim}")
+        for c in self.contexts:
             for r in c.rays:
                 if by_id.get(r.id) != r:
                     raise ScenarioError(f"context ray {r.id} is not a scenario ray")
                 referenced.add(r.id)
-            for a, b in itertools.combinations(c.rays, 2):
-                if _dot(a.ints, b.ints):
-                    raise ScenarioError(f"context {k}: rays {a.id} and {b.id} are not orthogonal")
         unused = sorted(set(by_id) - referenced)
         if unused:
             raise ScenarioError(f"rays not used in any context: {', '.join(unused)}")
@@ -258,7 +253,7 @@ class KSScenario:
         has no set at all.
 
         In odd dimension there is no set either. Every context has ``dim``
-        rays (the constructor checks it), so an odd set of contexts has an
+        rays (see the class docstring), so an odd set of contexts has an
         odd number ``dim * |set|`` of ray slots, while a cover meeting every
         ray an even number of times has an even number. So the elimination
         runs in even dimension only. (None decides no verdict: the search
@@ -307,8 +302,9 @@ class KSScenario:
 
         The dropped rows are implied. Every valuation sets exactly one ray
         per context to 1, so on every valuation column a context's rows sum
-        to the all-ones row; every context is an orthogonal basis, so its
-        rays' Born probabilities sum to exactly 1, the ones row's target.
+        to the all-ones row; every context is an orthogonal basis, as every
+        :class:`Context` is, so its rays' Born probabilities sum to exactly
+        1, the ones row's target.
         Hence a dropped ray's row equals the ones row minus the other rows
         of its context, targets included. When it was dropped, each of
         those other rays lay in that unpeeled context, so none had been
@@ -404,7 +400,9 @@ def _assemble(
     """Scenario from declared rays and their already validated contexts.
 
     Merging and minting only swap a ray for one with the same canonical
-    coordinates, so the contexts stay valid and are not validated again.
+    coordinates, so the rebuilt contexts stay orthogonal bases and skip
+    the :class:`Context` checks. A context's rays do not coincide, so
+    neither do their keepers, and the keepers' ids are distinct.
     The callers guarantee the scenario's invariants: the declared ids are
     unique, every context has dimension ``dim`` and holds declared rays
     only, and every declared ray lies in some context. Merging keeps one
@@ -420,14 +418,15 @@ def _assemble(
             # No two declared rays coincide, so every ray is its own keeper.
             out_contexts = list(contexts)
         else:
-            out_contexts = [Context(tuple([keeper[r.ints] for r in c.rays])) for c in contexts]
+            rebuilt = [tuple([keeper[r.ints] for r in c.rays]) for c in contexts]
+            out_contexts = [_unchecked_context(rays) for rays in rebuilt]
     else:
         # Minted ids are distinct. k has no "@", so a minted id's last "@c"
         # is the appended one, and the id gives back the declared id and k.
         # A validated context never repeats an id: a repeated ray coincides
         # with itself.
         out_contexts = [
-            Context(tuple([Ray(f"{r.id}@c{k}", r.ints) for r in c.rays]))
+            _unchecked_context(tuple([Ray(f"{r.id}@c{k}", r.ints) for r in c.rays]))
             for k, c in enumerate(contexts, start=1)
         ]
         out_rays = [r for c in out_contexts for r in c.rays]

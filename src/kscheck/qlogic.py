@@ -2,9 +2,9 @@
 
 This module carries the lattice side of the toolkit: one-dimensional rays
 in canonical integer form, the rank-1 projectors they generate, subspaces
-with exact meet / join / orthocomplement, and contexts, i.e. maximal
-families of mutually orthogonal rays whose projectors resolve the
-identity.
+with exact meet / join / orthocomplement, and contexts: orthogonal bases
+of rays, whose projectors resolve the identity. Only the :class:`Context`
+constructor decides it; everything built on a context relies on that.
 
 Two rays with proportional coordinate vectors canonicalize to the same
 coordinates, which is exactly the identification that lets a ray keep one
@@ -297,22 +297,52 @@ class ContextError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _dimension_error(rays: tuple[Ray, ...], dim: int) -> ContextError:
+    wrong = [r for r in rays if r.dim != dim]
+    return ContextError([f"ray {r.id} has dimension {r.dim}, expected {dim}" for r in wrong])
+
+
 @dataclass(frozen=True)
 class Context:
-    """Maximal family of mutually orthogonal rays.
+    """Complete measurement context: an orthogonal basis of rays.
 
-    Use :func:`validate_context` to construct one; its cardinality and
-    orthogonality checks decide resolution of the identity. Ray ids are
-    the context's outcomes, so they must be distinct.
+    The constructor is the one place that decides that rays form an
+    orthogonal basis, so every ``Context`` is one. It raises
+    :class:`ContextError`, in this order: on rays of another dimension than
+    the first ray's d; on every violation of "d rays, none coinciding,
+    integer dot product 0 pairwise"; on repeated ids, which are outcomes.
+
+    No separate check that the projectors sum to the identity is needed:
+    for nonzero rays in dimension d they do exactly when there are d rays
+    and they are pairwise orthogonal. An orthogonal basis resolves the
+    identity. Conversely, each rank-1 projector has trace 1, so the trace
+    of the sum gives n = d; the square matrix U whose columns are the
+    normalised rays then satisfies U U^T = I, so U is orthogonal and
+    U^T U = I, i.e. the rays are pairwise orthogonal.
     """
 
     rays: tuple[Ray, ...]
 
     def __post_init__(self) -> None:
-        if not self.rays:
-            raise ValueError("a context needs at least one ray")
-        if len({r.id for r in self.rays}) != len(self.rays):
-            raise ValueError("a context's ray ids must be distinct")
+        rays = self.rays
+        if not rays:
+            raise ContextError(["a context needs at least one ray"])
+        dim = len(rays[0].ints)
+        for r in rays:
+            if len(r.ints) != dim:
+                raise _dimension_error(rays, dim)
+        violations = [] if len(rays) == dim else [f"context has {len(rays)} rays, needs {dim}"]
+        for a, b in itertools.combinations(rays, 2):
+            if a.ints == b.ints:
+                violations.append(f"rays {a.id} and {b.id} coincide after canonicalization")
+            else:
+                dot = _dot(a.ints, b.ints)
+                if dot:
+                    violations.append(f"rays {a} and {b} are not orthogonal (dot = {dot})")
+        if violations:
+            raise ContextError(violations)
+        if len({r.id for r in rays}) != len(rays):
+            raise ContextError(["a context's ray ids must be distinct"])
 
     @property
     def dim(self) -> int:
@@ -326,40 +356,22 @@ class Context:
         return len(self.rays)
 
 
+def _unchecked_context(rays: tuple[Ray, ...]) -> Context:
+    """Context on an orthogonal basis with distinct ids, without checks."""
+    c = object.__new__(Context)
+    object.__setattr__(c, "rays", rays)
+    return c
+
+
 def validate_context(rays: Sequence[Ray], dim: int) -> Context:
-    """Check that ``rays`` form a complete measurement context in ``dim``.
+    """The :class:`Context` of ``rays``, which must have dimension ``dim``.
 
-    One pass over the canonical integer coordinates: there must be
-    exactly ``dim`` rays, no two may coincide, and every pair must have
-    integer dot product zero. Raises :class:`ContextError` listing every
-    violation found.
-
-    No separate check that the projectors sum to the identity is needed:
-    for nonzero rays in dimension d they do exactly when there are d rays
-    and they are pairwise orthogonal. An orthogonal basis resolves the
-    identity. Conversely, each rank-1 projector has trace 1, so the trace
-    of the sum gives n = d; the square matrix U whose columns are the
-    normalised rays then satisfies U U^T = I, so U is orthogonal and
-    U^T U = I, i.e. the rays are pairwise orthogonal.
+    The constructor checks each ray against the first one, so only a first
+    ray of another dimension needs the check against ``dim`` here.
     """
-    violations: list[str] = []
     rays = tuple(rays)
-    for r in rays:
-        if r.dim != dim:
-            violations.append(f"ray {r.id} has dimension {r.dim}, expected {dim}")
-    if violations:
-        raise ContextError(violations)
-    if len(rays) != dim:
-        violations.append(f"context has {len(rays)} rays, needs {dim}")
-    for a, b in itertools.combinations(rays, 2):
-        if a.ints == b.ints:
-            violations.append(f"rays {a.id} and {b.id} coincide after canonicalization")
-        else:
-            dot = _dot(a.ints, b.ints)
-            if dot:
-                violations.append(f"rays {a} and {b} are not orthogonal (dot = {dot})")
-    if violations:
-        raise ContextError(violations)
+    if rays and len(rays[0].ints) != dim:
+        raise _dimension_error(rays, dim)
     return Context(rays)
 
 
@@ -368,8 +380,8 @@ def boolean_algebra_of(context: Context) -> frozenset[Projector]:
 
     This is the Boolean algebra the context generates inside the projector
     lattice; it always contains the zero projector and the identity. The
-    atoms of a validated context are mutually orthogonal, so every sum is
-    a projector by construction and skips the constructor's checks.
+    atoms of a :class:`Context` are mutually orthogonal, so every sum is a
+    projector by construction and skips the constructor's checks.
     """
     atoms = [projector_of(r) for r in context.rays]
     dim = context.dim

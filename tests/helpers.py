@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 from kscheck import (
@@ -22,6 +23,12 @@ from kscheck import (
     build_scenario,
     validate_context,
 )
+
+
+def int_digit_limit() -> int:
+    """The interpreter's limit on digits in int/str conversion, 0 if none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
 
 
 def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8, max_den: int = 6) -> Fraction:

@@ -1,9 +1,15 @@
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kscheck import cabello18_text, parse_scenario
 from kscheck.cli import run
+
+from helpers import int_digit_limit
 
 MIXED_STATE = """\
 matrix
@@ -205,6 +211,92 @@ class TestSymm:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert "invalid rational" in captured.err
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of one run."""
+    out, errs = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(errs):
+        code = run(argv)
+    return code, out.getvalue(), errs.getvalue()
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]*\n", err)
+
+
+# Rationals for --a and --b: ten short ones, and three long enough that an
+# amplitude or the squared norm passes the interpreter's 4300-digit limit
+# on printing, or, for the longest, the coordinate itself on parsing.
+SYMM_RATIONALS = [
+    "0", "1", "-1", "2", "-3", "+1", "007", "1/2", "-2/3", "2/4",
+    "9" * 1200, "9" * 2200, "9" * 4400,
+]
+# What parse_rational rejects.
+SYMM_GARBAGE = ["1/0", "0/0", "1/-2", "1.5", "1e3", "1_0", "x", "/", "--", "\u0663"]
+SYMM_SEPARATORS = [",", " ", ", ", ",,", "\t", "\n", "\u2003", ";", ""]
+SYMM_LINE = re.compile(r"amplitude \d+ \d+ -?\d+(/\d+)?")
+
+
+@st.composite
+def symm_arguments(draw):
+    """--a and --b: each a well-formed list of ``n`` rationals or a fuzzed
+    string, so both exit codes are common."""
+    n = draw(st.integers(1, 4))
+    rationals = st.sampled_from(SYMM_RATIONALS)
+    well_formed = st.lists(rationals, min_size=n, max_size=n).map(", ".join)
+    tokens = st.sampled_from(SYMM_RATIONALS + SYMM_GARBAGE)
+    piece = st.tuples(tokens, st.sampled_from(SYMM_SEPARATORS))
+    fuzzed = st.lists(piece.map("".join), max_size=4).map("".join)
+    return draw(well_formed | fuzzed), draw(well_formed | fuzzed)
+
+
+class TestNoPartialOutput:
+    """A run that exits 2 prints nothing on stdout, even when the failure
+    comes after the subcommand has printed."""
+
+    def test_crash_after_printing(self, monkeypatch):
+        import kscheck.cli
+
+        def crash(state):
+            raise RuntimeError("parity blew up")
+
+        monkeypatch.setattr(kscheck.cli, "exchange_parity", crash)
+        assert_one_error_line(*run_captured(["symm", "--a", "1,0", "--b", "0,1", "--sign", "+"]))
+
+    @pytest.mark.skipif(int_digit_limit() == 0, reason="the interpreter has no integer digit limit")
+    def test_unprintable_amplitude(self):
+        # 2n digits print, but the amplitude 1 + n**2 does not.
+        nines = "9" * (int_digit_limit() * 7 // 12)
+        argv = ["symm", "--a", f"1,{nines}", "--b", f"{nines},1", "--sign", "+"]
+        assert_one_error_line(*run_captured(argv))
+
+    @pytest.mark.skipif(int_digit_limit() == 0, reason="the interpreter has no integer digit limit")
+    def test_unprintable_probability(self, cabello_file, tmp_path):
+        # The header "context 1" prints, but no weight over v . v does.
+        state = tmp_path / "big.state"
+        state.write_text(f"pure 1 {'9' * (int_digit_limit() * 22 // 43)} 0 1\n", encoding="utf-8")
+        assert_one_error_line(*run_captured(["prob", cabello_file, "--state", str(state)]))
+
+
+class TestSymmFuzz:
+    @given(symm_arguments(), st.sampled_from(["+", "-"]))
+    @settings(max_examples=150, deadline=None)
+    def test_exits_zero_with_the_three_kinds_of_line_or_two_with_one_error(self, ab, sign):
+        a, b = ab
+        # The = form keeps a leading "-" from reading as an option.
+        code, out, err = run_captured(["symm", f"--a={a}", f"--b={b}", "--sign", sign])
+        if code != 0:
+            assert_one_error_line(code, out, err)
+            return
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) >= 3
+        assert all(SYMM_LINE.fullmatch(line) for line in lines[:-2])
+        assert re.fullmatch(r"norm_squared \d+(/\d+)?", lines[-2])
+        assert re.fullmatch(r"parity (\+1|-1|none)", lines[-1])
 
 
 class TestUsage:

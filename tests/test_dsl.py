@@ -1,7 +1,6 @@
 import io
 import itertools
 import re
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -18,7 +17,12 @@ from kscheck.dsl import (
     serialize_scenario,
 )
 
-from helpers import ReferenceParseError, reference_parse_scenario, reference_parse_state
+from helpers import (
+    ReferenceParseError,
+    int_digit_limit,
+    reference_parse_scenario,
+    reference_parse_state,
+)
 
 GOOD = """\
 # a single complete context in dimension 2
@@ -269,11 +273,6 @@ class TestParseState:
             parse_state("mixed\npure 1 0 0 0\n", 4)
 
 
-def _int_digit_limit() -> int:
-    get = getattr(sys, "get_int_max_str_digits", None)
-    return get() if get else 0
-
-
 # Three contexts in dimension 3; ``a`` and ``c`` each lie in two of them.
 BASE_RAYS = {
     "a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1), "d": (0, 1, 1),
@@ -400,11 +399,11 @@ class TestIntegerParse:
         assert built == [(1, 2)]
 
 
-@pytest.mark.skipif(_int_digit_limit() == 0, reason="the interpreter has no integer digit limit")
+@pytest.mark.skipif(int_digit_limit() == 0, reason="the interpreter has no integer digit limit")
 class TestOversizedIntegers:
     @pytest.fixture()
     def big(self):
-        return "1" * (_int_digit_limit() + 1)
+        return "1" * (int_digit_limit() + 1)
 
     def test_ray_coordinate(self, big):
         for token in (big, f"1/{big}", f"-{big}/3"):
@@ -433,7 +432,7 @@ class TestOversizedIntegers:
     def unprintable_context(self):
         # Every token is within the limit, but the cleared coordinates of a
         # are not, so the context's violation message cannot be printed.
-        n = _int_digit_limit()
+        n = int_digit_limit()
         a = f"{'9' * n}/1{'0' * (n - 1)} {'1' * n}/{'1' * (n - 1)}3"
         return f"dim 2\nray a {a}\nray b 1 1\ncontext a b\n"
 

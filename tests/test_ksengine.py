@@ -134,13 +134,27 @@ class TestBuildScenario:
             ((4, rays, ()), "at least one"),
             ((3, rays, contexts), "dimension"),
             ((4, renamed, contexts), "not a scenario ray"),
-            ((3, (a, b, c), (Context((a, b)), Context((b, c)), Context((a, c)))), "2 rays, expected 3"),
-            ((2, (x, y), (Context((x, y)),)), "context 1: rays x and y are not orthogonal"),
-            ((3, (a, b, c, d), (Context((a, b, c)), Context((a, b, d)))), "context 2: rays a and d are not"),
+            # A basis of another dimension than the scenario's.
+            ((2, (x, Ray("z", (0, 1))), (Context((a, b, c)),)), "not a scenario ray"),
         ]
         for (dim, r, c), match in cases:
             with pytest.raises(ScenarioError, match=match):
                 KSScenario(dim=dim, rays=r, contexts=c)
+        # A context that is not an orthogonal basis cannot be built, so no
+        # scenario can hold one.
+        context_cases = [
+            ((a, b), "context has 2 rays, needs 3"),
+            ((x, y), "rays x(1, 0) and y(1, 1) are not orthogonal (dot = 1)"),
+            (
+                (a, b, d),
+                "rays a(1, 0, 0) and d(1, 1, 0) are not orthogonal (dot = 1); "
+                "rays b(0, 1, 0) and d(1, 1, 0) are not orthogonal (dot = 1)",
+            ),
+        ]
+        for r, message in context_cases:
+            with pytest.raises(ContextError) as err:
+                Context(r)
+            assert str(err.value) == message
 
 
 class TestFindValuation:

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -17,11 +16,24 @@ from kscheck.probability import (
     event_probability,
     expectation,
     finite_pvm_check,
+    ray_probability,
 )
-from kscheck.ksengine import KSScenario, ScenarioError, _unchecked_scenario
-from kscheck.qlogic import Context, Projector, Ray, projector_of, validate_context
+from kscheck.ksengine import build_scenario
+from kscheck.qlogic import Context, ContextError, Projector, Ray, projector_of, validate_context
 
-from helpers import gram_schmidt, rand_mixed_state
+from helpers import gram_schmidt, int_digit_limit, rand_mixed_state
+
+# Not a basis: the rays are not orthogonal. Every check that used to
+# report such a context now meets the Context constructor's refusal.
+NON_BASIS = (Ray("a", (1, 0)), Ray("b", (1, 1)))
+NON_BASIS_MESSAGE = "rays a(1, 0) and b(1, 1) are not orthogonal (dot = 1)"
+
+
+def refusal(rays) -> ValueError:
+    """The error ``Context(rays)`` raises; fails if it accepts them."""
+    with pytest.raises(ValueError) as err:
+        Context(rays)
+    return err.value
 
 
 @pytest.fixture(scope="module")
@@ -319,9 +331,12 @@ class TestContextDistribution:
         assert space.weights == {r.id: born(rho, projector_of(r)) for r in context.rays}
 
     def test_non_orthogonal_context_fails_the_sum_check(self):
-        c = Context((Ray("a", (1, 0)), Ray("b", (1, 1))))
-        with pytest.raises(AssertionError, match="sums to 3/2"):
-            context_distribution(DensityOperator.pure((1, 0)), c)
+        # Its Born weights would sum to 3/2, but no such context is built,
+        # so context_distribution needs no sum check.
+        rho = DensityOperator.pure((1, 0))
+        assert sum(ray_probability(rho, r) for r in NON_BASIS) == Fraction(3, 2)
+        err = refusal(NON_BASIS)
+        assert type(err) is ContextError and str(err) == NON_BASIS_MESSAGE
 
     def test_equals_the_checked_space(self, cabello):
         # Built unchecked, it must equal what the constructor builds from
@@ -360,16 +375,12 @@ class TestStateAxioms:
             assert total == 1 == born(rho, Projector.identity(4))
 
     def test_non_orthogonal_context_is_reported_not_raised(self):
-        # KSScenario refuses this context, so it is built unchecked.
-        c = Context((Ray("a", (1, 0)), Ray("b", (1, 1))))
-        with pytest.raises(ScenarioError, match="not orthogonal"):
-            KSScenario(dim=2, rays=c.rays, contexts=(c,))
-        scenario = _unchecked_scenario(2, c.rays, (c,))
-        report = check_state_axioms(DensityOperator.maximally_mixed(2), scenario)
-        assert not report.ok
-        assert len(report.violations) == 1
-        assert "context 1" in report.violations[0]
-        assert "a and b are not orthogonal" in report.violations[0]
+        # The context is refused when built, so no scenario holds it, and
+        # the axioms hold on every scenario that can be built.
+        err = refusal(NON_BASIS)
+        assert type(err) is ContextError and str(err) == NON_BASIS_MESSAGE
+        s = build_scenario([("a", (1, 0)), ("b", (0, 1))], [["a", "b"]])
+        assert check_state_axioms(DensityOperator.maximally_mixed(2), s).violations == ()
 
 
 class TestPvm:
@@ -388,24 +399,23 @@ class TestPvm:
             assert projector_of(r).trace() == 1
 
     def test_non_orthogonal_context_report_is_pinned(self):
-        c = Context((Ray("a", (1, 0)), Ray("b", (1, 1))))
-        assert finite_pvm_check([c]).violations == (
-            "context 1: M(all outcomes) != identity",
-            "context 1: complement rule fails on []",
-            "context 1: complement rule fails on ['a']",
-            "context 1: complement rule fails on ['b']",
-            "context 1: complement rule fails on ['a', 'b']",
-        )
+        # The refusal is pinned where the report used to be.
+        err = refusal(NON_BASIS)
+        assert type(err) is ContextError and str(err) == NON_BASIS_MESSAGE
 
     def test_mixed_dimension_context_is_reported_not_raised(self):
-        c = Context((Ray("a", (1, 0)), Ray("b", (0, 0, 1))))
-        assert finite_pvm_check([c]).violations[0] == "context 1: M(all outcomes) != identity"
+        err = refusal((Ray("a", (1, 0)), Ray("b", (0, 0, 1))))
+        assert type(err) is ContextError and str(err) == "ray b has dimension 3, expected 2"
 
     def test_unprintable_context_is_reported_not_raised(self):
-        # The violation message cannot print coordinates this long.
-        big = 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
-        c = Context((Ray("a", (big, 1)), Ray("b", (1, 1))))
-        assert not finite_pvm_check([c]).ok
+        # The violation message cannot print coordinates this long, so the
+        # refusal is the interpreter's ValueError, as from validate_context.
+        big = 10 ** (int_digit_limit() + 1)
+        rays = (Ray("a", (big, 1)), Ray("b", (1, 1)))
+        err = refusal(rays)
+        with pytest.raises(ValueError) as direct:
+            validate_context(rays, 2)
+        assert str(err) == str(direct.value)
 
 
     def test_repeated_ray_id_reaches_neither_caller(self):
