@@ -3,135 +3,102 @@
 Everything in this package computes over arbitrary-precision rationals.
 Orthogonality, lattice laws, valuation counts, Born probabilities and
 model feasibility are all decided exactly; there is no epsilon anywhere.
+
+The public names in ``__all__`` load on first access: ``import kscheck``
+alone imports no submodule, and reading ``kscheck.born`` imports
+:mod:`kscheck.probability` and what it needs. So the command line, which
+starts a fresh process for every command, loads only the modules its
+subcommand uses.
 """
 
-from .data import cabello18, cabello18_text
-from .dsl import ParseError, parse_rational, parse_scenario, parse_state, serialize_scenario
-from .exactlin import (
-    RMatrix,
-    Rational,
-    RVector,
-    kernel_basis,
-    nonneg_solve,
-    outer,
-    row_reduce,
-    trace_product,
-)
-from .ksengine import (
-    FuncReport,
-    KSScenario,
-    MODEL_VALUATION_LIMIT,
-    NoncontextualModel,
-    ParityCertificate,
-    SEARCH_NODE_BUDGET,
-    ScenarioError,
-    ScenarioTooLargeError,
-    Valuation,
-    build_scenario,
-    count_valuations,
-    enumerate_valuations,
-    find_valuation,
-    noncontextual_model,
-    orthogonality_graph,
-    parity_certificate,
-    verify_func,
-    without_context,
-)
-from .probability import (
-    DensityOperator,
-    FiniteProbabilitySpace,
-    born,
-    check_classical_axioms,
-    check_state_axioms,
-    context_distribution,
-    event_probability,
-    expectation,
-    finite_pvm_check,
-)
-from .qlogic import (
-    Context,
-    ContextError,
-    Projector,
-    Ray,
-    Subspace,
-    boolean_algebra_of,
-    canonical_ray_coords,
-    join,
-    meet,
-    ortho,
-    projector_of,
-    validate_context,
-)
-from .symmetry import (
-    TwoParticleState,
-    exchange_parity,
-    pair_probability,
-    product_state,
-    swap,
-    symmetrize,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Context",
-    "ContextError",
-    "DensityOperator",
-    "FiniteProbabilitySpace",
-    "FuncReport",
-    "KSScenario",
-    "MODEL_VALUATION_LIMIT",
-    "NoncontextualModel",
-    "ParityCertificate",
-    "ParseError",
-    "Projector",
-    "RMatrix",
-    "RVector",
-    "Rational",
-    "Ray",
-    "SEARCH_NODE_BUDGET",
-    "ScenarioError",
-    "ScenarioTooLargeError",
-    "Subspace",
-    "TwoParticleState",
-    "Valuation",
-    "boolean_algebra_of",
-    "born",
-    "build_scenario",
-    "cabello18",
-    "cabello18_text",
-    "canonical_ray_coords",
-    "check_classical_axioms",
-    "check_state_axioms",
-    "context_distribution",
-    "count_valuations",
-    "enumerate_valuations",
-    "event_probability",
-    "exchange_parity",
-    "expectation",
-    "find_valuation",
-    "finite_pvm_check",
-    "join",
-    "kernel_basis",
-    "meet",
-    "noncontextual_model",
-    "nonneg_solve",
-    "ortho",
-    "orthogonality_graph",
-    "outer",
-    "pair_probability",
-    "parity_certificate",
-    "parse_rational",
-    "parse_scenario",
-    "parse_state",
-    "product_state",
-    "projector_of",
-    "row_reduce",
-    "serialize_scenario",
-    "swap",
-    "symmetrize",
-    "trace_product",
-    "validate_context",
-    "verify_func",
-    "without_context",
-]
+# Each public name, grouped by the submodule that defines it.
+_EXPORTS = {
+    "data": ("cabello18", "cabello18_text"),
+    "dsl": ("ParseError", "parse_rational", "parse_scenario", "parse_state", "serialize_scenario"),
+    "exactlin": (
+        "RMatrix",
+        "RVector",
+        "Rational",
+        "kernel_basis",
+        "nonneg_solve",
+        "outer",
+        "row_reduce",
+        "trace_product",
+    ),
+    "ksengine": (
+        "FuncReport",
+        "KSScenario",
+        "MODEL_VALUATION_LIMIT",
+        "NoncontextualModel",
+        "ParityCertificate",
+        "SEARCH_NODE_BUDGET",
+        "ScenarioError",
+        "ScenarioTooLargeError",
+        "Valuation",
+        "build_scenario",
+        "count_valuations",
+        "enumerate_valuations",
+        "find_valuation",
+        "noncontextual_model",
+        "orthogonality_graph",
+        "parity_certificate",
+        "verify_func",
+        "without_context",
+    ),
+    "probability": (
+        "DensityOperator",
+        "FiniteProbabilitySpace",
+        "born",
+        "check_classical_axioms",
+        "check_state_axioms",
+        "context_distribution",
+        "event_probability",
+        "expectation",
+        "finite_pvm_check",
+    ),
+    "qlogic": (
+        "Context",
+        "ContextError",
+        "Projector",
+        "Ray",
+        "Subspace",
+        "boolean_algebra_of",
+        "canonical_ray_coords",
+        "join",
+        "meet",
+        "ortho",
+        "projector_of",
+        "validate_context",
+    ),
+    "symmetry": (
+        "TwoParticleState",
+        "exchange_parity",
+        "pair_probability",
+        "product_state",
+        "swap",
+        "symmetrize",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule on first access, and bind the name
+    here so later reads are plain attribute lookups."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

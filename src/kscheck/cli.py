@@ -40,8 +40,9 @@ from .ksengine import (
     orthogonality_graph,
     parity_certificate,
 )
-from .probability import context_distribution
-from .symmetry import exchange_parity, symmetrize
+
+# probability and symmetry are imported by the subcommands that use them,
+# so that every other start skips loading them.
 
 
 def _load_scenario(path: str, *, merge: bool = True) -> KSScenario:
@@ -119,6 +120,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_prob(args: argparse.Namespace) -> int:
+    from .probability import context_distribution
+
     s = _load_scenario(args.file)
     rho = _load_state(args.state, s.dim)
     if args.context is not None:
@@ -150,6 +153,8 @@ def _parse_coords_arg(text: str, flag: str) -> RVector:
 
 
 def _cmd_symm(args: argparse.Namespace) -> int:
+    from .symmetry import exchange_parity, symmetrize
+
     a = _parse_coords_arg(args.a, "--a")
     b = _parse_coords_arg(args.b, "--b")
     state = symmetrize(a, b, 1 if args.sign == "+" else -1)

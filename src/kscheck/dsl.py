@@ -39,11 +39,14 @@ import re
 from fractions import Fraction
 from itertools import islice
 from math import lcm
+from typing import TYPE_CHECKING
 
 from .exactlin import RMatrix
 from .ksengine import KSScenario, _assemble
-from .probability import DensityOperator, _mixture
 from .qlogic import Context, Ray, validate_context
+
+if TYPE_CHECKING:
+    from .probability import DensityOperator
 
 _WORD_RE = re.compile(r"\S+")  # the words of str.split(), which splits on the same whitespace
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
@@ -239,6 +242,10 @@ def serialize_scenario(s: KSScenario) -> str:
 def parse_state(text: str, dim: int) -> DensityOperator:
     """Parse a state file into a :class:`DensityOperator` of the given
     ambient dimension."""
+    # Imported here, so that commands reading no state file never load it.
+    # Of the import forms, this absolute one costs least per call.
+    import kscheck.probability as probability
+
     lines = []
     for line, raw in enumerate(text.splitlines(), start=1):
         words = _words(raw)
@@ -259,7 +266,7 @@ def parse_state(text: str, dim: int) -> DensityOperator:
             )
         ints = _ints(line, raw, words, 1)
         try:
-            return DensityOperator.pure(ints)
+            return probability.DensityOperator.pure(ints)
         except ValueError as exc:
             raise ParseError(line, _column(raw, 1), str(exc)) from None
 
@@ -294,7 +301,7 @@ def parse_state(text: str, dim: int) -> DensityOperator:
             )
         # Weights, vectors and their dimension are checked above: all that
         # DensityOperator.mixture would check again.
-        return _mixture(parts)
+        return probability._mixture(parts)
 
     if kind == "matrix":
         if len(words) != 1:
@@ -307,7 +314,7 @@ def parse_state(text: str, dim: int) -> DensityOperator:
                 raise ParseError(rline, _column(rraw, 0), f"matrix row needs {dim} entries")
             rows.append(tuple([Fraction(n, d) for n, d in _parts(rline, rraw, rwords, 0)]))
         try:
-            return DensityOperator(RMatrix(tuple(rows)))
+            return probability.DensityOperator(RMatrix(tuple(rows)))
         except ValueError as exc:
             raise ParseError(line, _column(raw, 0), str(exc)) from None
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -36,20 +36,65 @@ def _frac(x: Scalar) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class RVector:
+class _Frozen:
+    """Base of the package's immutable values: equality, hash and repr
+    over the attribute names in ``_fields``.
+
+    Each subclass names its fields in ``_fields`` and sets them in its
+    ``__init__`` with ``object.__setattr__``; afterwards assignment and
+    deletion raise ``AttributeError``. Values are equal when they have the
+    same class and equal fields, and hash as the tuple of their fields.
+    ``functools.cached_property`` works on subclasses, as it writes to the
+    instance ``__dict__`` directly. These methods are written out once
+    here rather than generated per class: generating them compiles source
+    at every import, which cost each CLI start more than a small
+    command's own work.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # One C-level getter per class, so that equality and hashing cost
+        # about what a hand-written comparison of field tuples does.
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RVector(_Frozen):
     """Immutable vector with exact rational entries."""
 
+    _fields = ("entries",)
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Iterable[Scalar]) -> None:
         # Built from a list, not a generator. tuple(generator) takes a
         # ten-slot tuple and shrinks it, so each short-lived vector or row
         # would be freed onto the free list of a different size than it was
         # taken from; that list then grows to its cap of 2000 tuples and
         # stays there until a full garbage collection. The same holds for
         # the other tuples built from lists on the state and model paths.
-        ent = tuple([_frac(x) for x in self.entries])
+        ent = tuple([_frac(x) for x in entries])
         if not ent:
             raise ValueError("vector must have at least one entry")
         object.__setattr__(self, "entries", ent)
@@ -94,14 +139,14 @@ class RVector:
         return "(" + ", ".join(str(x) for x in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(_Frozen):
     """Immutable rectangular matrix with exact rational entries."""
 
+    _fields = ("rows",)
     rows: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple([tuple([_frac(x) for x in row]) for row in self.rows])
+    def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
+        rows = tuple([tuple([_frac(x) for x in row]) for row in rows])
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(rows[0])

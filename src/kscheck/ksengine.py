@@ -32,12 +32,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .exactlin import RVector, Scalar, _int_nonneg_solve
+from .exactlin import RVector, Scalar, _Frozen, _int_nonneg_solve
 from .qlogic import Context, Ray, _unchecked_context, validate_context
 
 if TYPE_CHECKING:
@@ -62,14 +61,14 @@ class ScenarioTooLargeError(ScenarioError):
     valuation limit."""
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(_Frozen):
     """Assignment of 0 or 1 to every ray id of a scenario."""
 
+    _fields = ("assignment",)
     assignment: Mapping[str, int]
 
-    def __post_init__(self) -> None:
-        frozen = dict(self.assignment)
+    def __init__(self, assignment: Mapping[str, int]) -> None:
+        frozen = dict(assignment)
         bad = {k: v for k, v in frozen.items() if v not in (0, 1)}
         if bad:
             raise ValueError(f"valuation values must be 0 or 1, got {bad}")
@@ -89,8 +88,7 @@ class Valuation:
         return self.assignment.items()
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
+class ParityCertificate(_Frozen):
     """Even/odd bookkeeping that rules out valuations outright.
 
     ``contexts`` are the 0-based indices, in increasing order, of an odd
@@ -101,15 +99,16 @@ class ParityCertificate:
     exist.
     """
 
+    _fields = ("ray_multiplicities", "contexts")
     ray_multiplicities: Mapping[str, int]
     contexts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        mults = dict(self.ray_multiplicities)
+    def __init__(self, ray_multiplicities: Mapping[str, int], contexts: Iterable[int]) -> None:
+        mults = dict(ray_multiplicities)
         for rid, m in mults.items():
             if m <= 0 or m % 2 != 0:
                 raise ValueError(f"multiplicity of {rid} is {m}, expected even and positive")
-        contexts = tuple(self.contexts)
+        contexts = tuple(contexts)
         if list(contexts) != sorted(set(contexts)) or min(contexts, default=0) < 0:
             raise ValueError("context indices must be increasing and nonnegative")
         if len(contexts) % 2 != 1:
@@ -122,20 +121,20 @@ class ParityCertificate:
         return len(self.contexts)
 
 
-@dataclass(frozen=True)
-class NoncontextualModel:
+class NoncontextualModel(_Frozen):
     """Probability weights over valuations reproducing Born statistics.
 
     ``weights`` maps valuation enumeration indices to nonzero rational
     weights; ``valuations`` holds the corresponding valuations.
     """
 
+    _fields = ("weights", "valuations")
     weights: Mapping[int, Fraction]
     valuations: Mapping[int, Valuation]
 
-    def __post_init__(self) -> None:
-        weights = dict(self.weights)
-        valuations = dict(self.valuations)
+    def __init__(self, weights: Mapping[int, Fraction], valuations: Mapping[int, Valuation]) -> None:
+        weights = dict(weights)
+        valuations = dict(valuations)
         if set(weights) != set(valuations):
             raise ValueError("weights and valuations must share the same keys")
         for k, w in weights.items():
@@ -161,8 +160,7 @@ class _SearchTables(NamedTuple):
     ray_contexts: tuple[tuple[int, ...], ...]  # per ray: the contexts holding it
 
 
-@dataclass(frozen=True)
-class KSScenario:
+class KSScenario(_Frozen):
     """Deduplicated ray list plus the contexts referencing it.
 
     The constructor checks every invariant: unique ray ids, one dimension,
@@ -171,22 +169,23 @@ class KSScenario:
     basis matters to the model: its Born probabilities sum to exactly 1.
     """
 
+    _fields = ("dim", "rays", "contexts")
     dim: int
     rays: tuple[Ray, ...]
     contexts: tuple[Context, ...]
 
-    def __post_init__(self) -> None:
-        ids = [r.id for r in self.rays]
+    def __init__(self, dim: int, rays: tuple[Ray, ...], contexts: tuple[Context, ...]) -> None:
+        ids = [r.id for r in rays]
         if len(set(ids)) != len(ids):
             raise ScenarioError("ray ids must be unique")
-        if not self.rays or not self.contexts:
+        if not rays or not contexts:
             raise ScenarioError("scenario needs at least one ray and one context")
-        by_id = {r.id: r for r in self.rays}
-        for r in self.rays:
-            if r.dim != self.dim:
-                raise ScenarioError(f"ray {r.id} has dimension {r.dim}, expected {self.dim}")
+        by_id = {r.id: r for r in rays}
+        for r in rays:
+            if r.dim != dim:
+                raise ScenarioError(f"ray {r.id} has dimension {r.dim}, expected {dim}")
         referenced: set[str] = set()
-        for c in self.contexts:
+        for c in contexts:
             for r in c.rays:
                 if by_id.get(r.id) != r:
                     raise ScenarioError(f"context ray {r.id} is not a scenario ray")
@@ -194,6 +193,9 @@ class KSScenario:
         unused = sorted(set(by_id) - referenced)
         if unused:
             raise ScenarioError(f"rays not used in any context: {', '.join(unused)}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "contexts", contexts)
 
     @cached_property
     def _ray_index(self) -> dict[str, int]:
@@ -712,13 +714,23 @@ def parity_certificate(s: KSScenario) -> ParityCertificate | None:
     return ParityCertificate(ray_multiplicities=mults, contexts=contexts)
 
 
-@dataclass(frozen=True)
-class FuncReport:
+class FuncReport(_Frozen):
     """Outcome of the functional-composition checks on an assignment."""
 
-    idempotence_violations: tuple[str, ...] = ()
-    product_violations: tuple[tuple[int, str, str], ...] = ()
-    additivity_violations: tuple[tuple[int, int], ...] = ()
+    _fields = ("idempotence_violations", "product_violations", "additivity_violations")
+    idempotence_violations: tuple[str, ...]
+    product_violations: tuple[tuple[int, str, str], ...]
+    additivity_violations: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self,
+        idempotence_violations: tuple[str, ...] = (),
+        product_violations: tuple[tuple[int, str, str], ...] = (),
+        additivity_violations: tuple[tuple[int, int], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "idempotence_violations", idempotence_violations)
+        object.__setattr__(self, "product_violations", product_violations)
+        object.__setattr__(self, "additivity_violations", additivity_violations)
 
     @property
     def ok(self) -> bool:

@@ -17,14 +17,13 @@ eigenvalues, or a convex mixture of rational rays, which needs no check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
-from .exactlin import RMatrix, RVector, Scalar, _frac, trace_product
+from .exactlin import RMatrix, RVector, Scalar, _frac, _Frozen, trace_product
 from .qlogic import Context, Projector, Ray, _canonical_ints
 
 if TYPE_CHECKING:
@@ -33,8 +32,7 @@ if TYPE_CHECKING:
 Label = Hashable
 
 
-@dataclass(frozen=True)
-class FiniteProbabilitySpace:
+class FiniteProbabilitySpace(_Frozen):
     """Finite outcome set with rational weights.
 
     The constructor checks structure only (weights cover exactly the
@@ -43,14 +41,15 @@ class FiniteProbabilitySpace:
     examine broken inputs and report on them.
     """
 
+    _fields = ("outcomes", "weights")
     outcomes: tuple[Label, ...]
     weights: Mapping[Label, Fraction]
 
-    def __post_init__(self) -> None:
-        outcomes = tuple(self.outcomes)
+    def __init__(self, outcomes: Iterable[Label], weights: Mapping[Label, Scalar]) -> None:
+        outcomes = tuple(outcomes)
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcomes must be distinct")
-        weights = {k: _frac(v) for k, v in self.weights.items()}
+        weights = {k: _frac(v) for k, v in weights.items()}
         if set(weights) != set(outcomes):
             raise ValueError("weights must be given for exactly the declared outcomes")
         object.__setattr__(self, "outcomes", outcomes)
@@ -81,9 +80,12 @@ def event_probability(space: FiniteProbabilitySpace, event: Iterable[Label]) -> 
     return sum((space.weights[o] for o in event), Fraction(0))
 
 
-@dataclass(frozen=True)
-class ClassicalAxiomReport:
+class ClassicalAxiomReport(_Frozen):
+    _fields = ("violations",)
     violations: tuple[str, ...]
+
+    def __init__(self, violations: tuple[str, ...]) -> None:
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -170,8 +172,7 @@ def _mixture(parts: Sequence[tuple[Scalar, RVector | Iterable[Scalar]]]) -> "Den
     return rho
 
 
-@dataclass(frozen=True, init=False)
-class DensityOperator:
+class DensityOperator(_Frozen):
     """Rational symmetric PSD matrix of trace one.
 
     Stored as ``_scaled = (D, R)``: the integer matrix ``R`` over one
@@ -183,6 +184,7 @@ class DensityOperator:
     constructors skip those checks, which cannot fail (:func:`_mixture`).
     """
 
+    _fields = ("_scaled",)
     _scaled: tuple[int, tuple[tuple[int, ...], ...]]
 
     def __init__(self, matrix: RMatrix) -> None:
@@ -283,9 +285,12 @@ def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilityS
     return space
 
 
-@dataclass(frozen=True)
-class StateAxiomReport:
+class StateAxiomReport(_Frozen):
+    _fields = ("violations",)
     violations: tuple[str, ...]
+
+    def __init__(self, violations: tuple[str, ...]) -> None:
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -308,9 +313,12 @@ def check_state_axioms(rho: DensityOperator, scenario: "KSScenario") -> StateAxi
     return StateAxiomReport(())
 
 
-@dataclass(frozen=True)
-class PvmReport:
+class PvmReport(_Frozen):
+    _fields = ("violations",)
     violations: tuple[str, ...]
+
+    def __init__(self, violations: tuple[str, ...]) -> None:
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

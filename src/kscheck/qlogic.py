@@ -16,13 +16,12 @@ equality and no tolerance parameter exists anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exactlin import RMatrix, RVector, Scalar, _frac, kernel_basis, row_reduce
+from .exactlin import RMatrix, RVector, Scalar, _frac, _Frozen, kernel_basis, row_reduce
 
 Coords = Union[RVector, Iterable[Scalar]]
 
@@ -65,8 +64,7 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(_Frozen):
     """A labeled ray, stored as its canonical integer coordinates.
 
     The constructor canonicalizes, so ``Ray("a", (2, 2, 0, 0))`` and
@@ -76,6 +74,7 @@ class Ray:
     as an :class:`RVector`.
     """
 
+    _fields = ("id", "ints")
     id: str
     ints: tuple[int, ...]
 
@@ -100,8 +99,7 @@ class Ray:
         return f"{self.id}{self.coords}"
 
 
-@dataclass(frozen=True)
-class Projector:
+class Projector(_Frozen):
     """Symmetric idempotent matrix.
 
     The constructor checks symmetry and idempotence, the latter with a
@@ -109,16 +107,17 @@ class Projector:
     whose matrices are projectors by construction, skip those checks.
     """
 
+    _fields = ("matrix",)
     matrix: RMatrix
 
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if not m.is_square():
+    def __init__(self, matrix: RMatrix) -> None:
+        if not matrix.is_square():
             raise ValueError("projector matrix must be square")
-        if not m.is_symmetric():
+        if not matrix.is_symmetric():
             raise ValueError("projector matrix must be symmetric")
-        if m @ m != m:
+        if matrix @ matrix != matrix:
             raise ValueError("projector matrix must be idempotent")
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":
@@ -166,8 +165,7 @@ def _unchecked_projector(m: RMatrix) -> Projector:
     return p
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Frozen):
     """Linear subspace, canonically represented by its RREF basis.
 
     ``basis`` holds the nonzero rows of the reduced row echelon form of
@@ -175,17 +173,18 @@ class Subspace:
     zero subspace has an empty basis.
     """
 
+    _fields = ("ambient_dim", "basis")
     ambient_dim: int
     basis: tuple[RVector, ...]
 
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, basis: Iterable[RVector]) -> None:
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        object.__setattr__(self, "basis", tuple(self.basis))
+        basis = tuple(basis)
         last_pivot = -1
         pivots = []
-        for row in self.basis:
-            if row.dim != self.ambient_dim:
+        for row in basis:
+            if row.dim != ambient_dim:
                 raise ValueError("basis row has wrong dimension")
             p = next((j for j, x in enumerate(row) if x != 0), None)
             if p is None:
@@ -195,9 +194,11 @@ class Subspace:
             pivots.append(p)
             last_pivot = p
         for k, p in enumerate(pivots):
-            for i, row in enumerate(self.basis):
+            for i, row in enumerate(basis):
                 if i != k and row[p] != 0:
                     raise ValueError("subspace basis is not in reduced row echelon form")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def span(cls, vectors: Sequence[Coords], ambient_dim: int | None = None) -> "Subspace":
@@ -302,8 +303,7 @@ def _dimension_error(rays: tuple[Ray, ...], dim: int) -> ContextError:
     return ContextError([f"ray {r.id} has dimension {r.dim}, expected {dim}" for r in wrong])
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(_Frozen):
     """Complete measurement context: an orthogonal basis of rays.
 
     The constructor is the one place that decides that rays form an
@@ -321,10 +321,10 @@ class Context:
     U^T U = I, i.e. the rays are pairwise orthogonal.
     """
 
+    _fields = ("rays",)
     rays: tuple[Ray, ...]
 
-    def __post_init__(self) -> None:
-        rays = self.rays
+    def __init__(self, rays: tuple[Ray, ...]) -> None:
         if not rays:
             raise ContextError(["a context needs at least one ray"])
         dim = len(rays[0].ints)
@@ -343,6 +343,7 @@ class Context:
             raise ContextError(violations)
         if len({r.id for r in rays}) != len(rays):
             raise ContextError(["a context's ray ids must be distinct"])
+        object.__setattr__(self, "rays", rays)
 
     @property
     def dim(self) -> int:

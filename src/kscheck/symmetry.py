@@ -13,28 +13,28 @@ the squared norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
-from .exactlin import RMatrix, RVector, Scalar, outer
+from .exactlin import RMatrix, RVector, Scalar, _Frozen, outer
 from .qlogic import Projector, _as_vector
 
 Vec = Union[RVector, Iterable[Scalar]]
 
 
-@dataclass(frozen=True)
-class TwoParticleState:
+class TwoParticleState(_Frozen):
     """Unnormalized two-particle state as a square amplitude matrix."""
 
+    _fields = ("amplitudes",)
     amplitudes: RMatrix
 
-    def __post_init__(self) -> None:
-        if not self.amplitudes.is_square():
+    def __init__(self, amplitudes: RMatrix) -> None:
+        if not amplitudes.is_square():
             raise ValueError("amplitude matrix must be square")
-        if self.amplitudes.is_zero():
+        if amplitudes.is_zero():
             raise ValueError("the zero state is not a state")
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @property
     def dim_single(self) -> int:

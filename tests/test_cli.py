@@ -1,7 +1,11 @@
 import io
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,12 +262,13 @@ class TestNoPartialOutput:
     comes after the subcommand has printed."""
 
     def test_crash_after_printing(self, monkeypatch):
-        import kscheck.cli
+        import kscheck.symmetry
 
         def crash(state):
             raise RuntimeError("parity blew up")
 
-        monkeypatch.setattr(kscheck.cli, "exchange_parity", crash)
+        # symm imports exchange_parity from kscheck.symmetry when it runs.
+        monkeypatch.setattr(kscheck.symmetry, "exchange_parity", crash)
         assert_one_error_line(*run_captured(["symm", "--a", "1,0", "--b", "0,1", "--sign", "+"]))
 
     @pytest.mark.skipif(int_digit_limit() == 0, reason="the interpreter has no integer digit limit")
@@ -297,6 +302,72 @@ class TestSymmFuzz:
         assert all(SYMM_LINE.fullmatch(line) for line in lines[:-2])
         assert re.fullmatch(r"norm_squared \d+(/\d+)?", lines[-2])
         assert re.fullmatch(r"parity (\+1|-1|none)", lines[-1])
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs ``kscheck.cli.run`` on the arguments given after -c, then prints
+# which of the modules a subcommand might load are loaded.
+LOADED_AFTER_RUN = """\
+import sys
+import kscheck.cli
+kscheck.cli.run(sys.argv[1:])
+watched = ("dataclasses", "kscheck.data", "kscheck.probability", "kscheck.symmetry")
+print("loaded", *[m for m in watched if m in sys.modules])
+"""
+
+
+def run_bare(code, *argv):
+    """Run ``code`` in an interpreter without ``site``, so that only
+    kscheck's own imports load modules, and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestColdStart:
+    """A subcommand loads only the modules it uses."""
+
+    def test_color_loads_neither_probability_nor_symmetry(self, cabello_file):
+        out = run_bare(LOADED_AFTER_RUN, "color", cabello_file)
+        assert out.splitlines() == ["NO VALUATION", "loaded"]
+
+    def test_prob_loads_probability(self, cabello_file, mixed_state_file):
+        out = run_bare(LOADED_AFTER_RUN, "prob", cabello_file, "--state", mixed_state_file, "--context", "1")
+        assert out.splitlines()[-1] == "loaded kscheck.probability"
+
+    def test_symm_loads_symmetry(self):
+        out = run_bare(LOADED_AFTER_RUN, "symm", "--a=1,0", "--b=0,1", "--sign", "-")
+        assert out.splitlines()[-1] == "loaded kscheck.symmetry"
+
+    def test_public_names_resolve_on_access(self):
+        out = run_bare(
+            """\
+import sys
+import kscheck
+print("listed", set(kscheck.__all__) <= set(dir(kscheck)))
+print("submodules", sorted(m for m in sys.modules if m.startswith("kscheck.")))
+try:
+    kscheck.no_such_name
+except AttributeError as exc:
+    print("missing", exc)
+from kscheck import *
+print("unbound", [name for name in kscheck.__all__ if name not in globals()])
+print("same", all(globals()[name] is getattr(kscheck, name) for name in kscheck.__all__))
+print("born", born is sys.modules["kscheck.probability"].born)
+"""
+        )
+        assert out.splitlines() == [
+            "listed True",
+            "submodules []",
+            "missing module 'kscheck' has no attribute 'no_such_name'",
+            "unbound []",
+            "same True",
+            "born True",
+        ]
 
 
 class TestUsage:

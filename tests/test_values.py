@@ -1,0 +1,167 @@
+"""Value semantics of the package's immutable classes: equality, hashing,
+repr, immutability, keyword construction and cached attributes."""
+
+from fractions import Fraction
+
+import pytest
+
+from kscheck import (
+    Context,
+    DensityOperator,
+    FiniteProbabilitySpace,
+    FuncReport,
+    KSScenario,
+    NoncontextualModel,
+    ParityCertificate,
+    Projector,
+    RMatrix,
+    RVector,
+    Ray,
+    Subspace,
+    TwoParticleState,
+    Valuation,
+    symmetrize,
+)
+from kscheck.probability import ClassicalAxiomReport, PvmReport, StateAxiomReport
+
+
+def _scenario():
+    a, b = Ray("a", (1, 0)), Ray("b", (0, 1))
+    return KSScenario(2, (a, b), (Context((a, b)),))
+
+
+# Per class: its field names, in order, and a function that builds a fresh
+# value, so two calls give equal values that are distinct objects.
+VALUES = {
+    RVector: (("entries",), lambda: RVector((1, Fraction(1, 2)))),
+    RMatrix: (("rows",), lambda: RMatrix(((1, 0), (0, 1)))),
+    Ray: (("id", "ints"), lambda: Ray("a", (2, 0))),
+    Projector: (("matrix",), lambda: Projector(RMatrix(((1, 0), (0, 0))))),
+    Subspace: (("ambient_dim", "basis"), lambda: Subspace.span([(1, 1)])),
+    Context: (("rays",), lambda: Context((Ray("a", (1, 0)), Ray("b", (0, 1))))),
+    Valuation: (("assignment",), lambda: Valuation({"a": 1, "b": 0})),
+    ParityCertificate: (("ray_multiplicities", "contexts"), lambda: ParityCertificate({"a": 2}, (0,))),
+    NoncontextualModel: (
+        ("weights", "valuations"),
+        lambda: NoncontextualModel({0: Fraction(1)}, {0: Valuation({"a": 1, "b": 0})}),
+    ),
+    KSScenario: (("dim", "rays", "contexts"), _scenario),
+    FuncReport: (
+        ("idempotence_violations", "product_violations", "additivity_violations"),
+        lambda: FuncReport(("a",), ((0, "a", "b"),), ((0, 2),)),
+    ),
+    FiniteProbabilitySpace: (("outcomes", "weights"), lambda: FiniteProbabilitySpace.uniform("ab")),
+    ClassicalAxiomReport: (("violations",), lambda: ClassicalAxiomReport(("weights sum to 2",))),
+    DensityOperator: (("_scaled",), lambda: DensityOperator.pure((1, 1))),
+    StateAxiomReport: (("violations",), lambda: StateAxiomReport(())),
+    PvmReport: (("violations",), lambda: PvmReport(())),
+    TwoParticleState: (("amplitudes",), lambda: symmetrize((1, 0), (0, 1), -1)),
+}
+
+# Their fields hold dicts, so hashing raises, as it always has.
+UNHASHABLE = {Valuation, ParityCertificate, NoncontextualModel, FiniteProbabilitySpace}
+
+# Classes whose constructor parameters are their fields.
+FIELD_PARAMETERS = [cls for cls in VALUES if cls not in (Ray, DensityOperator)]
+
+by_name = pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+
+
+@by_name
+def test_equal_values_are_equal_and_hash_equal(cls):
+    _, make = VALUES[cls]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+@by_name
+def test_values_of_other_classes_are_not_equal(cls):
+    a = VALUES[cls][1]()
+    assert a.__eq__(object()) is NotImplemented
+    for other, (_, make) in VALUES.items():
+        if other is not cls:
+            assert a != make() and not a == make()
+
+
+def test_same_fields_in_another_class_are_not_equal():
+    assert StateAxiomReport(()) != PvmReport(())
+    assert ClassicalAxiomReport(()) != StateAxiomReport(())
+
+
+@by_name
+def test_repr_names_each_field(cls):
+    fields, make = VALUES[cls]
+    a = make()
+    expected = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
+    assert repr(a) == f"{cls.__name__}({expected})"
+
+
+def test_repr_literal():
+    assert repr(Ray("a", (2, 0))) == "Ray(id='a', ints=(1, 0))"
+    assert repr(RVector((1, 2))) == "RVector(entries=(Fraction(1, 1), Fraction(2, 1)))"
+    assert repr(FuncReport()) == (
+        "FuncReport(idempotence_violations=(), product_violations=(), additivity_violations=())"
+    )
+
+
+@by_name
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    fields, make = VALUES[cls]
+    a = make()
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.unknown = 1
+    assert a == make()
+
+
+@pytest.mark.parametrize("cls", FIELD_PARAMETERS, ids=lambda cls: cls.__name__)
+def test_keyword_construction_from_fields(cls):
+    fields, make = VALUES[cls]
+    a = make()
+    assert cls(**{name: getattr(a, name) for name in fields}) == a
+
+
+def test_keyword_construction():
+    cert = ParityCertificate(ray_multiplicities={"a": 2, "b": 4}, contexts=[0, 1, 2])
+    assert cert.contexts == (0, 1, 2) and cert.context_count == 3
+    assert Ray(id="a", coords=(2, 0)) == Ray("a", (1, 0))
+    rho = DensityOperator.pure((1, 1))
+    assert DensityOperator(matrix=rho.matrix) == rho
+    with pytest.raises(ValueError, match="not odd"):
+        ParityCertificate(ray_multiplicities={"a": 2}, contexts=(0, 1))
+
+
+def test_func_report_defaults():
+    report = FuncReport()
+    assert report.idempotence_violations == ()
+    assert report.product_violations == ()
+    assert report.additivity_violations == ()
+    assert report.ok and report.lines() == []
+    assert report == FuncReport((), (), ())
+
+
+def test_cached_properties_cache():
+    s = _scenario()
+    tables = s._tables
+    assert s._tables is tables and vars(s)["_tables"] is tables
+    assert s == _scenario()
+
+    rho = DensityOperator.pure((1, 1))
+    matrix = rho.matrix
+    assert rho.matrix is matrix and matrix == RMatrix(((Fraction(1, 2),) * 2,) * 2)
+    assert rho == DensityOperator.pure((1, 1))
+
+    state = TwoParticleState(RMatrix(((0, 1), (-1, 0))))
+    norm = state.norm_squared
+    assert norm == 2 and state.norm_squared is norm
+    assert vars(state)["norm_squared"] is norm
