@@ -49,6 +49,11 @@ class _Frozen:
     here rather than generated per class: generating them compiles source
     at every import, which cost each CLI start more than a small
     command's own work.
+
+    :meth:`_trusted` is the one way to build a value without its
+    constructor's checks. Its caller passes every field by name, in the
+    form ``__init__`` would store it, and states beside the call why
+    those checks cannot fail there.
     """
 
     __slots__ = ()
@@ -60,6 +65,13 @@ class _Frozen:
         # about what a hand-written comparison of field tuples does.
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    @classmethod
+    def _trusted(cls, **fields: object):
+        """A value holding ``fields`` as given, without ``__init__``."""
+        value = object.__new__(cls)
+        value.__dict__.update(fields)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

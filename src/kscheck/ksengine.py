@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .exactlin import RVector, Scalar, _Frozen, _int_nonneg_solve
-from .qlogic import Context, Ray, _unchecked_context, validate_context
+from .qlogic import Context, Ray, validate_context
 
 if TYPE_CHECKING:
     from .probability import DensityOperator
@@ -198,13 +198,10 @@ class KSScenario(_Frozen):
         object.__setattr__(self, "contexts", contexts)
 
     @cached_property
-    def _ray_index(self) -> dict[str, int]:
-        return {r.id: i for i, r in enumerate(self.rays)}
-
-    @cached_property
     def _context_rays(self) -> tuple[tuple[int, ...], ...]:
         """Per context, the indices of its rays in context order."""
-        return tuple([tuple([self._ray_index[r.id] for r in c.rays]) for c in self.contexts])
+        index = {r.id: i for i, r in enumerate(self.rays)}
+        return tuple([tuple([index[r.id] for r in c.rays]) for c in self.contexts])
 
     @cached_property
     def _context_masks(self) -> tuple[int, ...]:
@@ -340,9 +337,6 @@ class KSScenario(_Frozen):
                     heapq.heappush(heap, next(j for j in ray_contexts[i] if not peeled[j]))
         return tuple([i for i in range(len(self.rays)) if i not in dropped])
 
-    def ray_by_id(self, ray_id: str) -> Ray:
-        return self.rays[self._ray_index[ray_id]]
-
     def multiplicities(self) -> dict[str, int]:
         """How many contexts each ray appears in."""
         counts = Counter(r.id for c in self.contexts for r in c.rays)
@@ -401,15 +395,20 @@ def _assemble(
 ) -> KSScenario:
     """Scenario from declared rays and their already validated contexts.
 
+    Both the rebuilt contexts and the scenario are built with
+    ``_trusted``, as the checks of their constructors cannot fail here.
+
     Merging and minting only swap a ray for one with the same canonical
-    coordinates, so the rebuilt contexts stay orthogonal bases and skip
-    the :class:`Context` checks. A context's rays do not coincide, so
-    neither do their keepers, and the keepers' ids are distinct.
+    coordinates, so each rebuilt context is still an orthogonal basis.
+    A context's rays do not coincide, so neither do their keepers, and
+    the keepers' ids are distinct; minted ids are distinct too.
+
     The callers guarantee the scenario's invariants: the declared ids are
     unique, every context has dimension ``dim`` and holds declared rays
     only, and every declared ray lies in some context. Merging keeps one
-    ray per coordinates and minting one per occurrence, so they still
-    hold, and the scenario is built without the constructor's checks.
+    ray per coordinates and minting one per occurrence, so the result has
+    unique ray ids, one dimension, at least one ray and one context,
+    every context an orthogonal basis of scenario rays, and no unused ray.
     """
     if merge:
         keeper: dict[tuple[int, ...], Ray] = {}
@@ -421,33 +420,18 @@ def _assemble(
             out_contexts = list(contexts)
         else:
             rebuilt = [tuple([keeper[r.ints] for r in c.rays]) for c in contexts]
-            out_contexts = [_unchecked_context(rays) for rays in rebuilt]
+            out_contexts = [Context._trusted(rays=rays) for rays in rebuilt]
     else:
         # Minted ids are distinct. k has no "@", so a minted id's last "@c"
         # is the appended one, and the id gives back the declared id and k.
         # A validated context never repeats an id: a repeated ray coincides
         # with itself.
         out_contexts = [
-            _unchecked_context(tuple([Ray(f"{r.id}@c{k}", r.ints) for r in c.rays]))
+            Context._trusted(rays=tuple([Ray(f"{r.id}@c{k}", r.ints) for r in c.rays]))
             for k, c in enumerate(contexts, start=1)
         ]
         out_rays = [r for c in out_contexts for r in c.rays]
-    return _unchecked_scenario(dim, tuple(out_rays), tuple(out_contexts))
-
-
-def _unchecked_scenario(
-    dim: int, rays: tuple[Ray, ...], contexts: tuple[Context, ...]
-) -> KSScenario:
-    """Scenario whose invariants hold by construction, without the
-    constructor's checks: unique ray ids, one dimension, at least one ray
-    and one context, every context an orthogonal basis of scenario rays
-    and no unused ray.
-    """
-    s = object.__new__(KSScenario)
-    object.__setattr__(s, "dim", dim)
-    object.__setattr__(s, "rays", rays)
-    object.__setattr__(s, "contexts", contexts)
-    return s
+    return KSScenario._trusted(dim=dim, rays=tuple(out_rays), contexts=tuple(out_contexts))
 
 
 def without_context(s: KSScenario, index: int) -> KSScenario:
@@ -463,9 +447,9 @@ def without_context(s: KSScenario, index: int) -> KSScenario:
         raise ScenarioError("cannot delete the only context of a scenario")
     referenced = {r.id for c in contexts for r in c.rays}
     rays = tuple(r for r in s.rays if r.id in referenced)
-    # Keeps a subset of a scenario's contexts and exactly the rays they
-    # reference, so every invariant of s still holds.
-    return _unchecked_scenario(s.dim, rays, contexts)
+    # Keeps a nonempty subset of a scenario's contexts and exactly the rays
+    # they reference, so every invariant of s still holds.
+    return KSScenario._trusted(dim=s.dim, rays=rays, contexts=contexts)
 
 
 def _gave_up(budget: float) -> ScenarioTooLargeError:
@@ -650,7 +634,8 @@ def _components(s: KSScenario) -> list[list[int]]:
 
 
 def _valuation(s: KSScenario, ones: int) -> Valuation:
-    return Valuation({r.id: ones >> i & 1 for i, r in enumerate(s.rays)})
+    # A fresh dict of the bits 0 and 1, which is what the checks ensure.
+    return Valuation._trusted(assignment={r.id: ones >> i & 1 for i, r in enumerate(s.rays)})
 
 
 def find_valuation(s: KSScenario) -> Valuation | None:

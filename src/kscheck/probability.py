@@ -167,9 +167,9 @@ def _mixture(parts: Sequence[tuple[Scalar, RVector | Iterable[Scalar]]]) -> "Den
                 for j, b in enumerate(v):
                     row[j] += sa * b
     g = gcd(common, *itertools.chain.from_iterable(total))
-    rho = object.__new__(DensityOperator)
-    object.__setattr__(rho, "_scaled", (common // g, tuple([tuple([x // g for x in row]) for row in total])))
-    return rho
+    return DensityOperator._trusted(
+        _scaled=(common // g, tuple([tuple([x // g for x in row]) for row in total]))
+    )
 
 
 class DensityOperator(_Frozen):
@@ -279,10 +279,7 @@ def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilityS
     and the weights are ``Fraction`` values keyed by exactly those ids.
     """
     weights = {r.id: ray_probability(rho, r) for r in c.rays}
-    space = object.__new__(FiniteProbabilitySpace)
-    object.__setattr__(space, "outcomes", tuple(weights))
-    object.__setattr__(space, "weights", weights)
-    return space
+    return FiniteProbabilitySpace._trusted(outcomes=tuple(weights), weights=weights)
 
 
 class StateAxiomReport(_Frozen):

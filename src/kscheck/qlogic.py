@@ -103,8 +103,9 @@ class Projector(_Frozen):
     """Symmetric idempotent matrix.
 
     The constructor checks symmetry and idempotence, the latter with a
-    full ``m @ m``. :func:`projector_of` and :func:`boolean_algebra_of`,
-    whose matrices are projectors by construction, skip those checks.
+    full ``m @ m``. :meth:`zero`, :meth:`identity`, :meth:`complement`,
+    :func:`projector_of` and :func:`boolean_algebra_of`, whose matrices
+    are projectors by construction, skip those checks.
     """
 
     _fields = ("matrix",)
@@ -121,11 +122,11 @@ class Projector(_Frozen):
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":
-        return cls(RMatrix.zeros(dim, dim))
+        return cls._trusted(matrix=RMatrix.zeros(dim, dim))
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":
-        return cls(RMatrix.identity(dim))
+        return cls._trusted(matrix=RMatrix.identity(dim))
 
     @property
     def dim(self) -> int:
@@ -139,7 +140,8 @@ class Projector(_Frozen):
         return Projector(self.matrix + other.matrix)
 
     def complement(self) -> "Projector":
-        return Projector(RMatrix.identity(self.dim) - self.matrix)
+        # Symmetric, and (I - P)^2 = I - 2P + P^2 = I - P.
+        return Projector._trusted(matrix=RMatrix.identity(self.dim) - self.matrix)
 
     def range(self) -> "Subspace":
         return Subspace.span(self.matrix.row_vectors(), self.dim)
@@ -154,15 +156,8 @@ def projector_of(ray: Ray) -> Projector:
     """
     v = ray.ints
     n = _dot(v, v)
-    return _unchecked_projector(RMatrix(tuple([tuple([Fraction(a * b, n) for b in v]) for a in v])))
-
-
-def _unchecked_projector(m: RMatrix) -> Projector:
-    """Projector on a matrix that is symmetric and idempotent by
-    construction, without the constructor's checks."""
-    p = object.__new__(Projector)
-    object.__setattr__(p, "matrix", m)
-    return p
+    rows = tuple([tuple([Fraction(a * b, n) for b in v]) for a in v])
+    return Projector._trusted(matrix=RMatrix(rows))
 
 
 class Subspace(_Frozen):
@@ -357,13 +352,6 @@ class Context(_Frozen):
         return len(self.rays)
 
 
-def _unchecked_context(rays: tuple[Ray, ...]) -> Context:
-    """Context on an orthogonal basis with distinct ids, without checks."""
-    c = object.__new__(Context)
-    object.__setattr__(c, "rays", rays)
-    return c
-
-
 def validate_context(rays: Sequence[Ray], dim: int) -> Context:
     """The :class:`Context` of ``rays``, which must have dimension ``dim``.
 
@@ -392,5 +380,5 @@ def boolean_algebra_of(context: Context) -> frozenset[Projector]:
             total = RMatrix.zeros(dim, dim)
             for p in subset:
                 total = total + p.matrix
-            elements.add(_unchecked_projector(total))
+            elements.add(Projector._trusted(matrix=total))
     return frozenset(elements)

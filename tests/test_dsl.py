@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kscheck import DensityOperator, KSScenario, Ray, build_scenario, cabello18_text
+from kscheck import Context, DensityOperator, KSScenario, Ray, build_scenario, cabello18_text
 from kscheck.cli import run
 from kscheck.dsl import (
     ParseError,
@@ -170,21 +170,21 @@ class TestParseScenario:
         assert (e.line, e.column) == (1, 5) and "invalid dimension" in e.message
 
     def test_each_context_is_validated_once(self, monkeypatch):
-        import kscheck.dsl
-        import kscheck.ksengine
-        import kscheck.qlogic
-
-        real = kscheck.qlogic.validate_context
+        # The Context constructor is the one place that checks a context,
+        # whichever path reaches it.
+        real = Context.__init__
         calls = []
 
-        def spy(rays, dim):
+        def spy(self, rays):
             calls.append(tuple(r.id for r in rays))
-            return real(rays, dim)
+            real(self, rays)
 
-        for module in (kscheck.dsl, kscheck.ksengine, kscheck.qlogic):
-            monkeypatch.setattr(module, "validate_context", spy)
+        monkeypatch.setattr(Context, "__init__", spy)
         parse_scenario(cabello18_text())
         assert len(calls) == 9
+        calls.clear()
+        parse_scenario("dim 2\nray a 1 0\nray b 0 1\nray c 0 2\ncontext a b\ncontext a c\n")
+        assert calls == [("a", "b"), ("a", "c")]
 
     def test_no_merge_mints_per_occurrence_ids(self):
         s = parse_scenario(cabello18_text(), merge=False)

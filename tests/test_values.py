@@ -2,6 +2,7 @@
 repr, immutability, keyword construction and cached attributes."""
 
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -20,7 +21,14 @@ from kscheck import (
     Subspace,
     TwoParticleState,
     Valuation,
+    boolean_algebra_of,
+    cabello18_text,
+    context_distribution,
+    find_valuation,
+    parse_scenario,
+    projector_of,
     symmetrize,
+    without_context,
 )
 from kscheck.probability import ClassicalAxiomReport, PvmReport, StateAxiomReport
 
@@ -165,3 +173,94 @@ def test_cached_properties_cache():
     norm = state.norm_squared
     assert norm == 2 and state.norm_squared is norm
     assert vars(state)["norm_squared"] is norm
+
+
+# Values built with _trusted, without their constructor's checks, each
+# reached through a public function. The scenario text declares f
+# proportional to b, so merging rebuilds the third context.
+MERGING = """dim 3
+ray a 1 0 0
+ray b 0 1 1
+ray c 0 1 -1
+ray d 0 1 0
+ray e 0 0 1
+ray f 0 -2 -2
+context a b c
+context a d e
+context f c a
+"""
+
+
+def _scenario_values(s):
+    return [s, *s.contexts]
+
+
+TRUSTED = {
+    "projector_of": lambda: [projector_of(Ray("a", (1, -2, 3)))],
+    "boolean_algebra_of": lambda: list(boolean_algebra_of(parse_scenario(MERGING).contexts[0])),
+    "Projector.zero": lambda: [Projector.zero(3)],
+    "Projector.identity": lambda: [Projector.identity(3)],
+    "Projector.complement": lambda: [projector_of(Ray("a", (1, 1, 0))).complement()],
+    "parse_scenario merge": lambda: _scenario_values(parse_scenario(MERGING)),
+    "parse_scenario no merge": lambda: _scenario_values(parse_scenario(MERGING, merge=False)),
+    "without_context": lambda: [
+        without_context(parse_scenario(MERGING), 0),
+        without_context(parse_scenario(cabello18_text()), 8),
+    ],
+    "context_distribution": lambda: [
+        context_distribution(DensityOperator.pure((1, 2, 3)), c)
+        for c in parse_scenario(MERGING).contexts
+    ],
+    "DensityOperator.pure": lambda: [DensityOperator.pure((2, -1, 0))],
+    "DensityOperator.mixture": lambda: [
+        DensityOperator.mixture([(Fraction(1, 3), (1, 1)), (Fraction(2, 3), (3, -1))])
+    ],
+    "DensityOperator.maximally_mixed": lambda: [DensityOperator.maximally_mixed(3)],
+    "find_valuation": lambda: [find_valuation(parse_scenario(MERGING))],
+}
+
+by_site = pytest.mark.parametrize("site", list(TRUSTED))
+
+
+def _checked(value):
+    """The value the checked constructor builds from the same fields."""
+    cls = type(value)
+    if cls is DensityOperator:
+        return DensityOperator(value.matrix)
+    if cls is KSScenario:
+        return KSScenario(value.dim, value.rays, tuple([_checked(c) for c in value.contexts]))
+    return cls(**{name: getattr(value, name) for name in cls._fields})
+
+
+@by_site
+def test_trusted_values_equal_checked_ones(site):
+    values = TRUSTED[site]()
+    assert values
+    for value in values:
+        checked = _checked(value)
+        assert value == checked and checked == value
+        if type(value) not in UNHASHABLE:
+            assert hash(value) == hash(checked)
+
+
+@by_site
+def test_trusted_values_are_frozen(site):
+    for value in TRUSTED[site]():
+        for name in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+
+@by_site
+def test_trusted_values_hold_exactly_their_fields(site):
+    for value in TRUSTED[site]():
+        cls = type(value)
+        cached = {
+            name
+            for klass in cls.__mro__
+            for name, attr in vars(klass).items()
+            if isinstance(attr, cached_property)
+        }
+        assert set(vars(value)) - cached == set(cls._fields)
