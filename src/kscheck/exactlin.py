@@ -10,7 +10,8 @@ reach ambient dimension 31 and more, are handled in integers by
 projectors and subspaces, where dimensions stay small. The simplex of
 :func:`nonneg_solve` takes Fraction input but pivots fraction-free, on an
 integer tableau with the matrix and the right-hand side each cleared of
-its own denominators.
+its own denominators. Each tableau row is packed into one int, a slot of
+bits per column, so a pivot updates a row with one big-integer operation.
 
 Vectors and matrices are immutable and hashable.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -325,18 +326,20 @@ def nonneg_solve(a: RMatrix, b: RVector) -> RVector | None:
 
     Phase-one simplex with Bland's pivoting rule, so termination is
     guaranteed and the feasibility verdict is a theorem, not a numerical
-    judgement. The tableau is pivoted in integers
-    (:func:`_int_nonneg_solve`), every division exact. ``a`` is scaled by
-    the lcm ``alpha`` of its own denominators and ``b`` by the lcm
-    ``beta`` of its own, so the integer system is ``a' y = b'`` with
-    ``a' = alpha a``, ``b' = beta b``, and ``x = (alpha / beta) y``.
-    That substitution scales every structural variable by
-    ``beta / alpha`` and every artificial by ``beta``: structural reduced
-    costs are multiplied by ``alpha``, artificial ones are unchanged, and
-    each ratio of the ratio test is multiplied by the positive scale of
-    the entering variable. No sign, ratio order or tie moves, so the
-    pivots are Bland's pivots on the rational tableau, and ``x`` is the
-    vertex the same simplex over ``Fraction`` entries returns.
+    judgement. The tableau is pivoted in integers on packed rows, each row
+    one int with a slot per column, so a pivot updates a row with one
+    big-integer operation (:func:`_int_nonneg_solve`); every division is
+    exact. ``a`` is scaled by the lcm ``alpha`` of its own denominators
+    and ``b`` by the lcm ``beta`` of its own, so the integer system is
+    ``a' y = b'`` with ``a' = alpha a``, ``b' = beta b``, and
+    ``x = (alpha / beta) y``. That substitution scales every structural
+    variable by ``beta / alpha`` and every artificial by ``beta``:
+    structural reduced costs are multiplied by ``alpha``, artificial ones
+    are unchanged, and each ratio of the ratio test is multiplied by the
+    positive scale of the entering variable. No sign, ratio order or tie
+    moves, so the pivots are Bland's pivots on the rational tableau, and
+    ``x`` is the vertex the same simplex over ``Fraction`` entries
+    returns.
     """
     m, n = a.nrows, a.ncols
     if b.dim != m:
@@ -363,14 +366,50 @@ def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] |
     the objective included, to ``(p * T[i] - T[i][e] * T[r]) // d``,
     then sets ``d = p``. The division is exact because each entry is a
     minor of the initial tableau. Signs are those of the rational tableau
-    since ``d > 0``, and the ratio test compares ``T[i][w] / T[i][e]`` by
+    since ``d > 0``, and the ratio test compares ``rhs[i] / T[i][e]`` by
     cross-multiplication, so Bland's choices are unchanged.
 
-    No artificial column is stored: the tableau is ``n + 1`` wide, and
-    the artificial of row ``i`` keeps only its index ``n + i`` in
-    ``basis``, for the ratio test's tie-break. A column's update reads
-    only itself and the pivot column, so dropping columns changes no
-    other entry. The vertex is the one of the method that keeps them:
+    Each row, the objective included, is stored packed: one int holding
+    ``T[i][j]`` as the signed slot of ``w`` bits at bit ``j * w``, that
+    is the row's entries as the digits of a number in base ``2**w``. The
+    right-hand sides stay a list of ints beside the rows. A pivot updates
+    a packed row with one big-integer expression, ``row - f * prow`` when
+    ``p == d == 1`` (the same integers without the product by ``p`` and
+    the division) and ``(p * row - f * prow) // d`` otherwise. Both are
+    exact at any width: a packed row is the sum of its entries times
+    powers of ``2**w``, the update is linear in the rows, and Bareiss makes
+    every slot of the numerator a multiple of ``d``, so the numerator is
+    ``d`` times the packed new row. A slot of the numerator may overflow
+    into its neighbours; only stored entries are read, so only they must
+    fit their slots.
+
+    The width is derived from ``a``. Every stored structural entry, and
+    every ``d``, is +- a minor of order at most ``m`` of ``a`` with some
+    rows negated (a minor of ``[a | I]`` reduces to one of ``a`` along its
+    identity columns). By Hadamard's inequality such a minor is at most
+    the product of its columns' norms, and so at most ``H``, where ``H**2``
+    is the product of the ``m`` largest squared column norms, each taken
+    as at least 1: a nonzero integer column has norm at least 1, and a
+    minor with a zero column is 0. The objective entry of column ``j`` is
+    ``d`` times the reduced cost ``-sum (B^-1 a)[i][j]`` over the rows
+    ``i`` whose artificial is basic, so it is minus the sum of at most
+    ``m`` stored entries, at most ``m * H`` in size. With ``hadamard`` the
+    ceiling of ``H``, exact by ``math.isqrt``, the width
+    ``w = (m * hadamard).bit_length() + 1`` gives every stored entry
+    ``|x| < 2**(w - 1)``. ``biased`` holds ``half = 2**(w - 1)`` in every
+    slot, so ``row + biased`` has the nonnegative base-``2**w`` digits
+    ``x + half``, with no borrow between slots. A slot is read as its
+    digit minus ``half``, and a digit's top bit is 0 exactly when the
+    entry is negative. So Bland's entering column, the lowest with a
+    negative reduced cost, is the lowest slot of the objective row plus
+    ``biased`` whose bit in ``highs`` is clear.
+
+    No artificial column is stored: the tableau holds the ``n``
+    structural columns and the right-hand side, and the artificial of
+    row ``i`` keeps only its index ``n + i`` in ``basis``, for the ratio
+    test's tie-break. A column's update reads only itself and the pivot
+    column, so dropping columns changes no other entry. The vertex is the
+    one of the method that keeps them:
 
     * Bland's rule enters the lowest index with a negative reduced cost,
       and artificials come after every structural column. So an
@@ -388,69 +427,75 @@ def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] |
       the restricted LP. Both methods return None.
     """
     m, n = len(a), len(a[0])
+    squares = sorted([sum(map(mul, col, col)) for col in zip(*a)])[-m:]
+    hadamard = math.isqrt(math.prod([max(x, 1) for x in squares]) - 1) + 1
+    w = (m * hadamard).bit_length() + 1
+    mask, half = (1 << w) - 1, 1 << w - 1
+    ones = ((1 << w * n) - 1) // mask
+    highs = ones << w - 1
+    biased = half * ones
 
     # Rows with negative right-hand side are negated so the artificial
     # basis starts feasible.
-    tableau = [row + [rhs] if rhs >= 0 else [-x for x in row] + [-rhs] for row, rhs in zip(a, b)]
+    tableau, rhs = [], []
+    for row, r in zip(a, b):
+        packed = 0
+        for x in reversed(row):
+            packed = (packed << w) + x
+        tableau.append(packed if r >= 0 else -packed)
+        rhs.append(abs(r))
     basis = [n + i for i in range(m)]
 
     # Objective: minimize the sum of artificials. Under the artificial
-    # basis the reduced cost of column j is -sum of its column, and z[n]
-    # carries minus the current objective value.
-    z = [-sum(col) for col in zip(*tableau)]
+    # basis the reduced cost of column j is -sum of its column, and the
+    # objective's right-hand side carries minus the current objective
+    # value. It is the last row and is updated with the others; its entry
+    # in the entering column is negative, so the ratio test skips it.
+    tableau.append(-sum(tableau))
+    rhs.append(-sum(rhs))
     d = 1
 
     while True:
-        enter = next((j for j in range(n) if z[j] < 0), None)
-        if enter is None:
+        negative = highs & ~(tableau[m] + biased)
+        if not negative:
             break
+        enter = (negative & -negative).bit_length() // w - 1
+        shift = enter * w
+        col = [(row + biased >> shift & mask) - half for row in tableau]
         leave = -1
-        for i in range(m):
-            coef = tableau[i][enter]
+        for i, coef in enumerate(col):
             if coef > 0:
                 if leave < 0:
                     leave = i
                     continue
                 # Compare ratios rhs / coef of rows i and leave; both
                 # coefficients are positive.
-                mine = tableau[i][n] * tableau[leave][enter]
-                best = tableau[leave][n] * coef
+                mine = rhs[i] * col[leave]
+                best = rhs[leave] * coef
                 if mine < best or (mine == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # Cannot happen: the phase-one objective is bounded below by 0.
             raise RuntimeError("unbounded phase-one objective")
-        prow = tableau[leave]
-        p = prow[enter]
-        for i in range(m):
-            if i != leave:
-                tableau[i] = _eliminate(tableau[i], prow, p, d, enter)
-        z = _eliminate(z, prow, p, d, enter)
+        prow, prhs, p = tableau[leave], rhs[leave], col[leave]
+        col[leave] = 0
+        if p == d == 1:
+            # The same integers without the product by p and the division.
+            for i, f in enumerate(col):
+                if f:
+                    tableau[i] -= f * prow
+                    rhs[i] -= f * prhs
+        else:
+            for i, f in enumerate(col):
+                if f:
+                    tableau[i] = (p * tableau[i] - f * prow) // d
+                    rhs[i] = (p * rhs[i] - f * prhs) // d
+                elif p != d and i != leave:
+                    tableau[i] = p * tableau[i] // d
+                    rhs[i] = p * rhs[i] // d
         d = p
         basis[leave] = enter
 
-    if z[n] != 0:
+    if rhs[m] != 0:
         return None
-    return {
-        var: Fraction(tableau[i][n], d)
-        for i, var in enumerate(basis)
-        if var < n and tableau[i][n] != 0
-    }
-
-
-def _eliminate(row: list[int], prow: list[int], p: int, d: int, col: int) -> list[int]:
-    """``(p * row - row[col] * prow) // d``, exact by the Bareiss identity.
-
-    When ``p == d == 1`` each entry is ``x - f * y``: the same integer
-    without the product ``p * x`` and the division, so every pivot and
-    vertex is unchanged. Most pivots of the model LP, whose valuation
-    columns are 0/1, take this step.
-    """
-    f = row[col]
-    if f == 0:
-        if p == d:
-            return row
-        return [p * x // d for x in row]
-    if p == d == 1:
-        return [x - f * y for x, y in zip(row, prow)]
-    return [(p * x - f * y) // d for x, y in zip(row, prow)]
+    return {var: Fraction(rhs[i], d) for i, var in enumerate(basis) if var < n and rhs[i] != 0}

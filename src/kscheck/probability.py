@@ -207,6 +207,11 @@ class DensityOperator(_Frozen):
         common, rows = self._scaled
         return RMatrix(tuple([tuple([Fraction(x, common) for x in row]) for row in rows]))
 
+    @cached_property
+    def _ray_weights(self) -> dict[tuple[int, ...], Fraction]:
+        """Born weights by ray coordinates, filled by :func:`ray_probability`."""
+        return {}
+
     @property
     def dim(self) -> int:
         return len(self._scaled[1])
@@ -246,16 +251,25 @@ def born(rho: DensityOperator, p: Projector) -> Fraction:
 def ray_probability(rho: DensityOperator, ray: Ray) -> Fraction:
     """Born probability v . rho v / v . v of a ray, from its integer
     coordinates; equal to ``born(rho, projector_of(ray))`` without
-    building the projector."""
+    building the projector.
+
+    The weight depends on the coordinates alone, so each state keeps the
+    weights it has computed, keyed by ``ray.ints``, and a ray shared by
+    several contexts is weighed once.
+    """
     v = ray.ints
     common, rows = rho._scaled
     if len(rows) != len(v):
         raise ValueError(f"dimension mismatch: state {len(rows)}, ray {len(v)}")
-    quad = 0
-    for x, row in zip(v, rows):
-        if x:
-            quad += x * sum(map(mul, row, v))
-    return Fraction(quad, common * sum(map(mul, v, v)))
+    memo = rho._ray_weights
+    weight = memo.get(v)
+    if weight is None:
+        quad = 0
+        for x, row in zip(v, rows):
+            if x:
+                quad += x * sum(map(mul, row, v))
+        weight = memo[v] = Fraction(quad, common * sum(map(mul, v, v)))
+    return weight
 
 
 def expectation(rho: DensityOperator, observable: RMatrix) -> Fraction:
@@ -269,9 +283,10 @@ def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilityS
     """The classical probability space a state induces on one context.
 
     Outcomes are the context's ray ids, weighted by their Born
-    probabilities v . rho v / v . v, each built once. The weights sum to
-    exactly 1, so that is not checked: a :class:`Context` is an orthogonal
-    basis by construction, and over one the sum of v . rho v / v . v is
+    probabilities v . rho v / v . v, each computed once per state and ray
+    (:func:`ray_probability`). The weights sum to exactly 1, so that is
+    not checked: a :class:`Context` is an orthogonal basis by
+    construction, and over one the sum of v . rho v / v . v is
     tr(rho U U^T) = tr rho = 1, where U's columns are the normalised rays.
 
     The space skips the constructor's checks, which cannot fail here: a

@@ -275,19 +275,75 @@ def model_lps(draw):
     return rows, b
 
 
+def sylvester(order):
+    """The Sylvester +-1 Hadamard matrix of a power-of-two order."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@st.composite
+def hadamard_lps(draw):
+    """A system whose tableau entries approach Hadamard's bound.
+
+    Either the rows of a Sylvester matrix of order 2, 4 or 8, each negated
+    or not, over its columns drawn with repeats: a basis of distinct
+    columns has the largest determinant their norms allow, and one column
+    repeated gives a tall, thin system. Or up to 4 rows of integers up to
+    10**6 in size. The right-hand side is a @ x0 for integer weights
+    x0 >= 0, or integers of either sign.
+    """
+    if draw(st.booleans()):
+        order = draw(st.sampled_from([2, 4, 8]))
+        picks = draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=2 * order))
+        signs = [draw(st.sampled_from([1, -1])) for _ in range(order)]
+        rows = [[sign * row[j] for j in picks] for sign, row in zip(signs, sylvester(order))]
+        size = order
+    else:
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        size = 10**6
+        rows = [[draw(st.integers(-size, size)) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = [draw(st.integers(0, 3)) for _ in rows[0]]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    else:
+        b = [draw(st.integers(-size, size)) for _ in rows]
+    return rows, b
+
+
+def assert_same_as_reference(rows, b):
+    x = nonneg_solve(RMatrix(tuple(map(tuple, rows))), RVector(tuple(b)))
+    ref = reference_nonneg_solve(rows, b)
+    if ref is None:
+        assert x is None
+    else:
+        assert x is not None and list(x.entries) == ref
+
+
 class TestNonnegSolveMatchesFractionSimplex:
     """The integer tableau pivots exactly like the Fraction one it replaced."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(lp_systems(), model_lps()))
     def test_same_vertex_or_same_none(self, system):
-        rows, b = system
-        x = nonneg_solve(RMatrix(tuple(map(tuple, rows))), RVector(tuple(b)))
-        ref = reference_nonneg_solve(rows, b)
-        if ref is None:
-            assert x is None
-        else:
-            assert x is not None and list(x.entries) == ref
+        assert_same_as_reference(*system)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hadamard_lps())
+    def test_same_vertex_near_the_hadamard_bound(self, system):
+        assert_same_as_reference(*system)
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_full_sylvester_basis(self, order):
+        """Every column of a Sylvester matrix enters, so the last common
+        denominator is its determinant, order**(order / 2), which is
+        Hadamard's bound."""
+        h = sylvester(order)
+        b = [sum(row) for row in h]
+        x = nonneg_solve(RMatrix(tuple(map(tuple, h))), RVector(tuple(b)))
+        assert x == RVector((1,) * order)
+        assert reference_nonneg_solve(h, b) == [1] * order
 
     @pytest.mark.parametrize(
         "rows, b, expected",

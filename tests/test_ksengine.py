@@ -421,9 +421,10 @@ def with_disjoint_basis(cabello):
     return build_scenario(rays, [list(c.ray_ids) for c in cabello.contexts] + [ids])
 
 
-def grid_scenarios(dim, rng, tries):
+def grid_scenarios(dim, rng, tries, max_rays=14):
     """Scenarios of 2 to 5 random orthogonal bases of the {0, +-1}^dim
-    grid, from ``tries`` draws, keeping those of at most 14 rays."""
+    grid, from ``tries`` draws, keeping those of at most ``max_rays``
+    rays."""
     grid = sorted({Ray("", v).ints for v in itertools.product((-1, 0, 1), repeat=dim) if any(v)})
 
     def random_basis():
@@ -439,7 +440,7 @@ def grid_scenarios(dim, rng, tries):
     for _ in range(tries):
         bases = sorted({random_basis() for _ in range(rng.randint(2, 5))})
         vectors = sorted({v for b in bases for v in b})
-        if len(vectors) > 14:
+        if len(vectors) > max_rays:
             continue
         ids = {v: f"r{i}" for i, v in enumerate(vectors)}
         out.append(build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in bases]))
@@ -697,6 +698,38 @@ class TestNoncontextualModel:
                 assert (model is not None) == feasible
                 verdicts[feasible] += 1
         assert verdicts[True] >= 3 and verdicts[False] >= 3
+
+    def test_wide_lps_match_the_fraction_simplex(self, cabello, monkeypatch):
+        """The LP of every Cabello deletion and of {0, +-1}^4 subsets with
+        26 to 120 valuations, each under several states, has the Fraction
+        simplex's vertex or, like it, none. The subsets' LPs are as wide as
+        the benchmark's, and both verdicts occur."""
+        fed = []
+
+        def spy(rows, rhs):
+            solution = solve(rows, rhs)
+            fed.append((rows, rhs, solution))
+            return solution
+
+        solve = ksengine._int_nonneg_solve
+        rng = random.Random(120)
+        wide = [s for s in grid_scenarios(4, rng, 40, max_rays=16) if 26 <= count_valuations(s) <= 120]
+        assert len(wide) >= 12
+        monkeypatch.setattr(ksengine, "_int_nonneg_solve", spy)
+        for s in [without_context(cabello, k) for k in range(9)] + wide[:12]:
+            for _ in range(3):
+                noncontextual_model(s, rand_mixed_state(rng, 4, max_parts=3))
+        assert len(fed) == 63
+        assert max(len(rows[0]) for rows, _, _ in fed) >= 96
+        verdicts = Counter()
+        for rows, rhs, solution in fed:
+            ref = reference_nonneg_solve(rows, rhs)
+            if ref is None:
+                assert solution is None
+            else:
+                assert solution == {j: x for j, x in enumerate(ref) if x}
+            verdicts[ref is not None] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 10
 
     def test_one_search_per_model(self, cabello, monkeypatch):
         searches = []

@@ -18,7 +18,7 @@ from kscheck.probability import (
     finite_pvm_check,
     ray_probability,
 )
-from kscheck.ksengine import build_scenario
+from kscheck.ksengine import build_scenario, noncontextual_model, without_context
 from kscheck.qlogic import Context, ContextError, Projector, Ray, projector_of, validate_context
 
 from helpers import gram_schmidt, int_digit_limit, rand_mixed_state
@@ -34,6 +34,18 @@ def refusal(rays) -> ValueError:
     with pytest.raises(ValueError) as err:
         Context(rays)
     return err.value
+
+
+class CountingWeights(dict):
+    """A state's weight memo that records the key of each weight stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +362,30 @@ class TestContextDistribution:
             assert space == FiniteProbabilitySpace(c.ray_ids, weights)
             assert type(space.outcomes) is tuple and type(space.weights) is dict
             assert all(type(w) is Fraction for w in space.weights.values())
+
+    def test_one_weight_per_distinct_ray(self, cabello):
+        """Over all nine contexts each of Cabello's 18 rays is weighed once,
+        though every ray lies in two contexts, and each weight is the
+        projector's Born value. The model LP of a deletion then reuses the
+        weights."""
+        rng = random.Random(31)
+        for rho in (DensityOperator.maximally_mixed(4), rand_mixed_state(rng, 4), rand_mixed_state(rng, 4)):
+            memo = vars(rho)["_ray_weights"] = CountingWeights()
+            spaces = [context_distribution(rho, c) for c in cabello.contexts]
+            assert len(memo.stored) == 18
+            assert sorted(memo.stored) == sorted(r.ints for r in cabello.rays)
+            for space, c in zip(spaces, cabello.contexts):
+                assert space.weights == {r.id: born(rho, projector_of(r)) for r in c.rays}
+            noncontextual_model(without_context(cabello, 0), rho)
+            assert len(memo.stored) == 18
+
+    def test_dimension_is_checked_before_the_memo(self):
+        rho = DensityOperator.maximally_mixed(3)
+        with pytest.raises(ValueError, match="dimension mismatch: state 3, ray 4"):
+            ray_probability(rho, Ray("a", (1, 0, 0, 0)))
+        assert "_ray_weights" not in vars(rho)
+        assert ray_probability(rho, Ray("a", (1, 0, 0))) == Fraction(1, 3)
+        assert vars(rho)["_ray_weights"] == {(1, 0, 0): Fraction(1, 3)}
 
     def test_sums_to_one_for_random_states(self, cabello):
         rng = random.Random(23)
