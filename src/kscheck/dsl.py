@@ -223,7 +223,7 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
         rline = ray_line[rid]
         raise ParseError(rline, _column(lines[rline - 1], 1), f"ray {rid!r} is not used in any context")
 
-    return _assemble(list(rays.values()), contexts, merge=merge, dim=dim)
+    return _assemble(list(rays.values()), contexts, merge=merge)
 
 
 def serialize_scenario(s: KSScenario) -> str:

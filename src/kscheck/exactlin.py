@@ -22,7 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import attrgetter, mul
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -39,17 +39,21 @@ def _frac(x: Scalar) -> Fraction:
 
 class _Frozen:
     """Base of the package's immutable values: equality, hash and repr
-    over the attribute names in ``_fields``.
+    over their fields.
 
-    Each subclass names its fields in ``_fields`` and sets them in its
-    ``__init__`` with ``object.__setattr__``; afterwards assignment and
-    deletion raise ``AttributeError``. Values are equal when they have the
-    same class and equal fields, and hash as the tuple of their fields.
-    ``functools.cached_property`` works on subclasses, as it writes to the
-    instance ``__dict__`` directly. These methods are written out once
-    here rather than generated per class: generating them compiles source
-    at every import, which cost each CLI start more than a small
-    command's own work.
+    A subclass's fields are the names it annotates in its class body, in
+    order, and ``_fields`` is set to them when the class is created; a
+    subclass that annotates nothing keeps its parent's. Every module that
+    defines a value class imports ``annotations`` from ``__future__``, so
+    only the names are read and no annotation is evaluated. Each subclass
+    sets its fields in its ``__init__`` with ``object.__setattr__``;
+    afterwards assignment and deletion raise ``AttributeError``. Values
+    are equal when they have the same class and equal fields, and hash as
+    the tuple of their fields. ``functools.cached_property`` works on
+    subclasses, as it writes to the instance ``__dict__`` directly. These
+    methods are written out once here rather than generated per class:
+    generating them compiles source at every import, which cost each CLI
+    start more than a small command's own work.
 
     :meth:`_trusted` is the one way to build a value without its
     constructor's checks. Its caller passes every field by name, in the
@@ -62,6 +66,8 @@ class _Frozen:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        if "__annotations__" in cls.__dict__:
+            cls._fields = tuple(cls.__dict__["__annotations__"])
         # One C-level getter per class, so that equality and hashing cost
         # about what a hand-written comparison of field tuples does.
         get = attrgetter(*cls._fields)
@@ -97,7 +103,6 @@ class _Frozen:
 class RVector(_Frozen):
     """Immutable vector with exact rational entries."""
 
-    _fields = ("entries",)
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable[Scalar]) -> None:
@@ -155,7 +160,6 @@ class RVector(_Frozen):
 class RMatrix(_Frozen):
     """Immutable rectangular matrix with exact rational entries."""
 
-    _fields = ("rows",)
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
@@ -166,10 +170,6 @@ class RMatrix(_Frozen):
         if any(len(r) != width for r in rows):
             raise ValueError("matrix rows must all have the same length")
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Union[RVector, Iterable[Scalar]]]) -> "RMatrix":
-        return cls(tuple(tuple(r) for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "RMatrix":
@@ -191,14 +191,8 @@ class RMatrix(_Frozen):
         i, j = idx
         return self.rows[i][j]
 
-    def row(self, i: int) -> RVector:
-        return RVector(self.rows[i])
-
     def row_vectors(self) -> tuple[RVector, ...]:
         return tuple(RVector(r) for r in self.rows)
-
-    def col(self, j: int) -> RVector:
-        return RVector(tuple(r[j] for r in self.rows))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -328,42 +322,46 @@ def nonneg_solve(a: RMatrix, b: RVector) -> RVector | None:
     guaranteed and the feasibility verdict is a theorem, not a numerical
     judgement. The tableau is pivoted in integers on packed rows, each row
     one int with a slot per column, so a pivot updates a row with one
-    big-integer operation (:func:`_int_nonneg_solve`); every division is
-    exact. ``a`` is scaled by the lcm ``alpha`` of its own denominators
-    and ``b`` by the lcm ``beta`` of its own, so the integer system is
-    ``a' y = b'`` with ``a' = alpha a``, ``b' = beta b``, and
-    ``x = (alpha / beta) y``. That substitution scales every structural
-    variable by ``beta / alpha`` and every artificial by ``beta``:
-    structural reduced costs are multiplied by ``alpha``, artificial ones
-    are unchanged, and each ratio of the ratio test is multiplied by the
-    positive scale of the entering variable. No sign, ratio order or tie
-    moves, so the pivots are Bland's pivots on the rational tableau, and
-    ``x`` is the vertex the same simplex over ``Fraction`` entries
-    returns.
+    big-integer operation (:func:`_int_nonneg_solve`, which clears ``b``'s
+    denominators itself); every division is exact. ``a`` is scaled by the
+    lcm ``alpha`` of its denominators, so the system solved is
+    ``a' y = b`` with ``a' = alpha a``, and ``x = alpha y``. That
+    substitution scales every structural variable by ``1 / alpha`` and
+    leaves every artificial as it is: structural reduced costs are
+    multiplied by ``alpha``, artificial ones are unchanged, and each ratio
+    of the ratio test is multiplied by the positive scale of the entering
+    variable. No sign, ratio order or tie moves, so the pivots are Bland's
+    pivots on the rational tableau, and ``x`` is the vertex the same
+    simplex over ``Fraction`` entries returns.
     """
     m, n = a.nrows, a.ncols
     if b.dim != m:
         raise ValueError(f"right-hand side has dim {b.dim}, expected {m}")
     alpha = math.lcm(*(x.denominator for x in itertools.chain(*a.rows)))
-    beta = math.lcm(*(x.denominator for x in b.entries))
     rows = [[x.numerator * (alpha // x.denominator) for x in row] for row in a.rows]
-    rhs = [x.numerator * (beta // x.denominator) for x in b.entries]
-    support = _int_nonneg_solve(rows, rhs)
+    support = _int_nonneg_solve(rows, b.entries)
     if support is None:
         return None
-    unit = Fraction(alpha, beta)
-    return RVector(tuple(support[j] * unit if j in support else 0 for j in range(n)))
+    return RVector(tuple(support[j] * alpha if j in support else 0 for j in range(n)))
 
 
-def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] | None:
+def _int_nonneg_solve(a: list[list[int]], b: Sequence[Fraction]) -> dict[int, Fraction] | None:
     """Nonzero entries of the vertex x >= 0 with a @ x = b, or None.
 
     The phase-one Bland simplex of :func:`nonneg_solve` on an integer
-    system, pivoted fraction-free (Edmonds; Bareiss 1968). The tableau
-    holds integers ``T`` over one common denominator ``d > 0``; the
-    rational tableau is ``T / d``. Pivoting on ``(r, e)`` with
-    ``p = T[r][e] > 0`` keeps row ``r`` and maps every other row ``i``,
-    the objective included, to ``(p * T[i] - T[i][e] * T[r]) // d``,
+    matrix ``a`` and a rational right-hand side ``b``. It is the one place
+    that clears a right-hand side's denominators: ``b`` is scaled by the
+    lcm ``beta`` of its denominators, ``a y = beta b`` is solved, and the
+    vertex is returned as ``x = y / beta``. Scaling ``b`` by ``beta > 0``
+    scales every variable, structural and artificial, by ``beta``: every
+    ratio of the ratio test is multiplied by ``beta`` and no reduced cost
+    changes, so no pivot moves.
+
+    The integer system is pivoted fraction-free (Edmonds; Bareiss 1968).
+    The tableau holds integers ``T`` over one common denominator
+    ``d > 0``; the rational tableau is ``T / d``. Pivoting on ``(r, e)``
+    with ``p = T[r][e] > 0`` keeps row ``r`` and maps every other row
+    ``i``, the objective included, to ``(p * T[i] - T[i][e] * T[r]) // d``,
     then sets ``d = p``. The division is exact because each entry is a
     minor of the initial tableau. Signs are those of the rational tableau
     since ``d > 0``, and the ratio test compares ``rhs[i] / T[i][e]`` by
@@ -435,10 +433,12 @@ def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] |
     highs = ones << w - 1
     biased = half * ones
 
+    beta = math.lcm(*[x.denominator for x in b])
     # Rows with negative right-hand side are negated so the artificial
     # basis starts feasible.
     tableau, rhs = [], []
-    for row, r in zip(a, b):
+    for row, target in zip(a, b):
+        r = target.numerator * (beta // target.denominator)
         packed = 0
         for x in reversed(row):
             packed = (packed << w) + x
@@ -498,4 +498,4 @@ def _int_nonneg_solve(a: list[list[int]], b: list[int]) -> dict[int, Fraction] |
 
     if rhs[m] != 0:
         return None
-    return {var: Fraction(rhs[i], d) for i, var in enumerate(basis) if var < n and rhs[i] != 0}
+    return {var: Fraction(rhs[i], d * beta) for i, var in enumerate(basis) if var < n and rhs[i] != 0}

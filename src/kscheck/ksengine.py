@@ -64,7 +64,6 @@ class ScenarioTooLargeError(ScenarioError):
 class Valuation(_Frozen):
     """Assignment of 0 or 1 to every ray id of a scenario."""
 
-    _fields = ("assignment",)
     assignment: Mapping[str, int]
 
     def __init__(self, assignment: Mapping[str, int]) -> None:
@@ -99,7 +98,6 @@ class ParityCertificate(_Frozen):
     exist.
     """
 
-    _fields = ("ray_multiplicities", "contexts")
     ray_multiplicities: Mapping[str, int]
     contexts: tuple[int, ...]
 
@@ -128,7 +126,6 @@ class NoncontextualModel(_Frozen):
     weights; ``valuations`` holds the corresponding valuations.
     """
 
-    _fields = ("weights", "valuations")
     weights: Mapping[int, Fraction]
     valuations: Mapping[int, Valuation]
 
@@ -169,7 +166,6 @@ class KSScenario(_Frozen):
     basis matters to the model: its Born probabilities sum to exactly 1.
     """
 
-    _fields = ("dim", "rays", "contexts")
     dim: int
     rays: tuple[Ray, ...]
     contexts: tuple[Context, ...]
@@ -351,7 +347,6 @@ def build_scenario(
     contexts: Sequence[Sequence[str]],
     *,
     merge: bool = True,
-    dim: int | None = None,
 ) -> KSScenario:
     """Assemble and validate a scenario from raw declarations.
 
@@ -362,7 +357,8 @@ def build_scenario(
     each appearing in exactly one context; cross-context identity, and
     with it any chance of a parity contradiction, is dropped. Each context
     is validated once, on the declared rays and ids, before merging or
-    minting.
+    minting. The scenario's dimension is the first declared ray's; a
+    context with a ray of another dimension is refused.
     """
     declared: list[Ray] = []
     seen: set[str] = set()
@@ -373,8 +369,7 @@ def build_scenario(
         declared.append(Ray(rid, coords))
     if not declared or not contexts:
         raise ScenarioError("scenario needs at least one ray and one context")
-    if dim is None:
-        dim = declared[0].dim
+    dim = declared[0].dim
     by_id = {r.id: r for r in declared}
     context_ids = [list(c) for c in contexts]
     for c in context_ids:
@@ -387,15 +382,13 @@ def build_scenario(
         raise ScenarioError(f"rays not used in any context: {', '.join(unused)}")
 
     validated = [validate_context([by_id[rid] for rid in c], dim) for c in context_ids]
-    return _assemble(declared, validated, merge=merge, dim=dim)
+    return _assemble(declared, validated, merge=merge)
 
 
-def _assemble(
-    declared: Sequence[Ray], contexts: Sequence[Context], *, merge: bool, dim: int
-) -> KSScenario:
+def _assemble(declared: Sequence[Ray], contexts: Sequence[Context], *, merge: bool) -> KSScenario:
     """Scenario from declared rays and their already validated contexts.
 
-    Both the rebuilt contexts and the scenario are built with
+    The minted rays, the rebuilt contexts and the scenario are built with
     ``_trusted``, as the checks of their constructors cannot fail here.
 
     Merging and minting only swap a ray for one with the same canonical
@@ -404,11 +397,12 @@ def _assemble(
     the keepers' ids are distinct; minted ids are distinct too.
 
     The callers guarantee the scenario's invariants: the declared ids are
-    unique, every context has dimension ``dim`` and holds declared rays
-    only, and every declared ray lies in some context. Merging keeps one
-    ray per coordinates and minting one per occurrence, so the result has
-    unique ray ids, one dimension, at least one ray and one context,
-    every context an orthogonal basis of scenario rays, and no unused ray.
+    unique, every context has the first declared ray's dimension, which
+    is the scenario's, and holds declared rays only, and every declared
+    ray lies in some context. Merging keeps one ray per coordinates and
+    minting one per occurrence, so the result has unique ray ids, one
+    dimension, at least one ray and one context, every context an
+    orthogonal basis of scenario rays, and no unused ray.
     """
     if merge:
         keeper: dict[tuple[int, ...], Ray] = {}
@@ -425,13 +419,17 @@ def _assemble(
         # Minted ids are distinct. k has no "@", so a minted id's last "@c"
         # is the appended one, and the id gives back the declared id and k.
         # A validated context never repeats an id: a repeated ray coincides
-        # with itself.
+        # with itself. A minted ray keeps ints that are already canonical.
         out_contexts = [
-            Context._trusted(rays=tuple([Ray(f"{r.id}@c{k}", r.ints) for r in c.rays]))
+            Context._trusted(
+                rays=tuple([Ray._trusted(id=f"{r.id}@c{k}", ints=r.ints) for r in c.rays])
+            )
             for k, c in enumerate(contexts, start=1)
         ]
         out_rays = [r for c in out_contexts for r in c.rays]
-    return KSScenario._trusted(dim=dim, rays=tuple(out_rays), contexts=tuple(out_contexts))
+    return KSScenario._trusted(
+        dim=declared[0].dim, rays=tuple(out_rays), contexts=tuple(out_contexts)
+    )
 
 
 def without_context(s: KSScenario, index: int) -> KSScenario:
@@ -702,7 +700,6 @@ def parity_certificate(s: KSScenario) -> ParityCertificate | None:
 class FuncReport(_Frozen):
     """Outcome of the functional-composition checks on an assignment."""
 
-    _fields = ("idempotence_violations", "product_violations", "additivity_violations")
     idempotence_violations: tuple[str, ...]
     product_violations: tuple[tuple[int, str, str], ...]
     additivity_violations: tuple[tuple[int, int], ...]
@@ -764,12 +761,7 @@ def verify_func(valuation: Valuation | Mapping[str, int], s: KSScenario) -> Func
     )
 
 
-def noncontextual_model(
-    s: KSScenario,
-    rho: "DensityOperator",
-    *,
-    max_valuations: int = MODEL_VALUATION_LIMIT,
-) -> NoncontextualModel | None:
+def noncontextual_model(s: KSScenario, rho: "DensityOperator") -> NoncontextualModel | None:
     """Exact feasibility of a hidden-weights model for the given state.
 
     Enumerates every valuation and solves, over exact rationals, for
@@ -781,20 +773,18 @@ def noncontextual_model(
     A scenario with an odd set of contexts covering every ray an even
     number of times has no valuation, so its answer is None with no
     search. Otherwise the valuations are enumerated once, under
-    SEARCH_NODE_BUDGET, and more than ``max_valuations`` of them raise
+    SEARCH_NODE_BUDGET, and more than MODEL_VALUATION_LIMIT of them raise
     ScenarioTooLargeError.
     The LP has a row for each ray its contexts do not imply (see
     ``KSScenario._model_rays``, which proves the dropped rows redundant),
     in ray order, and the all-ones row last. It has the full system's
     feasible set, so the verdict is the full system's and the weights are
-    one of its vertices. The LP is built in integers from the search's ray
-    masks: the 0/1 valuation columns and the all-ones row as they are,
-    and only the right-hand side scaled, by the lcm ``scale`` of the kept
-    targets' denominators. It is solved by the integer simplex behind
-    :func:`kscheck.exactlin.nonneg_solve`, and the weights are its
-    solution divided by ``scale``. That is the scaling ``nonneg_solve``
-    applies to the same columns, so the vertex is the one it returns on
-    the kept rows. Valuation objects are built for the support only.
+    one of its vertices. The 0/1 valuation columns are built from the
+    search's ray masks and, with the Born probabilities and the ones
+    row's 1 as the right-hand side, handed to the integer simplex behind
+    :func:`kscheck.exactlin.nonneg_solve`, so the weights are the vertex
+    it returns on the kept rows. Valuation objects are built for the
+    support only.
     """
     from .probability import ray_probability
 
@@ -802,24 +792,21 @@ def noncontextual_model(
         raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
     if s._parity_subset is not None:
         return None
-    search = _search(s._tables, SEARCH_NODE_BUDGET)
-    hits = list(itertools.islice(search, max_valuations + 1))
+    limit = MODEL_VALUATION_LIMIT
+    hits = list(itertools.islice(_search(s._tables, SEARCH_NODE_BUDGET), limit + 1))
     if not hits:
         return None
-    if len(hits) > max_valuations:
+    if len(hits) > limit:
         raise ScenarioTooLargeError(
-            f"more than {max_valuations} valuations exceed the model feasibility limit"
+            f"more than {limit} valuations exceed the model feasibility limit"
         )
     kept = s._model_rays
     targets = [ray_probability(rho, s.rays[k]) for k in kept]
-    scale = math.lcm(*[t.denominator for t in targets])
     rows = [[ones >> k & 1 for ones in hits] for k in kept]
     rows.append([1] * len(hits))
-    rhs = [t.numerator * (scale // t.denominator) for t in targets] + [scale]
-    solution = _int_nonneg_solve(rows, rhs)
-    if solution is None:
+    weights = _int_nonneg_solve(rows, targets + [Fraction(1)])
+    if weights is None:
         return None
-    weights = {i: y / scale for i, y in solution.items()}
     support = {i: _valuation(s, hits[i]) for i in weights}
     return NoncontextualModel(weights=weights, valuations=support)
 

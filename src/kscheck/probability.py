@@ -41,7 +41,6 @@ class FiniteProbabilitySpace(_Frozen):
     examine broken inputs and report on them.
     """
 
-    _fields = ("outcomes", "weights")
     outcomes: tuple[Label, ...]
     weights: Mapping[Label, Fraction]
 
@@ -80,8 +79,9 @@ def event_probability(space: FiniteProbabilitySpace, event: Iterable[Label]) -> 
     return sum((space.weights[o] for o in event), Fraction(0))
 
 
-class ClassicalAxiomReport(_Frozen):
-    _fields = ("violations",)
+class _Report(_Frozen):
+    """Violations a check found; ``ok`` when there are none."""
+
     violations: tuple[str, ...]
 
     def __init__(self, violations: tuple[str, ...]) -> None:
@@ -90,6 +90,10 @@ class ClassicalAxiomReport(_Frozen):
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+class ClassicalAxiomReport(_Report):
+    """Outcome of :func:`check_classical_axioms`."""
 
 
 def check_classical_axioms(space: FiniteProbabilitySpace) -> ClassicalAxiomReport:
@@ -184,7 +188,6 @@ class DensityOperator(_Frozen):
     constructors skip those checks, which cannot fail (:func:`_mixture`).
     """
 
-    _fields = ("_scaled",)
     _scaled: tuple[int, tuple[tuple[int, ...], ...]]
 
     def __init__(self, matrix: RMatrix) -> None:
@@ -297,16 +300,8 @@ def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilityS
     return FiniteProbabilitySpace._trusted(outcomes=tuple(weights), weights=weights)
 
 
-class StateAxiomReport(_Frozen):
-    _fields = ("violations",)
-    violations: tuple[str, ...]
-
-    def __init__(self, violations: tuple[str, ...]) -> None:
-        object.__setattr__(self, "violations", violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+class StateAxiomReport(_Report):
+    """Outcome of :func:`check_state_axioms`."""
 
 
 def check_state_axioms(rho: DensityOperator, scenario: "KSScenario") -> StateAxiomReport:
@@ -325,16 +320,8 @@ def check_state_axioms(rho: DensityOperator, scenario: "KSScenario") -> StateAxi
     return StateAxiomReport(())
 
 
-class PvmReport(_Frozen):
-    _fields = ("violations",)
-    violations: tuple[str, ...]
-
-    def __init__(self, violations: tuple[str, ...]) -> None:
-        object.__setattr__(self, "violations", violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+class PvmReport(_Report):
+    """Outcome of :func:`finite_pvm_check`."""
 
 
 def finite_pvm_check(contexts: Sequence[Context]) -> PvmReport:

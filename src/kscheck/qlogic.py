@@ -74,7 +74,6 @@ class Ray(_Frozen):
     as an :class:`RVector`.
     """
 
-    _fields = ("id", "ints")
     id: str
     ints: tuple[int, ...]
 
@@ -108,7 +107,6 @@ class Projector(_Frozen):
     are projectors by construction, skip those checks.
     """
 
-    _fields = ("matrix",)
     matrix: RMatrix
 
     def __init__(self, matrix: RMatrix) -> None:
@@ -165,10 +163,11 @@ class Subspace(_Frozen):
 
     ``basis`` holds the nonzero rows of the reduced row echelon form of
     any spanning set, so two equal subspaces are structurally equal. The
-    zero subspace has an empty basis.
+    zero subspace has an empty basis. The constructor checks that form;
+    :meth:`span` and :meth:`full`, whose bases have it by construction,
+    skip the check.
     """
 
-    _fields = ("ambient_dim", "basis")
     ambient_dim: int
     basis: tuple[RVector, ...]
 
@@ -205,8 +204,10 @@ class Subspace(_Frozen):
         dim = vecs[0].dim
         if ambient_dim is not None and ambient_dim != dim:
             raise ValueError(f"vectors have dim {dim}, expected {ambient_dim}")
-        rref, rank = row_reduce(RMatrix.from_rows(vecs))
-        return cls(dim, rref.row_vectors()[:rank])
+        rref, rank = row_reduce(RMatrix(vecs))
+        # row_reduce returns the unique RREF, whose first rank rows are
+        # the nonzero ones: the constructor's RREF check cannot fail.
+        return cls._trusted(ambient_dim=dim, basis=rref.row_vectors()[:rank])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -214,7 +215,9 @@ class Subspace(_Frozen):
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.span(RMatrix.identity(ambient_dim).row_vectors())
+        # The identity's rows are already the RREF of the whole space, and
+        # RMatrix.identity rejects an ambient dimension below 1.
+        return cls._trusted(ambient_dim=ambient_dim, basis=RMatrix.identity(ambient_dim).row_vectors())
 
     @property
     def dim(self) -> int:
@@ -251,7 +254,7 @@ def ortho(s: Subspace) -> Subspace:
     """Orthogonal complement, computed as the kernel of the basis matrix."""
     if s.is_zero():
         return Subspace.full(s.ambient_dim)
-    return Subspace.span(kernel_basis(RMatrix.from_rows(s.basis)), s.ambient_dim)
+    return Subspace.span(kernel_basis(RMatrix(s.basis)), s.ambient_dim)
 
 
 def meet(s: Subspace, t: Subspace) -> Subspace:
@@ -316,7 +319,6 @@ class Context(_Frozen):
     U^T U = I, i.e. the rays are pairwise orthogonal.
     """
 
-    _fields = ("rays",)
     rays: tuple[Ray, ...]
 
     def __init__(self, rays: tuple[Ray, ...]) -> None:

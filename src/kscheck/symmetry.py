@@ -26,7 +26,6 @@ Vec = Union[RVector, Iterable[Scalar]]
 class TwoParticleState(_Frozen):
     """Unnormalized two-particle state as a square amplitude matrix."""
 
-    _fields = ("amplitudes",)
     amplitudes: RMatrix
 
     def __init__(self, amplitudes: RMatrix) -> None:

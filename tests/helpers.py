@@ -135,7 +135,7 @@ def subscenario(s: KSScenario, context_indices) -> KSScenario:
     chosen = [s.contexts[i] for i in context_indices]
     referenced = {r.id for c in chosen for r in c.rays}
     rays = [(r.id, r.coords) for r in s.rays if r.id in referenced]
-    return build_scenario(rays, [c.ray_ids for c in chosen], dim=s.dim)
+    return build_scenario(rays, [c.ray_ids for c in chosen])
 
 
 def single_context_scenario() -> KSScenario:

@@ -536,11 +536,11 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     def test_scenario_matches_the_positioned_reference(self, text, merge):
         try:
-            dim, rays, contexts = reference_parse_scenario(text)
+            _, rays, contexts = reference_parse_scenario(text)
         except ReferenceParseError as e:
             expected = (e.line, e.column, e.message)
         else:
-            expected = build_scenario(rays, contexts, merge=merge, dim=dim)
+            expected = build_scenario(rays, contexts, merge=merge)
         assert outcome(parse_scenario, text, merge=merge) == expected
 
     @given(fuzz_documents() | corrupted_documents(st.sampled_from(STATES_2)), st.integers(1, 3))

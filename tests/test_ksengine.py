@@ -744,12 +744,14 @@ class TestNoncontextualModel:
             noncontextual_model(without_context(cabello, k), DensityOperator.maximally_mixed(4))
         assert len(searches) == 9
 
-    def test_valuation_limit(self):
+    def test_valuation_limit(self, monkeypatch):
         s = single_context_scenario()
         rho = DensityOperator.maximally_mixed(4)
+        monkeypatch.setattr(ksengine, "MODEL_VALUATION_LIMIT", 3)
         with pytest.raises(ScenarioTooLargeError, match="more than 3 valuations"):
-            noncontextual_model(s, rho, max_valuations=3)
-        assert noncontextual_model(s, rho, max_valuations=4) is not None
+            noncontextual_model(s, rho)
+        monkeypatch.setattr(ksengine, "MODEL_VALUATION_LIMIT", 4)
+        assert noncontextual_model(s, rho) is not None
 
     def test_dimension_mismatch(self, cabello):
         with pytest.raises(ValueError):
@@ -769,7 +771,7 @@ class TestOrthogonalityGraph:
         assert all(a < b for a, b in edges)
 
     def test_one_ray_scenario_has_no_edges(self):
-        s = build_scenario([("only", (1,))], [["only"]], dim=1)
+        s = build_scenario([("only", (1,))], [["only"]])
         assert orthogonality_graph(s) == ()
         assert count_valuations(s) == 1
         assert find_valuation(s).ones() == ("only",)

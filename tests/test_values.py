@@ -1,6 +1,8 @@
 """Value semantics of the package's immutable classes: equality, hashing,
 repr, immutability, keyword construction and cached attributes."""
 
+from __future__ import annotations
+
 from fractions import Fraction
 from functools import cached_property
 
@@ -22,14 +24,19 @@ from kscheck import (
     TwoParticleState,
     Valuation,
     boolean_algebra_of,
+    build_scenario,
     cabello18_text,
     context_distribution,
     find_valuation,
+    join,
+    meet,
+    ortho,
     parse_scenario,
     projector_of,
     symmetrize,
     without_context,
 )
+from kscheck.exactlin import _Frozen
 from kscheck.probability import ClassicalAxiomReport, PvmReport, StateAxiomReport
 
 
@@ -100,6 +107,43 @@ def test_values_of_other_classes_are_not_equal(cls):
 def test_same_fields_in_another_class_are_not_equal():
     assert StateAxiomReport(()) != PvmReport(())
     assert ClassicalAxiomReport(()) != StateAxiomReport(())
+
+
+def _pair_classes():
+    """A value class that annotates two fields and states no ``_fields``,
+    and a subclass of it that annotates nothing."""
+
+    class Pair(_Frozen):
+        second: int
+        first: str
+
+        def __init__(self, second: int, first: str) -> None:
+            object.__setattr__(self, "second", second)
+            object.__setattr__(self, "first", first)
+
+    class SamePair(Pair):
+        pass
+
+    return Pair, SamePair
+
+
+def test_fields_are_the_annotated_names_in_order():
+    Pair, _ = _pair_classes()
+    assert Pair._fields == ("second", "first")
+    a = Pair(1, "x")
+    assert a == Pair(1, "x") and hash(a) == hash(Pair(1, "x"))
+    assert a != Pair(2, "x") and a != Pair(1, "y")
+    assert hash(a) != hash(Pair(1, "y"))
+    assert repr(a) == f"{Pair.__qualname__}(second=1, first='x')"
+
+
+def test_a_subclass_without_annotations_keeps_its_parents_fields():
+    Pair, SamePair = _pair_classes()
+    assert SamePair._fields == ("second", "first")
+    a = SamePair(1, "x")
+    assert a == SamePair(1, "x") and a != SamePair(1, "y") and a != SamePair(2, "x")
+    assert a != Pair(1, "x") and Pair(1, "x") != a
+    assert repr(a) == f"{SamePair.__qualname__}(second=1, first='x')"
 
 
 @by_name
@@ -217,6 +261,15 @@ TRUSTED = {
     ],
     "DensityOperator.maximally_mixed": lambda: [DensityOperator.maximally_mixed(3)],
     "find_valuation": lambda: [find_valuation(parse_scenario(MERGING))],
+    "parse_scenario minted rays": lambda: list(parse_scenario(MERGING, merge=False).rays),
+    "build_scenario minted rays": lambda: list(
+        build_scenario([("a", (2, 0)), ("b", (0, -3))], [["a", "b"], ["b", "a"]], merge=False).rays
+    ),
+    "Subspace.span": lambda: [Subspace.span([(1, 2, 3), (2, 4, 6), (0, 1, Fraction(1, 2))])],
+    "Subspace.full": lambda: [Subspace.full(1), Subspace.full(3)],
+    "join": lambda: [join(Subspace.span([(1, 1, 0)]), Subspace.span([(0, 2, 1)]))],
+    "meet": lambda: [meet(Subspace.span([(1, 0, 0), (0, 1, 0)]), Subspace.span([(1, 1, 1), (0, 0, 1)]))],
+    "ortho": lambda: [ortho(Subspace.span([(1, -1, 2)])), ortho(Subspace.zero(2))],
 }
 
 by_site = pytest.mark.parametrize("site", list(TRUSTED))
@@ -227,6 +280,8 @@ def _checked(value):
     cls = type(value)
     if cls is DensityOperator:
         return DensityOperator(value.matrix)
+    if cls is Ray:
+        return Ray(value.id, value.ints)
     if cls is KSScenario:
         return KSScenario(value.dim, value.rays, tuple([_checked(c) for c in value.contexts]))
     return cls(**{name: getattr(value, name) for name in cls._fields})
