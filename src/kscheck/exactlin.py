@@ -286,7 +286,10 @@ def row_reduce(m: RMatrix) -> tuple[RMatrix, int]:
             continue
         rows[piv_row], rows[src] = rows[src], rows[piv_row]
         pivot = rows[piv_row][col]
-        rows[piv_row] = [x / pivot for x in rows[piv_row]]
+        # Entries are Fractions (RMatrix converts them), so a pivot of 1
+        # leaves the row as dividing it would.
+        if pivot != 1:
+            rows[piv_row] = [x / pivot for x in rows[piv_row]]
         for r in range(nr):
             if r != piv_row and rows[r][col] != 0:
                 f = rows[r][col]

@@ -25,6 +25,15 @@ checks only the contexts of the rays it closes, so the tables they share
 are linear in the input. Counting and the model's enumeration give up
 after SEARCH_NODE_BUDGET search nodes; finding and enumerating
 valuations have no budget.
+
+Contexts that share no ray, directly or through other contexts, pose
+independent problems. Finding and counting therefore work one
+component at a time, over the components cached once per scenario. A
+component of one context needs no search, and no search tables: its
+first ray is its first valuation and its ``dim`` rays its count. The
+valuation found is still the first of the whole search, as
+:func:`find_valuation` proves. Enumerating and the model keep the whole
+search, as their order interleaves the components.
 """
 
 from __future__ import annotations
@@ -197,7 +206,9 @@ class KSScenario(_Frozen):
     def _context_rays(self) -> tuple[tuple[int, ...], ...]:
         """Per context, the indices of its rays in context order."""
         index = {r.id: i for i, r in enumerate(self.rays)}
-        return tuple([tuple([index[r.id] for r in c.rays]) for c in self.contexts])
+        flat = [index[r.id] for c in self.contexts for r in c.rays]
+        # Every context has dim rays: one zip cuts the runs of dim.
+        return tuple(zip(*[iter(flat)] * self.dim))
 
     @cached_property
     def _context_masks(self) -> tuple[int, ...]:
@@ -228,6 +239,44 @@ class KSScenario(_Frozen):
             context_rays, context_masks, tuple(forced), tuple(map(tuple, ray_contexts))
         )
 
+    @property
+    def _shares_rays(self) -> bool:
+        """Whether some ray lies in two contexts.
+
+        Every context has ``dim`` rays and every ray lies in some context,
+        so this holds exactly when the ray slots outnumber the rays.
+        """
+        return len(self.contexts) * self.dim > len(self.rays)
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components of the context-intertwining structure.
+
+        Two contexts are connected when they share a ray. Per component,
+        its context indices in input order; the components are ordered by
+        their first context.
+        """
+        if not self._shares_rays:
+            return tuple([(k,) for k in range(len(self.contexts))])
+        parent = list(range(len(self.rays)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        context_rays = self._context_rays
+        for ctx in context_rays:
+            root = find(ctx[0])
+            for r in ctx[1:]:
+                parent[find(r)] = root
+
+        groups: dict[int, list[int]] = {}
+        for k, ctx in enumerate(context_rays):
+            groups.setdefault(find(ctx[0]), []).append(k)
+        return tuple(map(tuple, groups.values()))
+
     @cached_property
     def _parity_subset(self) -> int | None:
         """An odd set of contexts covering every ray an even number of
@@ -245,7 +294,7 @@ class KSScenario(_Frozen):
         reduces to 1 exactly when an odd sum of ray masks is 0. A context
         holding a ray that lies in no other context cannot be in the set,
         so it is skipped, and a scenario where no ray lies in two contexts
-        has no set at all.
+        has no set at all; it is told by counting, with no mask built.
 
         In odd dimension there is no set either. Every context has ``dim``
         rays (see the class docstring), so an odd set of contexts has an
@@ -254,15 +303,13 @@ class KSScenario(_Frozen):
         runs in even dimension only. (None decides no verdict: the search
         that follows it is exact.)
         """
-        if self.dim % 2:
+        if self.dim % 2 or not self._shares_rays:
             return None
         masks = self._context_masks
         seen = shared = 0
         for m in masks:
             shared |= seen & m
             seen |= m
-        if not shared:
-            return None
         lone = seen ^ shared
         # Reduced rows keyed by the bit length of their leading bit. Only
         # rows other than 0 and 1 are stored, so no key is 0 or 1.
@@ -359,30 +406,30 @@ def build_scenario(
     is validated once, on the declared rays and ids, before merging or
     minting. The scenario's dimension is the first declared ray's; a
     context with a ray of another dimension is refused.
-    """
-    declared: list[Ray] = []
-    seen: set[str] = set()
-    for rid, coords in rays:
-        if rid in seen:
-            raise ScenarioError(f"duplicate ray id {rid!r}")
-        seen.add(rid)
-        declared.append(Ray(rid, coords))
-    if not declared or not contexts:
-        raise ScenarioError("scenario needs at least one ray and one context")
-    dim = declared[0].dim
-    by_id = {r.id: r for r in declared}
-    context_ids = [list(c) for c in contexts]
-    for c in context_ids:
-        for rid in c:
-            if rid not in by_id:
-                raise ScenarioError(f"context references undeclared ray {rid!r}")
-    referenced = set(itertools.chain.from_iterable(context_ids))
-    unused = sorted(set(by_id) - referenced)
-    if unused:
-        raise ScenarioError(f"rays not used in any context: {', '.join(unused)}")
 
-    validated = [validate_context([by_id[rid] for rid in c], dim) for c in context_ids]
-    return _assemble(declared, validated, merge=merge)
+    Each declaration is read once, and the first error found is raised:
+    a ray's duplicate id or bad coordinates, in declaration order; no ray
+    or no context; the first undeclared id, in context order; the unused
+    rays; then each context's own error, in order.
+    """
+    by_id: dict[str, Ray] = {}
+    for rid, coords in rays:
+        if rid in by_id:
+            raise ScenarioError(f"duplicate ray id {rid!r}")
+        by_id[rid] = Ray(rid, coords)
+    if not by_id or not contexts:
+        raise ScenarioError("scenario needs at least one ray and one context")
+    try:
+        members = [tuple([by_id[rid] for rid in c]) for c in contexts]
+    except KeyError as err:
+        raise ScenarioError(f"context references undeclared ray {err.args[0]!r}") from None
+    referenced = {r.id for m in members for r in m}
+    if len(referenced) < len(by_id):
+        unused = sorted(by_id.keys() - referenced)
+        raise ScenarioError(f"rays not used in any context: {', '.join(unused)}")
+    declared = list(by_id.values())
+    dim = declared[0].dim
+    return _assemble(declared, [validate_context(m, dim) for m in members], merge=merge)
 
 
 def _assemble(declared: Sequence[Ray], contexts: Sequence[Context], *, merge: bool) -> KSScenario:
@@ -480,24 +527,33 @@ def _step(open_rays: int, r: int, tables: _SearchTables) -> int | None:
     return kept ^ 1 << r
 
 
-def _search(tables: _SearchTables, budget: float = math.inf) -> Iterator[int]:
+def _search(
+    tables: _SearchTables, contexts: Sequence[int], budget: float = math.inf
+) -> Iterator[int]:
     """Yield, as a mask of the rays set to 1, every 0/1 assignment of the
-    rays with exactly one 1 per context.
+    rays of ``contexts`` with exactly one 1 per context.
 
+    ``contexts`` are indices in input order of a union of components; the
+    search starts with exactly their rays open.
     Depth-first over an explicit stack with one frame per open context.
     Contexts are settled in input order and rays in context order, so
     solutions come in lexicographic order of the choices. A state is the
     mask of the open rays, expanded by :func:`_step`; ``ones`` is kept only
-    to yield the valuation. In a live state a context is settled exactly
-    when it has no open ray, so the next frame is the next context that
-    meets the mask. Raises ScenarioTooLargeError once more than ``budget``
-    rays have been set to 1.
+    to yield the valuation. Every context holding a ray of ``contexts`` is
+    among them, so :func:`_step` never closes a ray outside them. In a live
+    state a context is settled exactly when it has no open ray, so the next
+    frame is the next context that meets the mask. Raises
+    ScenarioTooLargeError once more than ``budget`` rays have been set to 1.
     """
-    context_rays, masks, forced, _ = tables
+    context_rays = [tables.context_rays[k] for k in contexts]
+    masks = [tables.context_masks[k] for k in contexts]
+    start = 0
+    for m in masks:
+        start |= m
     depth = len(masks)
     nodes = 0
     # (level, ones, open rays, rays left)
-    stack = [(0, 0, (1 << len(forced)) - 1, iter(context_rays[0]))]
+    stack = [(0, 0, start, iter(context_rays[0]))]
     while stack:
         level, ones, open_rays, rays = stack[-1]
         r = next(rays, None)
@@ -542,7 +598,8 @@ def _frame(open_rays: int, masks: Sequence[int]) -> list[int]:
 
 def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> int:
     """Number of 0/1 assignments of the rays of the contexts in
-    ``component`` with exactly one 1 per context.
+    ``component``, a component of several contexts, with exactly one 1 per
+    context.
 
     A state is the mask of the open rays, as in :func:`_step`, which
     expands it. Settling a context closes all its rays, so in a live state
@@ -554,17 +611,9 @@ def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> in
 
     Depth-first over an explicit stack of :func:`_frame` frames. Raises
     ScenarioTooLargeError once more than ``budget`` rays have been set to
-    1, counting every open ray of a state whose count is a product, such
-    as a component of one context.
+    1, counting every open ray of a state whose count is a product.
     """
     masks = tables.context_masks
-    # Chains and unmerged scenarios are many one-context components, so
-    # these skip the cache and the stack.
-    if len(component) == 1:
-        n = masks[component[0]].bit_count()
-        if n > budget:
-            raise _gave_up(budget)
-        return n
     own = [masks[k] for k in component]
     everything = 0
     for m in own:
@@ -605,32 +654,6 @@ def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> in
                 frame[2] += known
 
 
-def _components(s: KSScenario) -> list[list[int]]:
-    """Connected components of the context-intertwining structure.
-
-    Two contexts are connected when they share a ray. Returns, per
-    component, its context indices in input order.
-    """
-    parent = list(range(len(s.rays)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    context_rays = s._context_rays
-    for ctx in context_rays:
-        root = find(ctx[0])
-        for r in ctx[1:]:
-            parent[find(r)] = root
-
-    groups: dict[int, list[int]] = {}
-    for k, ctx in enumerate(context_rays):
-        groups.setdefault(find(ctx[0]), []).append(k)
-    return list(groups.values())
-
-
 def _valuation(s: KSScenario, ones: int) -> Valuation:
     # A fresh dict of the bits 0 and 1, which is what the checks ensure.
     return Valuation._trusted(assignment={r.id: ones >> i & 1 for i, r in enumerate(s.rays)})
@@ -639,13 +662,37 @@ def _valuation(s: KSScenario, ones: int) -> Valuation:
 def find_valuation(s: KSScenario) -> Valuation | None:
     """First valuation in deterministic search order, or None.
 
-    Unlike :func:`count_valuations` this has no node budget; the search
-    stops at the first complete assignment.
+    The order is :func:`enumerate_valuations`': the choices, one ray per
+    context, compared lexicographically with contexts in input order and
+    each context's rays in context order. The first valuation is found one
+    component at a time, and is the same. The constraints of a component
+    (see ``KSScenario._components``) hold rays of that component only, so a
+    choice sequence is a valuation exactly when its restriction to each
+    component is one of that component. Let ``m`` join each component's
+    first valuation, and let ``x`` be any other valuation. At the first
+    context where they differ, in a component ``C``, ``m`` and ``x`` agree
+    on every earlier context of ``C``; as ``m`` is ``C``'s first, ``m``
+    chooses an earlier ray there. So ``m`` comes before ``x``.
+
+    A component of one context takes that context's first ray, with no
+    search; any other runs the search over its own contexts and rays. A
+    component with no valuation gives None. Unlike
+    :func:`count_valuations` this has no node budget; each search stops at
+    its first complete assignment.
     """
     if s._parity_subset is not None:
         return None
-    ones = next(_search(s._tables), None)
-    return None if ones is None else _valuation(s, ones)
+    context_rays = s._context_rays
+    ones = 0
+    for component in s._components:
+        if len(component) == 1:
+            ones |= 1 << context_rays[component[0]][0]
+        else:
+            first = next(_search(s._tables, component), None)
+            if first is None:
+                return None
+            ones |= first
+    return _valuation(s, ones)
 
 
 def enumerate_valuations(s: KSScenario) -> Iterator[Valuation]:
@@ -654,7 +701,7 @@ def enumerate_valuations(s: KSScenario) -> Iterator[Valuation]:
     count_valuations."""
     if s._parity_subset is not None:
         return
-    for ones in _search(s._tables):
+    for ones in _search(s._tables, range(len(s.contexts))):
         yield _valuation(s, ones)
 
 
@@ -664,18 +711,26 @@ def count_valuations(s: KSScenario) -> int:
     0 at once when an odd set of contexts covers every ray an even number
     of times. Otherwise the scenario splits into connected components of
     intertwined contexts; valuations multiply across components, so each
-    component is counted on its own, branching on the context with the
-    fewest open rays and caching the count of each residual state. Each
-    component's count gives up with ScenarioTooLargeError after
-    SEARCH_NODE_BUDGET nodes.
+    component is counted on its own. A component of one context has one
+    valuation per ray, ``dim``, and is counted as that many nodes, with no
+    search tables built; any other is counted by branching on the context
+    with the fewest open rays and caching the count of each residual
+    state. Each component's count gives up with ScenarioTooLargeError
+    after SEARCH_NODE_BUDGET nodes.
     """
     if s._parity_subset is not None:
         return 0
+    budget = SEARCH_NODE_BUDGET
     total = 1
-    for component in _components(s):
-        total *= _count(component, s._tables, SEARCH_NODE_BUDGET)
-        if total == 0:
-            return 0
+    for component in s._components:
+        if len(component) > 1:
+            total *= _count(component, s._tables, budget)
+            if total == 0:
+                return 0
+        elif s.dim > budget:
+            raise _gave_up(budget)
+        else:
+            total *= s.dim
     return total
 
 
@@ -793,7 +848,8 @@ def noncontextual_model(s: KSScenario, rho: "DensityOperator") -> NoncontextualM
     if s._parity_subset is not None:
         return None
     limit = MODEL_VALUATION_LIMIT
-    hits = list(itertools.islice(_search(s._tables, SEARCH_NODE_BUDGET), limit + 1))
+    everything = range(len(s.contexts))
+    hits = list(itertools.islice(_search(s._tables, everything, SEARCH_NODE_BUDGET), limit + 1))
     if not hits:
         return None
     if len(hits) > limit:

@@ -35,7 +35,7 @@ def _canonical_ints(coords: Coords) -> tuple[int, ...]:
     entries = coords.entries if isinstance(coords, RVector) else tuple(coords)
     if not entries:
         raise ValueError("vector must have at least one entry")
-    if all(type(x) is int for x in entries):
+    if set(map(type, entries)) == {int}:
         ints = entries
     else:
         fracs = [_frac(x) for x in entries]
@@ -44,7 +44,9 @@ def _canonical_ints(coords: Coords) -> tuple[int, ...]:
     g = gcd(*ints)
     if g == 0:
         raise ValueError("the zero vector does not span a ray")
-    first = next(x for x in ints if x != 0)
+    for first in ints:
+        if first:
+            break
     if first < 0:
         g = -g
     return ints if g == 1 else tuple([x // g for x in ints])
@@ -310,6 +312,11 @@ class Context(_Frozen):
     the first ray's d; on every violation of "d rays, none coinciding,
     integer dot product 0 pairwise"; on repeated ids, which are outcomes.
 
+    Each pair costs one dot product; only a nonzero one is looked at
+    further. Coinciding rays always get there, as a nonzero ray has a
+    positive dot product with itself, so the violations come in the same
+    order and with the same text as when coincidence is checked first.
+
     No separate check that the projectors sum to the identity is needed:
     for nonzero rays in dimension d they do exactly when there are d rays
     and they are pairwise orthogonal. An orthogonal basis resolves the
@@ -330,15 +337,16 @@ class Context(_Frozen):
                 raise _dimension_error(rays, dim)
         violations = [] if len(rays) == dim else [f"context has {len(rays)} rays, needs {dim}"]
         for a, b in itertools.combinations(rays, 2):
-            if a.ints == b.ints:
-                violations.append(f"rays {a.id} and {b.id} coincide after canonicalization")
-            else:
-                dot = _dot(a.ints, b.ints)
-                if dot:
+            # _dot, inlined: this runs for every pair of every context.
+            dot = sum(map(mul, a.ints, b.ints))
+            if dot:
+                if a.ints == b.ints:
+                    violations.append(f"rays {a.id} and {b.id} coincide after canonicalization")
+                else:
                     violations.append(f"rays {a} and {b} are not orthogonal (dot = {dot})")
         if violations:
             raise ContextError(violations)
-        if len({r.id for r in rays}) != len(rays):
+        if len({r.id for r in rays}) != dim:
             raise ContextError(["a context's ray ids must be distinct"])
         object.__setattr__(self, "rays", rays)
 

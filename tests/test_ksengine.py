@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import unittest.mock
 from collections import Counter
 from fractions import Fraction
 
@@ -104,6 +106,65 @@ class TestBuildScenario:
     def test_empty_input_rejected(self):
         with pytest.raises(ScenarioError):
             build_scenario([], [])
+
+    def test_error_messages_are_exact(self):
+        a, b = ("a", (1, 0)), ("b", (0, 1))
+        needs = "scenario needs at least one ray and one context"
+        cases = [
+            (([a, b, ("a", (1, 1))], [["a", "b"]]), ScenarioError, "duplicate ray id 'a'"),
+            (([a, b], []), ScenarioError, needs),
+            (([], [["a"]]), ScenarioError, needs),
+            (([a, b], [["a", "x"]]), ScenarioError, "context references undeclared ray 'x'"),
+            (
+                ([a, b, ("d", (1, -1)), ("c", (1, 1))], [["a", "b"]]),
+                ScenarioError,
+                "rays not used in any context: c, d",
+            ),
+            (
+                ([a, b, ("c", (1, 0, 0)), ("d", (0, 1, 0)), ("e", (0, 0, 1))], [["a", "b"], ["c", "d", "e"]]),
+                ContextError,
+                "ray c has dimension 3, expected 2; ray d has dimension 3, expected 2; "
+                "ray e has dimension 3, expected 2",
+            ),
+            (
+                ([a, b, ("c", (1, 0, 0))], [["a", "b"], ["a", "c"]]),
+                ContextError,
+                "ray c has dimension 3, expected 2",
+            ),
+        ]
+        for args, kind, message in cases:
+            with pytest.raises(ValueError) as err:
+                build_scenario(*args)
+            assert type(err.value) is kind and str(err.value) == message
+
+    def test_the_first_error_wins(self):
+        a, b, c, d = ("a", (1, 0)), ("b", (0, 1)), ("c", (1, 1)), ("d", (1, -1))
+        zero, e = ("z", (0, 0)), ("e", (1, 0, 0))
+        cases = [
+            # Rays are declared one at a time, in order.
+            (([zero, a, a], [["a", "b"]]), ValueError, "the zero vector does not span a ray"),
+            (([a, a, zero], [["a"]]), ScenarioError, "duplicate ray id 'a'"),
+            (([a, a], []), ScenarioError, "duplicate ray id 'a'"),
+            # Then the references, the first undeclared id in context order.
+            (
+                ([a, b, c], [["a", "c"], ["a", "y"], ["x"]]),
+                ScenarioError,
+                "context references undeclared ray 'y'",
+            ),
+            # Then the unused rays, before any context is validated.
+            (([a, b, c, d], [["a", "c"]]), ScenarioError, "rays not used in any context: b, d"),
+            # Then each context, in order.
+            (
+                ([a, b, c, e], [["a", "c"], ["b", "e"]]),
+                ContextError,
+                "rays a(1, 0) and c(1, 1) are not orthogonal (dot = 1)",
+            ),
+            (([a, b, c, e], [["b", "e"], ["a", "c"]]), ContextError, "ray e has dimension 3, expected 2"),
+        ]
+        for args, kind, message in cases:
+            with pytest.raises(ValueError) as err:
+                build_scenario(*args)
+            assert type(err.value) is kind and str(err.value) == message
 
     def test_minted_ids_are_distinct(self):
         # Declared ids that already end in "@c<k>", and twelve contexts, so
@@ -339,6 +400,156 @@ class TestSearchOrder:
         s = build_scenario(rays, contexts)
         assert find_valuation(s).ones() == tuple(sorted(f"a{k}" for k in range(1, n + 1)))
         assert count_valuations(s) == 2**n
+
+
+def cayley(skew):
+    """The rational orthogonal matrix (I - A)(I + A)^-1 of a skew-symmetric
+    integer matrix A, by Gauss-Jordan over Fractions. I + A is invertible,
+    as A has no real eigenvalue other than 0."""
+    n = len(skew)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    # Solve (I + A)^T X = (I - A)^T, so that X^T = (I - A)(I + A)^-1.
+    rows = [
+        [eye[i][j] + skew[j][i] for j in range(n)] + [eye[i][j] - skew[j][i] for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [[rows[j][n + i] for j in range(n)] for i in range(n)]
+
+
+def grid4_bases():
+    """Every orthogonal basis of the {0, +-1}^4 grid, as sorted vectors."""
+    grid = sorted({Ray("", v).ints for v in itertools.product((-1, 0, 1), repeat=4) if any(v)})
+    bases = []
+
+    def extend(basis, rest):
+        if len(basis) == 4:
+            bases.append(tuple(basis))
+        for i, v in enumerate(rest):
+            extend(basis + [v], [w for w in rest[i + 1 :] if sum(x * y for x, y in zip(v, w)) == 0])
+
+    extend([], grid)
+    return bases
+
+
+GRID4_BASES = grid4_bases()
+
+
+@st.composite
+def rotated_copies(draw):
+    """(rays, contexts, copy of each context, copy ray counts, whether the
+    first copy is all of Cabello's set): 2 to 6 copies of Cabello or
+    {0, +-1}^4 context subsets, each turned by its own Cayley matrix, with
+    the contexts of all copies shuffled together, the rays of each context
+    shuffled, and the declarations shuffled."""
+    cab = cabello18()
+    cab_rays = {r.id: r.ints for r in cab.rays}
+    cab_contexts = [c.ray_ids for c in cab.contexts]
+    dead = draw(st.sampled_from((False, False, True)))
+    # A Cayley matrix per copy, from the entries above A's diagonal; equal
+    # matrices would turn equal subsets alike.
+    n = draw(st.integers(2, 6))
+    uppers = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 6), min_size=n, max_size=n, unique=True))
+    rays, contexts, owner, sizes = {}, [], [], []
+    for copy, upper in enumerate(uppers):
+        if dead and copy == 0:
+            picked = cab_contexts
+        elif draw(st.booleans()):
+            picked = [cab_contexts[k] for k in draw(st.sets(st.integers(0, 8), min_size=1, max_size=3))]
+        else:
+            indices = st.lists(st.integers(0, len(GRID4_BASES) - 1), min_size=1, max_size=3, unique=True)
+            picked = [[f"g{v}" for v in GRID4_BASES[k]] for k in draw(indices)]
+        skew = [[0] * 4 for _ in range(4)]
+        for (i, j), x in zip(itertools.combinations(range(4), 2), upper):
+            skew[i][j], skew[j][i] = x, -x
+        q = cayley(skew)
+        used = sorted({rid for c in picked for rid in c})
+        for rid in used:
+            v = cab_rays[rid] if rid in cab_rays else tuple(map(int, rid[2:-1].split(",")))
+            rays[f"k{copy}{rid}"] = tuple(sum(a * x for a, x in zip(row, v)) for row in q)
+        contexts += [[f"k{copy}{rid}" for rid in c] for c in picked]
+        owner += [copy] * len(picked)
+        sizes.append(len(used))
+    order = draw(st.permutations(range(len(contexts))))
+    contexts = [draw(st.permutations(contexts[k])) for k in order]
+    owner = [owner[k] for k in order]
+    declared = draw(st.permutations(sorted(rays)))
+    return [(rid, rays[rid]) for rid in declared], contexts, owner, sizes, dead
+
+
+def choice_key(s, ones):
+    """Per context in input order, the position of its ray set to 1: the
+    order find and enumerate follow."""
+    return tuple(next(i for i, rid in enumerate(c.ray_ids) if rid in ones) for c in s.contexts)
+
+
+class TestFindByComponent:
+    """Find and count work one component at a time; each answer must be
+    the whole scenario's, in the whole scenario's order."""
+
+    @given(rotated_copies())
+    @settings(max_examples=80, deadline=None)
+    def test_copies_against_the_brute_force(self, drawn):
+        rays, contexts, owner, sizes, dead = drawn
+        s = build_scenario(rays, contexts)
+        # Turned copies keep apart unless two rays happen to coincide.
+        assume(len(s.rays) == sum(sizes))
+        if dead:
+            assert find_valuation(s) is None
+            assert count_valuations(s) == 0
+            assert list(enumerate_valuations(s)) == []
+            # Without the parity refutation the copy's own search dies.
+            fresh = build_scenario(rays, contexts)
+            with unittest.mock.patch.object(KSScenario, "_parity_subset", None):
+                assert find_valuation(fresh) is None
+                assert count_valuations(fresh) == 0
+            return
+        per_copy = [
+            reference_valuations(subscenario(s, [k for k, c in enumerate(owner) if c == copy]))
+            for copy in range(len(sizes))
+        ]
+        first = find_valuation(s)
+        assert count_valuations(s) == math.prod(map(len, per_copy))
+        if not all(per_copy):
+            assert first is None and list(enumerate_valuations(s)) == []
+            return
+        assert first.ones() == tuple(sorted(rid for ref in per_copy for rid in ref[0]))
+        assert len(s._components) >= len(sizes)
+        if math.prod(map(len, per_copy)) <= 5000:
+            joined = [set().union(*parts) for parts in itertools.product(*per_copy)]
+            expected = [tuple(sorted(v)) for v in sorted(joined, key=lambda v: choice_key(s, v))]
+            assert [v.ones() for v in enumerate_valuations(s)] == expected
+        else:
+            keys = [choice_key(s, set(v.ones())) for v in itertools.islice(enumerate_valuations(s), 200)]
+            assert keys == sorted(set(keys)) and keys[0] == choice_key(s, set(first.ones()))
+
+    def test_a_chain_builds_no_search_tables(self, monkeypatch):
+        built = []
+
+        def spy(s):
+            built.append(s)
+            return tables(s)
+
+        tables = KSScenario._tables.func
+        monkeypatch.setattr(KSScenario, "_tables", property(spy))
+        n = 300
+        rays, contexts = [], []
+        for k in range(1, n + 1):
+            rays += [(f"a{k}", (1, k)), (f"b{k}", (k, -1))]
+            contexts.append([f"b{k}", f"a{k}"])
+        s = build_scenario(rays, contexts)
+        assert find_valuation(s).ones() == tuple(sorted(f"b{k}" for k in range(1, n + 1)))
+        assert count_valuations(s) == 2**n
+        assert built == []
+        assert len(list(itertools.islice(enumerate_valuations(s), 3))) == 3
+        assert built == [s]
 
 
 class TestWithoutContext:

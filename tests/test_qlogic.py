@@ -60,6 +60,23 @@ class TestCanonicalRay:
         assert Ray("a", (2, 2, 0, 0)).coords == vec(1, 1, 0, 0)
         assert Ray("a", (2, 2, 0, 0)) == Ray("a", (-1, -1, 0, 0))
 
+    def test_ints_are_plain_ints_for_every_input_type(self):
+        # bool is an int subclass, yet a ray stores plain ints.
+        cases = [
+            ((True, False), (1, 0)),
+            ((True, 2), (1, 2)),
+            ((Fraction(1, 2), Fraction(-1, 3)), (3, -2)),
+            ((Fraction(4), 6), (2, 3)),
+            (vec(2, 4), (1, 2)),
+            ((-2, 4, 0), (1, -2, 0)),
+            ((0, -3, 6), (0, 1, -2)),
+            ((6, 9), (2, 3)),
+        ]
+        for coords, ints in cases:
+            r = Ray("r", coords)
+            assert r.ints == ints
+            assert {type(x) for x in r.ints} == {int}
+
 
 class TestProjectorOf:
     def test_basis_ray(self):
@@ -194,6 +211,24 @@ class TestValidateContext:
         with pytest.raises(ContextError) as err:
             validate_context(bad, 4)
         assert "r1100" in str(err.value) and "r1000" in str(err.value)
+
+    def test_every_violation_in_one_message(self):
+        # Four rays in dimension 3, two of them coinciding and two pairs
+        # not orthogonal: the count first, then the pairs in order.
+        a, b, c, d = Ray("a", (1, 0, 0)), Ray("b", (2, 0, 0)), Ray("c", (1, 1, 0)), Ray("d", (0, 0, 1))
+        with pytest.raises(ContextError) as err:
+            Context((a, b, c, d))
+        assert err.value.violations == (
+            "context has 4 rays, needs 3",
+            "rays a and b coincide after canonicalization",
+            "rays a(1, 0, 0) and c(1, 1, 0) are not orthogonal (dot = 1)",
+            "rays b(1, 0, 0) and c(1, 1, 0) are not orthogonal (dot = 1)",
+        )
+        assert str(err.value) == "; ".join(err.value.violations)
+        # Repeated ids are reported only when nothing else is wrong.
+        with pytest.raises(ContextError) as err:
+            Context((Ray("a", (1, 0)), Ray("a", (1, 1))))
+        assert str(err.value) == "rays a(1, 0) and a(1, 1) are not orthogonal (dot = 1)"
 
     def test_duplicate_after_canonicalization(self):
         bad = CABELLO_FIRST_CONTEXT[:3] + [Ray("dup", (2, 2, 0, 0))]
