@@ -198,13 +198,8 @@ class RMatrix(_Frozen):
         return self.nrows == self.ncols
 
     def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        # A matrix that is not square differs from its transpose in shape.
+        return self.transpose() == self
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
@@ -244,12 +239,7 @@ class RMatrix(_Frozen):
                 f"shape mismatch in matrix product: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
         cols = other.transpose().rows
-        return RMatrix(
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
-                for row in self.rows
-            )
-        )
+        return RMatrix(tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows]))
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.rows) + "]"
@@ -293,7 +283,7 @@ def row_reduce(m: RMatrix) -> tuple[RMatrix, int]:
         for r in range(nr):
             if r != piv_row and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv_row])]
+                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[piv_row])]
         piv_row += 1
         if piv_row == nr:
             break
@@ -303,18 +293,14 @@ def row_reduce(m: RMatrix) -> tuple[RMatrix, int]:
 def kernel_basis(m: RMatrix) -> tuple[RVector, ...]:
     """Basis of the null space {x : m @ x = 0}, one vector per free column."""
     rref, rank = row_reduce(m)
-    nc = m.ncols
-    pivot_cols = [next(j for j, x in enumerate(rref.rows[r]) if x != 0) for r in range(rank)]
-    pivot_set = set(pivot_cols)
+    rows = rref.rows[:rank]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     basis = []
-    for free in range(nc):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * nc
-        v[free] = Fraction(1)
-        for r, p in enumerate(pivot_cols):
-            v[p] = -rref.rows[r][free]
-        basis.append(RVector(tuple(v)))
+    for free in [j for j in range(m.ncols) if j not in pivots]:
+        v = [Fraction(1 if j == free else 0) for j in range(m.ncols)]
+        for row, p in zip(rows, pivots):
+            v[p] = -row[free]
+        basis.append(RVector(v))
     return tuple(basis)
 
 

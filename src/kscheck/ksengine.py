@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .exactlin import RVector, Scalar, _Frozen, _int_nonneg_solve
+from .exactlin import RVector, Scalar, _frac, _Frozen, _int_nonneg_solve
 from .qlogic import Context, Ray, validate_context
 
 if TYPE_CHECKING:
@@ -77,7 +77,7 @@ class Valuation(_Frozen):
 
     def __init__(self, assignment: Mapping[str, int]) -> None:
         frozen = dict(assignment)
-        bad = {k: v for k, v in frozen.items() if v not in (0, 1)}
+        bad = {k: v for k, v in frozen.items() if v not in (0, 1) or not isinstance(v, int)}
         if bad:
             raise ValueError(f"valuation values must be 0 or 1, got {bad}")
         object.__setattr__(self, "assignment", frozen)
@@ -115,11 +115,15 @@ class ParityCertificate(_Frozen):
         for rid, m in mults.items():
             if m <= 0 or m % 2 != 0:
                 raise ValueError(f"multiplicity of {rid} is {m}, expected even and positive")
+            if not isinstance(m, int):
+                raise TypeError(f"multiplicity of {rid} is {m!r}, expected an int")
         contexts = tuple(contexts)
         if list(contexts) != sorted(set(contexts)) or min(contexts, default=0) < 0:
             raise ValueError("context indices must be increasing and nonnegative")
         if len(contexts) % 2 != 1:
             raise ValueError(f"context count {len(contexts)} is not odd")
+        if not all([isinstance(k, int) for k in contexts]):
+            raise TypeError(f"context indices must be ints, got {contexts}")
         object.__setattr__(self, "ray_multiplicities", mults)
         object.__setattr__(self, "contexts", contexts)
 
@@ -148,6 +152,7 @@ class NoncontextualModel(_Frozen):
                 raise ValueError(f"weight {w} for valuation {k} is outside [0, 1]")
         if sum(weights.values()) != 1:
             raise ValueError("weights must sum to exactly 1")
+        weights = {k: _frac(w) for k, w in weights.items()}
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "valuations", valuations)
 
@@ -185,6 +190,8 @@ class KSScenario(_Frozen):
             raise ScenarioError("ray ids must be unique")
         if not rays or not contexts:
             raise ScenarioError("scenario needs at least one ray and one context")
+        if not isinstance(dim, int):
+            raise TypeError(f"scenario dimension must be an int, got {type(dim).__name__}")
         by_id = {r.id: r for r in rays}
         for r in rays:
             if r.dim != dim:

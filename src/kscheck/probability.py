@@ -63,11 +63,7 @@ class FiniteProbabilitySpace(_Frozen):
         return cls(outcomes, {o: w for o in outcomes})
 
     def total(self) -> Fraction:
-        """The sum of the weights, added in integers over the lcm of their
-        denominators."""
-        weights = self.weights.values()
-        common = lcm(*[w.denominator for w in weights])
-        return Fraction(sum([w.numerator * (common // w.denominator) for w in weights]), common)
+        return sum(self.weights.values(), Fraction(0))
 
 
 def event_probability(space: FiniteProbabilitySpace, event: Iterable[Label]) -> Fraction:

@@ -80,6 +80,8 @@ class Ray(_Frozen):
     ints: tuple[int, ...]
 
     def __init__(self, id: str, coords: Coords) -> None:
+        if type(id) is not str:
+            raise TypeError(f"ray id must be a str, got {type(id).__name__}")
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "ints", _canonical_ints(coords))
 
@@ -166,8 +168,8 @@ class Subspace(_Frozen):
     ``basis`` holds the nonzero rows of the reduced row echelon form of
     any spanning set, so two equal subspaces are structurally equal. The
     zero subspace has an empty basis. The constructor checks that form;
-    :meth:`span` and :meth:`full`, whose bases have it by construction,
-    skip the check.
+    :meth:`span`, :meth:`full` and :func:`meet`, whose bases have it by
+    construction, skip the check.
     """
 
     ambient_dim: int
@@ -176,23 +178,18 @@ class Subspace(_Frozen):
     def __init__(self, ambient_dim: int, basis: Iterable[RVector]) -> None:
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
+        if not isinstance(ambient_dim, int):
+            raise TypeError(f"ambient dimension must be an int, got {type(ambient_dim).__name__}")
         basis = tuple(basis)
-        last_pivot = -1
-        pivots = []
         for row in basis:
             if row.dim != ambient_dim:
                 raise ValueError("basis row has wrong dimension")
-            p = next((j for j, x in enumerate(row) if x != 0), None)
-            if p is None:
+            if row.is_zero():
                 raise ValueError("zero row in subspace basis")
-            if p <= last_pivot or row[p] != 1:
-                raise ValueError("subspace basis is not in reduced row echelon form")
-            pivots.append(p)
-            last_pivot = p
-        for k, p in enumerate(pivots):
-            for i, row in enumerate(basis):
-                if i != k and row[p] != 0:
-                    raise ValueError("subspace basis is not in reduced row echelon form")
+        # The RREF of a matrix is unique, so nonzero rows are in RREF
+        # exactly when row_reduce gives them back unchanged.
+        if basis and row_reduce(RMatrix(basis))[0].row_vectors() != basis:
+            raise ValueError("subspace basis is not in reduced row echelon form")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
 
@@ -234,11 +231,10 @@ class Subspace(_Frozen):
         if len(x) != self.ambient_dim:
             raise ValueError("vector has wrong dimension")
         for row in self.basis:
-            p = next(j for j, y in enumerate(row) if y != 0)
-            if x[p] != 0:
-                f = x[p]
+            f = x[next(j for j, y in enumerate(row) if y)]
+            if f:
                 x = [a - f * b for a, b in zip(x, row)]
-        return all(a == 0 for a in x)
+        return not any(x)
 
     def leq(self, other: "Subspace") -> bool:
         """Subspace inclusion self <= other."""
@@ -260,34 +256,26 @@ def ortho(s: Subspace) -> Subspace:
 
 
 def meet(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection of the two row spaces.
+    """Intersection of the two row spaces, by Zassenhaus's algorithm,
+    which takes no complement: De Morgan's law stays an independent test.
 
-    Solved directly: a vector lies in both spans iff it can be written
-    a . basis(s) = b . basis(t), so the intersection is the image of the
-    kernel of the column-stacked matrix [basis(s)^T | -basis(t)^T]. This
-    deliberately avoids the De Morgan route through complements, which the
-    test suite checks as an independent law.
+    The rows (w, 0) for w in basis(t) and (u, u) for u in basis(s) span
+    the vectors (a + b, a) with a in s and b in t, whose first half is 0
+    exactly when a = -b lies in both. No reduced row with its pivot in the
+    first half enters such a vector, so the rows with first half 0 hold
+    the intersection's RREF basis in their second halves.
     """
     if s.ambient_dim != t.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if s.is_zero() or t.is_zero():
-        return Subspace.zero(s.ambient_dim)
-    k1, k2 = s.dim, t.dim
     n = s.ambient_dim
-    columns = RMatrix(
-        tuple(
-            tuple([s.basis[j][i] for j in range(k1)] + [-t.basis[j][i] for j in range(k2)])
-            for i in range(n)
-        )
-    )
-    vectors = []
-    for c in kernel_basis(columns):
-        x = RVector((Fraction(0),) * n)
-        for j in range(k1):
-            x = x + s.basis[j].scale(c[j])
-        vectors.append(x)
-    vectors = [v for v in vectors if not v.is_zero()]
-    return Subspace.span(vectors, n)
+    if s.is_zero() or t.is_zero():
+        return Subspace.zero(n)
+    # t's rows first, as pivoting on a row (w, 0) changes no second half.
+    rows = [w.entries + (0,) * n for w in t.basis] + [u.entries * 2 for u in s.basis]
+    rref, rank = row_reduce(RMatrix(rows))
+    basis = tuple([RVector(row[n:]) for row in rref.rows[:rank] if not any(row[:n])])
+    # Nonzero rows in RREF, as above: the constructor's check cannot fail.
+    return Subspace._trusted(ambient_dim=n, basis=basis)
 
 
 class ContextError(ValueError):
@@ -375,20 +363,15 @@ def validate_context(rays: Sequence[Ray], dim: int) -> Context:
 
 
 def boolean_algebra_of(context: Context) -> frozenset[Projector]:
-    """All 2^d sums of atomic projectors of the context.
+    """All 2^d sums of atomic projectors of the context, one per subset.
 
     This is the Boolean algebra the context generates inside the projector
     lattice; it always contains the zero projector and the identity. The
     atoms of a :class:`Context` are mutually orthogonal, so every sum is a
     projector by construction and skips the constructor's checks.
     """
-    atoms = [projector_of(r) for r in context.rays]
-    dim = context.dim
-    elements = set()
-    for size in range(len(atoms) + 1):
-        for subset in itertools.combinations(atoms, size):
-            total = RMatrix.zeros(dim, dim)
-            for p in subset:
-                total = total + p.matrix
-            elements.add(Projector._trusted(matrix=total))
-    return frozenset(elements)
+    sums = [RMatrix.zeros(context.dim, context.dim)]
+    for r in context.rays:
+        atom = projector_of(r).matrix
+        sums += [total + atom for total in sums]
+    return frozenset([Projector._trusted(matrix=total) for total in sums])

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
-from .exactlin import RMatrix, RVector, Scalar, _Frozen, outer
+from .exactlin import RMatrix, RVector, Scalar, _Frozen, outer, trace_product
 from .qlogic import Projector, _as_vector
 
 Vec = Union[RVector, Iterable[Scalar]]
@@ -98,8 +98,5 @@ def pair_probability(s: TwoParticleState, p: Projector) -> Fraction:
         raise ValueError(f"projector dimension {p.dim} does not match state ({s.dim_single})")
     a = s.amplitudes
     image = p.matrix @ a @ p.matrix  # (p tensor p) applied to the amplitude matrix
-    overlap = sum(
-        (x * y for row_a, row_i in zip(a.rows, image.rows) for x, y in zip(row_a, row_i)),
-        Fraction(0),
-    )
-    return overlap / s.norm_squared
+    # The overlap, the sum of a[i][j] * image[i][j], is trace(a^T image).
+    return trace_product(a.transpose(), image) / s.norm_squared

@@ -169,6 +169,40 @@ def gram_schmidt(vectors):
     return [tuple(b) for b in basis]
 
 
+def reference_is_rref(rows):
+    """Whether ``rows`` are the nonzero rows of a reduced row echelon form,
+    by the pivot rules alone, with no elimination: every row has a leading
+    entry 1, the leading columns strictly increase, and each leading
+    column is zero in every other row."""
+    pivots = []
+    for row in rows:
+        p = next((j for j, x in enumerate(row) if x != 0), None)
+        if p is None or row[p] != 1 or (pivots and p <= pivots[-1]):
+            return False
+        pivots.append(p)
+    return all(row[p] == 0 for k, p in enumerate(pivots) for i, row in enumerate(rows) if i != k)
+
+
+def reference_boolean_algebra(rays):
+    """The sums of every subset of the rank-1 projectors onto ``rays``,
+    each summed from zero, as tuples of Fraction rows. Plain Fraction
+    arithmetic on the rays' coordinates, sharing no code with the
+    package."""
+    atoms = []
+    for v in rays:
+        n = sum(x * x for x in v)
+        atoms.append([[Fraction(a * b, n) for b in v] for a in v])
+    dim = len(rays[0])
+    elements = set()
+    for size in range(len(atoms) + 1):
+        for subset in itertools.combinations(atoms, size):
+            total = [[Fraction(0)] * dim for _ in range(dim)]
+            for atom in subset:
+                total = [[x + y for x, y in zip(r, q)] for r, q in zip(total, atom)]
+            elements.add(tuple(map(tuple, total)))
+    return elements
+
+
 def reference_nonneg_solve(a_rows, b, pivots=None):
     """Vertex x >= 0 with a @ x = b, or None: the phase-one simplex with
     Bland's rule over plain Fractions, on lists of rows.

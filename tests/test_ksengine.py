@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from kscheck import cabello18, ksengine
 from kscheck.ksengine import (
     KSScenario,
+    NoncontextualModel,
     ParityCertificate,
     ScenarioError,
     ScenarioTooLargeError,
@@ -216,6 +217,16 @@ class TestBuildScenario:
             with pytest.raises(ContextError) as err:
                 Context(r)
             assert str(err.value) == message
+
+    def test_dimension_must_be_an_int(self, cabello):
+        # A float dimension would fail only later, in find and count.
+        with pytest.raises(TypeError, match="scenario dimension must be an int, got float"):
+            KSScenario(dim=4.0, rays=cabello.rays, contexts=cabello.contexts)
+
+    def test_ray_ids_must_be_strs(self):
+        # An int id would fail only later, in the graph and in serializing.
+        with pytest.raises(TypeError, match="ray id must be a str, got int"):
+            build_scenario([(1, (1, 0)), ("b", (0, 1))], [[1, "b"]])
 
 
 class TestFindValuation:
@@ -605,6 +616,17 @@ class TestParityCertificate:
             with pytest.raises(ValueError, match=match):
                 ParityCertificate(ray_multiplicities=mults, contexts=contexts)
 
+    def test_multiplicities_and_indices_must_be_ints(self):
+        cases = [
+            (({"a": 2.0}, (0,)), "multiplicity of a is 2.0, expected an int"),
+            (({"a": Fraction(2)}, (0,)), "multiplicity of a is Fraction(2, 1), expected an int"),
+            (({"a": 2}, (0.0,)), "context indices must be ints"),
+        ]
+        for (mults, contexts), match in cases:
+            with pytest.raises(TypeError) as err:
+                ParityCertificate(ray_multiplicities=mults, contexts=contexts)
+            assert str(err.value).startswith(match)
+
     def test_deleting_a_context_kills_it(self, cabello):
         for k in range(9):
             assert parity_certificate(without_context(cabello, k)) is None
@@ -801,6 +823,14 @@ class TestVerifyFunc:
 
 
 class TestNoncontextualModel:
+    def test_weights_must_be_exact(self):
+        valuations = {0: Valuation({"a": 1, "b": 0}), 1: Valuation({"a": 0, "b": 1})}
+        with pytest.raises(TypeError, match="expected an integer or Fraction, got float"):
+            NoncontextualModel({0: 0.5, 1: 0.5}, valuations)
+        model = NoncontextualModel({0: 1, 1: 0}, valuations)
+        assert model.ray_probability("a") == 1
+        assert {type(w) for w in model.weights.values()} == {Fraction}
+
     def test_cabello_infeasible_for_any_state(self, cabello):
         for rho in (
             DensityOperator.maximally_mixed(4),
@@ -1050,6 +1080,13 @@ class TestValuationType:
     def test_rejects_non_boolean_values(self):
         with pytest.raises(ValueError):
             Valuation({"a": 2})
+
+    def test_rejects_values_that_are_not_ints(self):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Valuation({"a": 0.5, "b": 0})
+        for one in (1.0, Fraction(1)):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                Valuation({"a": one, "b": 0})
 
     def test_ones_and_lookup(self):
         v = Valuation({"a": 1, "b": 0})

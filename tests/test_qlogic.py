@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kscheck import cabello18
 from kscheck.exactlin import RMatrix, RVector, outer
 from kscheck.qlogic import (
     Context,
@@ -21,7 +22,13 @@ from kscheck.qlogic import (
     validate_context,
 )
 
-from helpers import gram_schmidt, rand_subspace, rand_subspace_of
+from helpers import (
+    gram_schmidt,
+    rand_subspace,
+    rand_subspace_of,
+    reference_boolean_algebra,
+    reference_is_rref,
+)
 
 
 def vec(*xs):
@@ -76,6 +83,12 @@ class TestCanonicalRay:
             r = Ray("r", coords)
             assert r.ints == ints
             assert {type(x) for x in r.ints} == {int}
+
+    def test_id_must_be_a_str(self):
+        # An int id would fail only later, where ids are sorted or joined.
+        for bad in (1, None, ("a",)):
+            with pytest.raises(TypeError, match="ray id must be a str"):
+                Ray(bad, (1, 0))
 
 
 class TestProjectorOf:
@@ -184,6 +197,62 @@ class TestLatticeOps:
             Subspace(2, (vec(0, 1), vec(1, 0)))
 
 
+RREF_ENTRIES = st.sampled_from([0, 0, 0, 1, 1, -1, 2, Fraction(1, 2)])
+
+
+class TestSubspaceConstructor:
+    def test_one_message_per_fault(self):
+        not_rref = "subspace basis is not in reduced row echelon form"
+        cases = [
+            ((0, ()), "ambient dimension must be positive"),
+            ((2, (vec(1, 0, 0),)), "basis row has wrong dimension"),
+            ((2, (vec(1, 0), vec(0, 0))), "zero row in subspace basis"),
+            ((2, (vec(2, 0),)), not_rref),
+            ((2, (vec(0, 1), vec(1, 0))), not_rref),
+            ((2, (vec(1, 1), vec(0, 1))), not_rref),
+            ((2, (vec(1, 0), vec(1, 0))), not_rref),
+            ((2, (vec(1, 0), vec(0, 1), vec(0, 1))), not_rref),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError) as err:
+                Subspace(*args)
+            assert str(err.value) == message
+
+    def test_dimension_must_be_an_int(self):
+        for dim in (2.0, Fraction(2)):
+            with pytest.raises(TypeError, match="ambient dimension must be an int"):
+                Subspace(dim, (vec(1, 0),))
+            with pytest.raises(TypeError, match="ambient dimension must be an int"):
+                Subspace(dim, ())
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_accepts_exactly_the_reference_rref(self, data):
+        # Random rows are rarely in RREF, so most draws start from a
+        # reduced basis and some break it by one entry or one swap.
+        dim = data.draw(st.integers(1, 5))
+        row = st.lists(RREF_ENTRIES, min_size=dim, max_size=dim)
+        rows = data.draw(st.lists(row, max_size=dim + 1))
+        kind = data.draw(st.sampled_from(["random", "reduced", "changed", "swapped"]))
+        if kind != "random":
+            rows = [list(r) for r in Subspace.span(rows, dim).basis]
+        if kind == "changed" and rows:
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, dim - 1))
+            rows[i][j] = data.draw(RREF_ENTRIES.filter(lambda x: x != rows[i][j]))
+        if kind == "swapped" and len(rows) > 1:
+            i, j = data.draw(st.permutations(range(len(rows))))[:2]
+            rows[i], rows[j] = rows[j], rows[i]
+        basis = tuple([vec(*r) for r in rows])
+        try:
+            s = Subspace(dim, basis)
+        except ValueError:
+            s = None
+        assert (s is not None) == reference_is_rref(rows)
+        if s is not None:
+            assert s.basis == basis and s == Subspace.span(basis, dim)
+
+
 CABELLO_FIRST_CONTEXT = [
     Ray("r0001", (0, 0, 0, 1)),
     Ray("r0010", (0, 0, 1, 0)),
@@ -281,6 +350,15 @@ class TestBooleanAlgebra:
         ctx = validate_context(CABELLO_FIRST_CONTEXT, 4)
         algebra = boolean_algebra_of(ctx)
         assert len(algebra) == 16
+
+    def test_matches_the_sums_of_every_subset(self):
+        contexts = [c.rays for c in cabello18().contexts]
+        for d in range(2, 6):
+            contexts.append([Ray(f"e{i}", [int(i == j) for j in range(d)]) for i in range(d)])
+        for rays in contexts:
+            algebra = {p.matrix.rows for p in boolean_algebra_of(Context(tuple(rays)))}
+            assert len(algebra) == 2 ** len(rays)
+            assert algebra == reference_boolean_algebra([r.ints for r in rays])
 
     def test_contains_bottom_and_top(self):
         ctx = validate_context(CABELLO_FIRST_CONTEXT, 4)
