@@ -157,8 +157,6 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
         if key == "dim":
             if dim is not None:
                 raise ParseError(line, _column(raw, 0), "duplicate dim declaration")
-            if rays or contexts:
-                raise ParseError(line, _column(raw, 0), "dim must come before any declaration")
             if len(words) != 2:
                 raise ParseError(line, _column(raw, 0), "dim takes exactly one argument")
             tok = words[1]

@@ -45,15 +45,15 @@ class _Frozen:
     order, and ``_fields`` is set to them when the class is created; a
     subclass that annotates nothing keeps its parent's. Every module that
     defines a value class imports ``annotations`` from ``__future__``, so
-    only the names are read and no annotation is evaluated. Each subclass
-    sets its fields in its ``__init__`` with ``object.__setattr__``;
-    afterwards assignment and deletion raise ``AttributeError``. Values
-    are equal when they have the same class and equal fields, and hash as
-    the tuple of their fields. ``functools.cached_property`` works on
-    subclasses, as it writes to the instance ``__dict__`` directly. These
-    methods are written out once here rather than generated per class:
-    generating them compiles source at every import, which cost each CLI
-    start more than a small command's own work.
+    only the names are read and no annotation is evaluated. Fields are
+    stored one way: one write into the instance ``__dict__``, which ends
+    each checked ``__init__`` and is all :meth:`_trusted` does.
+    ``functools.cached_property`` writes there too. Assignment and deletion
+    raise ``AttributeError``. Values are equal when they have the same
+    class and equal fields, and hash as their fields. These methods are
+    written out once here rather than generated per class: generating them
+    compiles source at every import, which cost each CLI start more than a
+    small command's own work.
 
     :meth:`_trusted` is the one way to build a value without its
     constructor's checks. Its caller passes every field by name, in the
@@ -69,9 +69,8 @@ class _Frozen:
         if "__annotations__" in cls.__dict__:
             cls._fields = tuple(cls.__dict__["__annotations__"])
         # One C-level getter per class, so that equality and hashing cost
-        # about what a hand-written comparison of field tuples does.
-        get = attrgetter(*cls._fields)
-        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+        # about what a hand-written comparison of the fields does.
+        cls._values = staticmethod(attrgetter(*cls._fields))
 
     @classmethod
     def _trusted(cls, **fields: object):
@@ -115,7 +114,7 @@ class RVector(_Frozen):
         ent = tuple([_frac(x) for x in entries])
         if not ent:
             raise ValueError("vector must have at least one entry")
-        object.__setattr__(self, "entries", ent)
+        self.__dict__["entries"] = ent
 
     @property
     def dim(self) -> int:
@@ -169,7 +168,7 @@ class RMatrix(_Frozen):
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("matrix rows must all have the same length")
-        object.__setattr__(self, "rows", rows)
+        self.__dict__["rows"] = rows
 
     @classmethod
     def identity(cls, n: int) -> "RMatrix":

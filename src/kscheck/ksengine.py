@@ -80,7 +80,7 @@ class Valuation(_Frozen):
         bad = {k: v for k, v in frozen.items() if v not in (0, 1) or not isinstance(v, int)}
         if bad:
             raise ValueError(f"valuation values must be 0 or 1, got {bad}")
-        object.__setattr__(self, "assignment", frozen)
+        self.__dict__["assignment"] = frozen
 
     def __getitem__(self, ray_id: str) -> int:
         return self.assignment[ray_id]
@@ -124,8 +124,7 @@ class ParityCertificate(_Frozen):
             raise ValueError(f"context count {len(contexts)} is not odd")
         if not all([isinstance(k, int) for k in contexts]):
             raise TypeError(f"context indices must be ints, got {contexts}")
-        object.__setattr__(self, "ray_multiplicities", mults)
-        object.__setattr__(self, "contexts", contexts)
+        self.__dict__.update(ray_multiplicities=mults, contexts=contexts)
 
     @property
     def context_count(self) -> int:
@@ -153,8 +152,7 @@ class NoncontextualModel(_Frozen):
         if sum(weights.values()) != 1:
             raise ValueError("weights must sum to exactly 1")
         weights = {k: _frac(w) for k, w in weights.items()}
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "valuations", valuations)
+        self.__dict__.update(weights=weights, valuations=valuations)
 
     def ray_probability(self, ray_id: str) -> Fraction:
         """Probability the model assigns to a ray: sum of w(v) over v(ray)=1."""
@@ -205,9 +203,7 @@ class KSScenario(_Frozen):
         unused = sorted(set(by_id) - referenced)
         if unused:
             raise ScenarioError(f"rays not used in any context: {', '.join(unused)}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "contexts", contexts)
+        self.__dict__.update(dim=dim, rays=rays, contexts=contexts)
 
     @cached_property
     def _context_rays(self) -> tuple[tuple[int, ...], ...]:
@@ -756,7 +752,9 @@ def parity_certificate(s: KSScenario) -> ParityCertificate | None:
     contexts = tuple([k for k in range(len(s.contexts)) if subset >> k & 1])
     counts = Counter(rid for k in contexts for rid in s.contexts[k].ray_ids)
     mults = {r.id: counts[r.id] for r in s.rays if r.id in counts}
-    return ParityCertificate(ray_multiplicities=mults, contexts=contexts)
+    # No check can fail: the subset's masks XOR to 0, so each count is even
+    # and positive; range gives increasing indices; its row reduced to 1: odd.
+    return ParityCertificate._trusted(ray_multiplicities=mults, contexts=contexts)
 
 
 class FuncReport(_Frozen):
@@ -772,9 +770,11 @@ class FuncReport(_Frozen):
         product_violations: tuple[tuple[int, str, str], ...] = (),
         additivity_violations: tuple[tuple[int, int], ...] = (),
     ) -> None:
-        object.__setattr__(self, "idempotence_violations", idempotence_violations)
-        object.__setattr__(self, "product_violations", product_violations)
-        object.__setattr__(self, "additivity_violations", additivity_violations)
+        self.__dict__.update(
+            idempotence_violations=idempotence_violations,
+            product_violations=product_violations,
+            additivity_violations=additivity_violations,
+        )
 
     @property
     def ok(self) -> bool:
@@ -798,12 +798,16 @@ def verify_func(valuation: Valuation | Mapping[str, int], s: KSScenario) -> Func
 
     For orthogonal projectors sharing a context the product rule collapses
     to v(P) * v(Q) = 0; squaring gives v(P)^2 = v(P); and each context's
-    values must sum to 1. Violations are reported, not raised.
+    values must sum to 1. Violations are reported, not raised, but a value
+    that is not an ``int`` raises ``TypeError``, as in :class:`Valuation`.
     """
     values = dict(valuation.assignment if isinstance(valuation, Valuation) else valuation)
     missing = sorted(r.id for r in s.rays if r.id not in values)
     if missing:
         raise ValueError(f"assignment does not cover rays: {', '.join(missing)}")
+    inexact = {r.id: values[r.id] for r in s.rays if not isinstance(values[r.id], int)}
+    if inexact:
+        raise TypeError(f"assignment values must be ints, got {inexact}")
 
     idem = tuple(r.id for r in s.rays if values[r.id] ** 2 != values[r.id])
     products = []
@@ -816,11 +820,7 @@ def verify_func(valuation: Valuation | Mapping[str, int], s: KSScenario) -> Func
         total = sum(values[rid] for rid in ids)
         if total != 1:
             additivity.append((k, total))
-    return FuncReport(
-        idempotence_violations=idem,
-        product_violations=tuple(products),
-        additivity_violations=tuple(additivity),
-    )
+    return FuncReport(idem, tuple(products), tuple(additivity))
 
 
 def noncontextual_model(s: KSScenario, rho: "DensityOperator") -> NoncontextualModel | None:
@@ -871,7 +871,9 @@ def noncontextual_model(s: KSScenario, rho: "DensityOperator") -> NoncontextualM
     if weights is None:
         return None
     support = {i: _valuation(s, hits[i]) for i in weights}
-    return NoncontextualModel(weights=weights, valuations=support)
+    # No check can fail: the vertex meets the ones row exactly, so its nonzero
+    # weights are positive Fractions summing to 1, keyed like the support.
+    return NoncontextualModel._trusted(weights=weights, valuations=support)
 
 
 def orthogonality_graph(s: KSScenario) -> tuple[tuple[str, str], ...]:

@@ -51,8 +51,7 @@ class FiniteProbabilitySpace(_Frozen):
         weights = {k: _frac(v) for k, v in weights.items()}
         if set(weights) != set(outcomes):
             raise ValueError("weights must be given for exactly the declared outcomes")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "weights", weights)
+        self.__dict__.update(outcomes=outcomes, weights=weights)
 
     @classmethod
     def uniform(cls, outcomes: Iterable[Label]) -> "FiniteProbabilitySpace":
@@ -81,7 +80,7 @@ class _Report(_Frozen):
     violations: tuple[str, ...]
 
     def __init__(self, violations: tuple[str, ...]) -> None:
-        object.__setattr__(self, "violations", violations)
+        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -199,7 +198,7 @@ class DensityOperator(_Frozen):
         scaled = (common, tuple(map(tuple, rows)))
         if not _is_psd(rows):
             raise ValueError("density operator must be positive semidefinite")
-        object.__setattr__(self, "_scaled", scaled)
+        self.__dict__["_scaled"] = scaled
 
     @cached_property
     def matrix(self) -> RMatrix:

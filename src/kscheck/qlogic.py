@@ -82,8 +82,7 @@ class Ray(_Frozen):
     def __init__(self, id: str, coords: Coords) -> None:
         if type(id) is not str:
             raise TypeError(f"ray id must be a str, got {type(id).__name__}")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "ints", _canonical_ints(coords))
+        self.__dict__.update(id=id, ints=_canonical_ints(coords))
 
     @property
     def coords(self) -> RVector:
@@ -120,7 +119,7 @@ class Projector(_Frozen):
             raise ValueError("projector matrix must be symmetric")
         if matrix @ matrix != matrix:
             raise ValueError("projector matrix must be idempotent")
-        object.__setattr__(self, "matrix", matrix)
+        self.__dict__["matrix"] = matrix
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":
@@ -175,12 +174,12 @@ class Subspace(_Frozen):
     ambient_dim: int
     basis: tuple[RVector, ...]
 
-    def __init__(self, ambient_dim: int, basis: Iterable[RVector]) -> None:
+    def __init__(self, ambient_dim: int, basis: Iterable[Coords]) -> None:
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         if not isinstance(ambient_dim, int):
             raise TypeError(f"ambient dimension must be an int, got {type(ambient_dim).__name__}")
-        basis = tuple(basis)
+        basis = tuple([_as_vector(row) for row in basis])
         for row in basis:
             if row.dim != ambient_dim:
                 raise ValueError("basis row has wrong dimension")
@@ -190,8 +189,7 @@ class Subspace(_Frozen):
         # exactly when row_reduce gives them back unchanged.
         if basis and row_reduce(RMatrix(basis))[0].row_vectors() != basis:
             raise ValueError("subspace basis is not in reduced row echelon form")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        self.__dict__.update(ambient_dim=ambient_dim, basis=basis)
 
     @classmethod
     def span(cls, vectors: Sequence[Coords], ambient_dim: int | None = None) -> "Subspace":
@@ -336,7 +334,7 @@ class Context(_Frozen):
             raise ContextError(violations)
         if len({r.id for r in rays}) != dim:
             raise ContextError(["a context's ray ids must be distinct"])
-        object.__setattr__(self, "rays", rays)
+        self.__dict__["rays"] = rays
 
     @property
     def dim(self) -> int:

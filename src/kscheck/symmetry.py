@@ -33,7 +33,7 @@ class TwoParticleState(_Frozen):
             raise ValueError("amplitude matrix must be square")
         if amplitudes.is_zero():
             raise ValueError("the zero state is not a state")
-        object.__setattr__(self, "amplitudes", amplitudes)
+        self.__dict__["amplitudes"] = amplitudes
 
     @property
     def dim_single(self) -> int:

@@ -101,6 +101,19 @@ class TestParseScenario:
         e = err("dim 2\nray a 0 1\ndim 2\nray b 1 0\ncontext a b\n")
         assert e.line == 3
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            # A ray or a context needs dim first, so a later dim is a duplicate.
+            ("dim 2\nray a 0 1\n  dim 2\n", (3, 3, "duplicate dim declaration")),
+            ("dim 2\n", (1, 1, "no ray declarations")),
+            ("dim 2\n  ray a 1 0\n", (1, 1, "no context declarations")),
+        ],
+    )
+    def test_document_errors_with_position(self, text, position):
+        e = err(text)
+        assert (e.line, e.column, e.message) == position
+
     def test_unknown_keyword(self):
         e = err("dim 2\nrays a 0 1\n")
         assert (e.line, e.column) == (2, 1) and "unknown keyword" in e.message
@@ -271,6 +284,20 @@ class TestParseState:
     def test_component_line_shape(self):
         with pytest.raises(ParseError, match="expected 'w"):
             parse_state("mixed\npure 1 0 0 0\n", 4)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("  pure 0  0\n", (1, 8, "the zero vector does not span a ray")),
+            ("mixed  now\nw 1 pure 1 0\n", (1, 8, "mixed takes no arguments on its own line")),
+            ("mixed\nw 1 pure 1 0\n  w  -1/2 pure 1 0\n", (3, 6, "negative mixture weight -1/2")),
+        ],
+    )
+    def test_errors_with_position(self, text, position):
+        with pytest.raises(ParseError) as excinfo:
+            parse_state(text, 2)
+        e = excinfo.value
+        assert (e.line, e.column, e.message) == position
 
 
 # Three contexts in dimension 3; ``a`` and ``c`` each lie in two of them.

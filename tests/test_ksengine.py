@@ -296,12 +296,31 @@ class TestCountValuations:
         assert find_valuation(s) is not None  # find has no budget
 
     def test_node_budget_is_enforced_while_branching(self, cabello, monkeypatch):
+        # With 5 nodes the refusal comes from a state whose count is a
+        # product; test_node_budget_is_enforced_on_a_choice trips the other.
         s = without_context(cabello, 0)
         monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 5)
         with pytest.raises(ScenarioTooLargeError, match="after visiting 5 nodes"):
             count_valuations(s)
         monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 100)
         assert count_valuations(s) == 26
+
+    def test_node_budget_is_enforced_on_a_choice(self, cabello, monkeypatch):
+        # With 4 nodes the count gives up on a ray chosen in a context,
+        # before any state's count is a product of its contexts' sizes.
+        frames = []
+
+        def spy(open_rays, masks):
+            frame = make_frame(open_rays, masks)
+            frames.append(list(frame))
+            return frame
+
+        make_frame = ksengine._frame
+        monkeypatch.setattr(ksengine, "_frame", spy)
+        monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 4)
+        with pytest.raises(ScenarioTooLargeError, match="after visiting 4 nodes"):
+            count_valuations(without_context(cabello, 0))
+        assert frames and all(choices for _, choices, _ in frames)
 
     def test_path_is_counted_from_cached_residuals(self, monkeypatch):
         # Contexts {s_k, t_k, s_k+1} in a path: a valuation is a 0/1 string
@@ -821,8 +840,58 @@ class TestVerifyFunc:
         with pytest.raises(ValueError, match="does not cover"):
             verify_func({"a": 1}, s)
 
+    def test_inexact_values_raise(self):
+        s = build_scenario([("a", (1, 0)), ("b", (0, 1))], [["a", "b"]])
+        with pytest.raises(TypeError) as err:
+            verify_func({"a": 1.0, "b": 0.0}, s)
+        assert str(err.value) == "assignment values must be ints, got {'a': 1.0, 'b': 0.0}"
+        with pytest.raises(TypeError) as err:
+            verify_func({"a": Fraction(1), "b": 0, "unread": 0.5}, s)
+        assert str(err.value) == "assignment values must be ints, got {'a': Fraction(1, 1)}"
+        assert verify_func({"a": 1, "b": 0, "unread": 0.5}, s).ok
+
+    def test_lines_name_each_violation(self):
+        s = single_context_scenario()
+        report = verify_func({"a": 2, "b": 1, "c": 0, "d": 0}, s)
+        assert report.lines() == [
+            "idempotence: v(a)^2 != v(a)",
+            "product: context 1 has v(a) * v(b) != 0",
+            "additivity: context 1 values sum to 3, expected 1",
+        ]
+
 
 class TestNoncontextualModel:
+    def test_constructor_refuses_what_is_not_a_distribution(self):
+        valuations = {0: Valuation({"a": 1, "b": 0}), 1: Valuation({"a": 0, "b": 1})}
+        cases = [
+            ({0: Fraction(1)}, "weights and valuations must share the same keys"),
+            ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, "weight 3/2 for valuation 0 is outside [0, 1]"),
+            ({0: Fraction(1, 2), 1: Fraction(1, 4)}, "weights must sum to exactly 1"),
+        ]
+        for weights, message in cases:
+            with pytest.raises(ValueError) as err:
+                NoncontextualModel(weights, valuations)
+            assert str(err.value) == message
+
+    def test_node_budget_is_enforced(self, cabello, monkeypatch):
+        s = without_context(cabello, 0)
+        rho = DensityOperator.maximally_mixed(4)
+        monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 10)
+        with pytest.raises(ScenarioTooLargeError, match="after visiting 10 nodes"):
+            noncontextual_model(s, rho)
+        monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 1000)
+        assert noncontextual_model(s, rho) is not None
+
+    def test_no_valuation_without_a_parity_subset(self, monkeypatch):
+        # With the parity refutation hidden, the search finds no valuation
+        # of Cabello's set, and the answer is None before any LP is solved.
+        solves = []
+        monkeypatch.setattr(ksengine, "_int_nonneg_solve", lambda *args: solves.append(args))
+        s = cabello18()
+        with unittest.mock.patch.object(KSScenario, "_parity_subset", None):
+            assert noncontextual_model(s, DensityOperator.maximally_mixed(4)) is None
+        assert solves == []
+
     def test_weights_must_be_exact(self):
         valuations = {0: Valuation({"a": 1, "b": 0}), 1: Valuation({"a": 0, "b": 1})}
         with pytest.raises(TypeError, match="expected an integer or Fraction, got float"):

@@ -418,6 +418,11 @@ class TestStateAxioms:
         s = build_scenario([("a", (1, 0)), ("b", (0, 1))], [["a", "b"]])
         assert check_state_axioms(DensityOperator.maximally_mixed(2), s).violations == ()
 
+    def test_dimension_mismatch_raises(self, cabello):
+        with pytest.raises(ValueError) as err:
+            check_state_axioms(DensityOperator.maximally_mixed(3), cabello)
+        assert str(err.value) == "dimension mismatch: state 3, scenario 4"
+
 
 class TestPvm:
     def test_cabello_contexts_pass_all_axioms(self, cabello):

@@ -218,6 +218,16 @@ class TestSubspaceConstructor:
                 Subspace(*args)
             assert str(err.value) == message
 
+    def test_rows_may_be_plain_tuples(self):
+        s = Subspace(2, [(1, 0)])
+        assert s == Subspace.span([(1, 0)])
+        assert s.basis == (vec(1, 0),)
+        assert Subspace(3, [(1, 0, Fraction(1, 2)), [0, 1, 0]]) == Subspace.span([(2, 0, 1), (0, 1, 0)])
+        for rows, message in [([(1, 0, 0)], "basis row has wrong dimension"), ([(0, 0)], "zero row in subspace basis")]:
+            with pytest.raises(ValueError) as err:
+                Subspace(2, rows)
+            assert str(err.value) == message
+
     def test_dimension_must_be_an_int(self):
         for dim in (2.0, Fraction(2)):
             with pytest.raises(TypeError, match="ambient dimension must be an int"):

@@ -25,12 +25,15 @@ from kscheck import (
     Valuation,
     boolean_algebra_of,
     build_scenario,
+    cabello18,
     cabello18_text,
     context_distribution,
     find_valuation,
     join,
     meet,
+    noncontextual_model,
     ortho,
+    parity_certificate,
     parse_scenario,
     projector_of,
     symmetrize,
@@ -176,6 +179,13 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
     assert a == make()
 
 
+@by_name
+def test_values_hold_exactly_their_fields(cls):
+    fields, make = VALUES[cls]
+    for value in (make(), _checked(make())):
+        assert set(vars(value)) == set(fields)
+
+
 @pytest.mark.parametrize("cls", FIELD_PARAMETERS, ids=lambda cls: cls.__name__)
 def test_keyword_construction_from_fields(cls):
     fields, make = VALUES[cls]
@@ -270,6 +280,10 @@ TRUSTED = {
     "join": lambda: [join(Subspace.span([(1, 1, 0)]), Subspace.span([(0, 2, 1)]))],
     "meet": lambda: [meet(Subspace.span([(1, 0, 0), (0, 1, 0)]), Subspace.span([(1, 1, 1), (0, 0, 1)]))],
     "ortho": lambda: [ortho(Subspace.span([(1, -1, 2)])), ortho(Subspace.zero(2))],
+    "parity_certificate": lambda: [parity_certificate(cabello18())],
+    "noncontextual_model": lambda: [
+        noncontextual_model(without_context(cabello18(), 0), DensityOperator.maximally_mixed(4))
+    ],
 }
 
 by_site = pytest.mark.parametrize("site", list(TRUSTED))
