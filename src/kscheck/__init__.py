@@ -9,6 +9,16 @@ alone imports no submodule, and reading ``kscheck.born`` imports
 :mod:`kscheck.probability` and what it needs. So the command line, which
 starts a fresh process for every command, loads only the modules its
 subcommand uses.
+
+The modules split at the ``Fraction`` boundary. Rays and contexts
+(:mod:`kscheck.qlogic`), the search, parity and the graph
+(:mod:`kscheck.ksengine`) and scenario parsing (:mod:`kscheck.dsl`)
+work on ints, and with :mod:`kscheck.frozen` and :mod:`kscheck.cli` they
+are all that ``check``, ``color``, ``parity`` and ``graph`` load. The
+``Fraction`` side, :mod:`kscheck.exactlin` and :mod:`fractions`, loads
+with states (:mod:`kscheck.probability`, for ``model`` and ``prob``), the
+subspace lattice (:mod:`kscheck.lattice`) and two-particle states
+(:mod:`kscheck.symmetry`, for ``symm``).
 """
 
 from importlib import import_module
@@ -60,11 +70,8 @@ _EXPORTS = {
         "expectation",
         "finite_pvm_check",
     ),
-    "qlogic": (
-        "Context",
-        "ContextError",
+    "lattice": (
         "Projector",
-        "Ray",
         "Subspace",
         "boolean_algebra_of",
         "canonical_ray_coords",
@@ -72,8 +79,8 @@ _EXPORTS = {
         "meet",
         "ortho",
         "projector_of",
-        "validate_context",
     ),
+    "qlogic": ("Context", "ContextError", "Ray", "validate_context"),
     "symmetry": (
         "TwoParticleState",
         "exchange_parity",

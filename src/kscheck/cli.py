@@ -18,6 +18,12 @@ search comes back empty (no valuation, no certificate, no model), 2 on
 any input or usage error and on any unexpected failure, which prints a
 single ``error:`` line and nothing on stdout: a subcommand's output is
 written only when it returns. All numbers printed are exact rationals.
+
+Each start loads only what its subcommand runs. ``check``, ``color``,
+``parity`` and ``graph`` work on ints and load neither
+:mod:`kscheck.exactlin` nor :mod:`fractions`; ``model`` and ``prob`` load
+them with :mod:`kscheck.probability`, and ``symm`` with
+:mod:`kscheck.symmetry`.
 """
 
 from __future__ import annotations
@@ -28,10 +34,9 @@ import io
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .dsl import parse_rational, parse_scenario, parse_state
-from .exactlin import RVector
 from .ksengine import (
     KSScenario,
     count_valuations,
@@ -41,8 +46,11 @@ from .ksengine import (
     parity_certificate,
 )
 
-# probability and symmetry are imported by the subcommands that use them,
-# so that every other start skips loading them.
+if TYPE_CHECKING:
+    from .exactlin import RVector
+
+# probability, symmetry and exactlin are imported by the subcommands that
+# use them, so that every other start skips loading them.
 
 
 def _load_scenario(path: str, *, merge: bool = True) -> KSScenario:
@@ -146,6 +154,8 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 
 def _parse_coords_arg(text: str, flag: str) -> RVector:
+    from .exactlin import RVector
+
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
         raise ValueError(f"{flag} needs at least one coordinate")

@@ -31,21 +31,25 @@ State files describe a density operator in one of three forms::
     0 1/4 0 0
     0 0 1/4 0
     0 0 0 1/4
+
+Scenario parsing works on ints alone. Only :func:`parse_rational` and
+:func:`parse_state` import :mod:`fractions`, :mod:`kscheck.exactlin` and
+:mod:`kscheck.probability`, when they run.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import islice
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .exactlin import RMatrix
 from .ksengine import KSScenario, _assemble
 from .qlogic import Context, Ray
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .probability import DensityOperator
 
 _WORD_RE = re.compile(r"\S+")  # the words of str.split(), which splits on the same whitespace
@@ -96,7 +100,10 @@ def _rational_parts(token: str) -> tuple[int, int]:
 
 def parse_rational(token: str) -> Fraction:
     """Parse an integer or ``p/q`` token. Decimal notation is rejected."""
-    return Fraction(*_rational_parts(token))
+    # Of the import forms, this one costs least per call.
+    import fractions
+
+    return fractions.Fraction(*_rational_parts(token))
 
 
 def _parts(line: int, raw: str, words: list[str], first: int) -> list[tuple[int, int]]:
@@ -296,6 +303,8 @@ def parse_state(text: str, dim: int) -> DensityOperator:
         common = lcm(*[w.denominator for w, _ in parts])
         total = sum([w.numerator * (common // w.denominator) for w, _ in parts])
         if total != common:
+            from fractions import Fraction
+
             raise ParseError(
                 lines[-1][0], 1, f"mixture weights sum to {Fraction(total, common)}, expected 1"
             )
@@ -308,6 +317,10 @@ def parse_state(text: str, dim: int) -> DensityOperator:
             raise ParseError(line, _column(raw, 1), "matrix takes no arguments on its own line")
         if len(lines) != dim + 1:
             raise ParseError(line, _column(raw, 0), f"matrix form needs exactly {dim} rows")
+        from fractions import Fraction
+
+        from .exactlin import RMatrix
+
         rows = []
         for rline, rraw, rwords in lines[1:]:
             if len(rwords) != dim:

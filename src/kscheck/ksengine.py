@@ -34,6 +34,11 @@ first ray is its first valuation and its ``dim`` rays its count. The
 valuation found is still the first of the whole search, as
 :func:`find_valuation` proves. Enumerating and the model keep the whole
 search, as their order interleaves the components.
+
+Everything here but the model works on ints. The model's LP, its
+``NoncontextualModel`` and its weights import :mod:`kscheck.exactlin`,
+:mod:`fractions` and :mod:`kscheck.probability` when they run, so loading
+this module loads none of them.
 """
 
 from __future__ import annotations
@@ -41,15 +46,20 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exactlin import RVector, Scalar, _frac, _Frozen, _int_nonneg_solve
+from .frozen import _Frozen
 from .qlogic import Context, Ray, validate_context
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Union
+
+    from .exactlin import RVector, Scalar
     from .probability import DensityOperator
+
+    RaySpec = tuple[str, Union[RVector, Iterable[Scalar]]]
 
 # count_valuations and noncontextual_model give up after this many search
 # nodes, a node being one ray set to 1. The refusal is then about the work
@@ -113,17 +123,17 @@ class ParityCertificate(_Frozen):
     def __init__(self, ray_multiplicities: Mapping[str, int], contexts: Iterable[int]) -> None:
         mults = dict(ray_multiplicities)
         for rid, m in mults.items():
-            if m <= 0 or m % 2 != 0:
-                raise ValueError(f"multiplicity of {rid} is {m}, expected even and positive")
             if not isinstance(m, int):
                 raise TypeError(f"multiplicity of {rid} is {m!r}, expected an int")
+            if m <= 0 or m % 2 != 0:
+                raise ValueError(f"multiplicity of {rid} is {m}, expected even and positive")
         contexts = tuple(contexts)
+        if not all([isinstance(k, int) for k in contexts]):
+            raise TypeError(f"context indices must be ints, got {contexts}")
         if list(contexts) != sorted(set(contexts)) or min(contexts, default=0) < 0:
             raise ValueError("context indices must be increasing and nonnegative")
         if len(contexts) % 2 != 1:
             raise ValueError(f"context count {len(contexts)} is not odd")
-        if not all([isinstance(k, int) for k in contexts]):
-            raise TypeError(f"context indices must be ints, got {contexts}")
         self.__dict__.update(ray_multiplicities=mults, contexts=contexts)
 
     @property
@@ -142,23 +152,33 @@ class NoncontextualModel(_Frozen):
     valuations: Mapping[int, Valuation]
 
     def __init__(self, weights: Mapping[int, Fraction], valuations: Mapping[int, Valuation]) -> None:
+        import fractions
+
+        import kscheck.exactlin as exactlin
+
         weights = dict(weights)
         valuations = dict(valuations)
         if set(weights) != set(valuations):
             raise ValueError("weights and valuations must share the same keys")
         for k, w in weights.items():
+            if not isinstance(w, (int, fractions.Fraction)):
+                raise TypeError(
+                    f"weight {w!r} for valuation {k}: expected an integer or Fraction, got {type(w).__name__}"
+                )
             if not 0 <= w <= 1:
                 raise ValueError(f"weight {w} for valuation {k} is outside [0, 1]")
         if sum(weights.values()) != 1:
             raise ValueError("weights must sum to exactly 1")
-        weights = {k: _frac(w) for k, w in weights.items()}
+        weights = {k: exactlin._frac(w) for k, w in weights.items()}
         self.__dict__.update(weights=weights, valuations=valuations)
 
     def ray_probability(self, ray_id: str) -> Fraction:
         """Probability the model assigns to a ray: sum of w(v) over v(ray)=1."""
+        import fractions
+
         return sum(
             (w for k, w in self.weights.items() if self.valuations[k][ray_id] == 1),
-            Fraction(0),
+            fractions.Fraction(0),
         )
 
 
@@ -387,9 +407,6 @@ class KSScenario(_Frozen):
         """How many contexts each ray appears in."""
         counts = Counter(r.id for c in self.contexts for r in c.rays)
         return {r.id: counts[r.id] for r in self.rays}
-
-
-RaySpec = tuple[str, Union[RVector, Iterable[Scalar]]]
 
 
 def build_scenario(
@@ -848,7 +865,12 @@ def noncontextual_model(s: KSScenario, rho: "DensityOperator") -> NoncontextualM
     it returns on the kept rows. Valuation objects are built for the
     support only.
     """
-    from .probability import ray_probability
+    # Imported here, so that no other command loads them. Of the import
+    # forms, these absolute ones cost least per call.
+    import fractions
+
+    import kscheck.exactlin as exactlin
+    import kscheck.probability as probability
 
     if rho.dim != s.dim:
         raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
@@ -864,10 +886,10 @@ def noncontextual_model(s: KSScenario, rho: "DensityOperator") -> NoncontextualM
             f"more than {limit} valuations exceed the model feasibility limit"
         )
     kept = s._model_rays
-    targets = [ray_probability(rho, s.rays[k]) for k in kept]
+    targets = [probability.ray_probability(rho, s.rays[k]) for k in kept]
     rows = [[ones >> k & 1 for ones in hits] for k in kept]
     rows.append([1] * len(hits))
-    weights = _int_nonneg_solve(rows, targets + [Fraction(1)])
+    weights = exactlin._int_nonneg_solve(rows, targets + [fractions.Fraction(1)])
     if weights is None:
         return None
     support = {i: _valuation(s, hits[i]) for i in weights}

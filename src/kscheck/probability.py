@@ -12,6 +12,8 @@ operator is stored as an integer matrix over one denominator. It comes
 from rational data only: an explicit matrix, whose positive
 semidefiniteness is decided by fraction-free elimination, never by
 eigenvalues, or a convex mixture of rational rays, which needs no check.
+Projectors appear only in annotations here, so ``prob`` and ``model``
+never load the subspace lattice of :mod:`kscheck.lattice`.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
-from .exactlin import RMatrix, RVector, Scalar, _frac, _Frozen, trace_product
-from .qlogic import Context, Projector, Ray, _canonical_ints
+from .exactlin import RMatrix, RVector, Scalar, _frac, trace_product
+from .frozen import _Frozen
+from .qlogic import Context, Ray, _canonical_ints
 
 if TYPE_CHECKING:
     from .ksengine import KSScenario
+    from .lattice import Projector
 
 Label = Hashable
 

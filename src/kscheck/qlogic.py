@@ -1,44 +1,53 @@
-"""Rays, projectors, subspaces and measurement contexts.
+"""Rays and measurement contexts, in integers.
 
-This module carries the lattice side of the toolkit: one-dimensional rays
-in canonical integer form, the rank-1 projectors they generate, subspaces
-with exact meet / join / orthocomplement, and contexts: orthogonal bases
-of rays, whose projectors resolve the identity. Only the :class:`Context`
-constructor decides it; everything built on a context relies on that.
+This module carries the integer side of the toolkit: one-dimensional rays
+in canonical integer form, and contexts: orthogonal bases of rays, whose
+projectors resolve the identity. Only the :class:`Context` constructor
+decides it; everything built on a context relies on that.
 
 Two rays with proportional coordinate vectors canonicalize to the same
 coordinates, which is exactly the identification that lets a ray keep one
-truth value across every context it appears in. Subspaces are stored as
-their reduced row echelon basis, so subspace equality is plain structural
-equality and no tolerance parameter exists anywhere.
+truth value across every context it appears in. The rank-1 projectors
+the rays generate, and the subspace lattice, are ``Fraction`` matrices in
+:mod:`kscheck.lattice`.
+
+Nothing here loads :mod:`kscheck.exactlin` or :mod:`fractions` at import
+time, so the commands that work on integers alone (``check``, ``color``,
+``parity``, ``graph``) never compile them. Only coordinates that are not
+all ``int`` reach ``exactlin._frac``, and only :attr:`Ray.coords` builds
+an ``RVector``.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
-from .exactlin import RMatrix, RVector, Scalar, _frac, _Frozen, kernel_basis, row_reduce
+from .frozen import _Frozen
 
-Coords = Union[RVector, Iterable[Scalar]]
+if TYPE_CHECKING:
+    from typing import Iterable, Union
 
+    from .exactlin import RVector, Scalar
 
-def _as_vector(coords: Coords) -> RVector:
-    return coords if isinstance(coords, RVector) else RVector(tuple(coords))
+    Coords = Union[RVector, Iterable[Scalar]]
 
 
 def _canonical_ints(coords: Coords) -> tuple[int, ...]:
     """Canonical integer coordinates of the ray through ``coords``."""
-    entries = coords.entries if isinstance(coords, RVector) else tuple(coords)
+    entries = tuple(coords)
     if not entries:
         raise ValueError("vector must have at least one entry")
     if set(map(type, entries)) == {int}:
         ints = entries
     else:
-        fracs = [_frac(x) for x in entries]
+        # Imported here, so that int coordinates never load it. Of the
+        # import forms, this absolute one costs least per call.
+        import kscheck.exactlin as exactlin
+
+        fracs = [exactlin._frac(x) for x in entries]
         scale = lcm(*[x.denominator for x in fracs])
         ints = tuple([x.numerator * (scale // x.denominator) for x in fracs])
     g = gcd(*ints)
@@ -50,16 +59,6 @@ def _canonical_ints(coords: Coords) -> tuple[int, ...]:
     if first < 0:
         g = -g
     return ints if g == 1 else tuple([x // g for x in ints])
-
-
-def canonical_ray_coords(coords: Coords) -> RVector:
-    """Canonical representative of the ray through ``coords``.
-
-    Clears denominators, divides by the gcd and flips the sign so the
-    first nonzero entry is positive. Proportional inputs map to the same
-    output; the zero vector is rejected.
-    """
-    return RVector(_canonical_ints(coords))
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -86,7 +85,9 @@ class Ray(_Frozen):
 
     @property
     def coords(self) -> RVector:
-        return RVector(self.ints)
+        import kscheck.exactlin as exactlin
+
+        return exactlin.RVector(self.ints)
 
     @property
     def dim(self) -> int:
@@ -98,182 +99,8 @@ class Ray(_Frozen):
         return _dot(self.ints, other.ints) == 0
 
     def __str__(self) -> str:
-        return f"{self.id}{self.coords}"
-
-
-class Projector(_Frozen):
-    """Symmetric idempotent matrix.
-
-    The constructor checks symmetry and idempotence, the latter with a
-    full ``m @ m``. :meth:`zero`, :meth:`identity`, :meth:`complement`,
-    :func:`projector_of` and :func:`boolean_algebra_of`, whose matrices
-    are projectors by construction, skip those checks.
-    """
-
-    matrix: RMatrix
-
-    def __init__(self, matrix: RMatrix) -> None:
-        if not matrix.is_square():
-            raise ValueError("projector matrix must be square")
-        if not matrix.is_symmetric():
-            raise ValueError("projector matrix must be symmetric")
-        if matrix @ matrix != matrix:
-            raise ValueError("projector matrix must be idempotent")
-        self.__dict__["matrix"] = matrix
-
-    @classmethod
-    def zero(cls, dim: int) -> "Projector":
-        return cls._trusted(matrix=RMatrix.zeros(dim, dim))
-
-    @classmethod
-    def identity(cls, dim: int) -> "Projector":
-        return cls._trusted(matrix=RMatrix.identity(dim))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.nrows
-
-    def trace(self) -> Fraction:
-        return self.matrix.trace()
-
-    def __add__(self, other: "Projector") -> "Projector":
-        # Valid only for orthogonal summands; the constructor re-checks.
-        return Projector(self.matrix + other.matrix)
-
-    def complement(self) -> "Projector":
-        # Symmetric, and (I - P)^2 = I - 2P + P^2 = I - P.
-        return Projector._trusted(matrix=RMatrix.identity(self.dim) - self.matrix)
-
-    def range(self) -> "Subspace":
-        return Subspace.span(self.matrix.row_vectors(), self.dim)
-
-
-def projector_of(ray: Ray) -> Projector:
-    """Rank-1 projector v v^T / (v . v) onto the ray.
-
-    Idempotent by construction, so the constructor's ``m @ m`` check is
-    skipped; only matrices handed to :class:`Projector` directly are
-    checked.
-    """
-    v = ray.ints
-    n = _dot(v, v)
-    rows = tuple([tuple([Fraction(a * b, n) for b in v]) for a in v])
-    return Projector._trusted(matrix=RMatrix(rows))
-
-
-class Subspace(_Frozen):
-    """Linear subspace, canonically represented by its RREF basis.
-
-    ``basis`` holds the nonzero rows of the reduced row echelon form of
-    any spanning set, so two equal subspaces are structurally equal. The
-    zero subspace has an empty basis. The constructor checks that form;
-    :meth:`span`, :meth:`full` and :func:`meet`, whose bases have it by
-    construction, skip the check.
-    """
-
-    ambient_dim: int
-    basis: tuple[RVector, ...]
-
-    def __init__(self, ambient_dim: int, basis: Iterable[Coords]) -> None:
-        if ambient_dim < 1:
-            raise ValueError("ambient dimension must be positive")
-        if not isinstance(ambient_dim, int):
-            raise TypeError(f"ambient dimension must be an int, got {type(ambient_dim).__name__}")
-        basis = tuple([_as_vector(row) for row in basis])
-        for row in basis:
-            if row.dim != ambient_dim:
-                raise ValueError("basis row has wrong dimension")
-            if row.is_zero():
-                raise ValueError("zero row in subspace basis")
-        # The RREF of a matrix is unique, so nonzero rows are in RREF
-        # exactly when row_reduce gives them back unchanged.
-        if basis and row_reduce(RMatrix(basis))[0].row_vectors() != basis:
-            raise ValueError("subspace basis is not in reduced row echelon form")
-        self.__dict__.update(ambient_dim=ambient_dim, basis=basis)
-
-    @classmethod
-    def span(cls, vectors: Sequence[Coords], ambient_dim: int | None = None) -> "Subspace":
-        vecs = [_as_vector(v) for v in vectors]
-        if not vecs:
-            if ambient_dim is None:
-                raise ValueError("ambient dimension required for an empty span")
-            return cls(ambient_dim, ())
-        dim = vecs[0].dim
-        if ambient_dim is not None and ambient_dim != dim:
-            raise ValueError(f"vectors have dim {dim}, expected {ambient_dim}")
-        rref, rank = row_reduce(RMatrix(vecs))
-        # row_reduce returns the unique RREF, whose first rank rows are
-        # the nonzero ones: the constructor's RREF check cannot fail.
-        return cls._trusted(ambient_dim=dim, basis=rref.row_vectors()[:rank])
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        # The identity's rows are already the RREF of the whole space, and
-        # RMatrix.identity rejects an ambient dimension below 1.
-        return cls._trusted(ambient_dim=ambient_dim, basis=RMatrix.identity(ambient_dim).row_vectors())
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def is_zero(self) -> bool:
-        return not self.basis
-
-    def contains(self, v: Coords) -> bool:
-        """Exact membership test via reduction against the RREF basis."""
-        x = list(_as_vector(v))
-        if len(x) != self.ambient_dim:
-            raise ValueError("vector has wrong dimension")
-        for row in self.basis:
-            f = x[next(j for j, y in enumerate(row) if y)]
-            if f:
-                x = [a - f * b for a, b in zip(x, row)]
-        return not any(x)
-
-    def leq(self, other: "Subspace") -> bool:
-        """Subspace inclusion self <= other."""
-        return all(other.contains(row) for row in self.basis)
-
-
-def join(s: Subspace, t: Subspace) -> Subspace:
-    """Smallest subspace containing both: the span of the stacked bases."""
-    if s.ambient_dim != t.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.span(list(s.basis) + list(t.basis), s.ambient_dim)
-
-
-def ortho(s: Subspace) -> Subspace:
-    """Orthogonal complement, computed as the kernel of the basis matrix."""
-    if s.is_zero():
-        return Subspace.full(s.ambient_dim)
-    return Subspace.span(kernel_basis(RMatrix(s.basis)), s.ambient_dim)
-
-
-def meet(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection of the two row spaces, by Zassenhaus's algorithm,
-    which takes no complement: De Morgan's law stays an independent test.
-
-    The rows (w, 0) for w in basis(t) and (u, u) for u in basis(s) span
-    the vectors (a + b, a) with a in s and b in t, whose first half is 0
-    exactly when a = -b lies in both. No reduced row with its pivot in the
-    first half enters such a vector, so the rows with first half 0 hold
-    the intersection's RREF basis in their second halves.
-    """
-    if s.ambient_dim != t.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    n = s.ambient_dim
-    if s.is_zero() or t.is_zero():
-        return Subspace.zero(n)
-    # t's rows first, as pivoting on a row (w, 0) changes no second half.
-    rows = [w.entries + (0,) * n for w in t.basis] + [u.entries * 2 for u in s.basis]
-    rref, rank = row_reduce(RMatrix(rows))
-    basis = tuple([RVector(row[n:]) for row in rref.rows[:rank] if not any(row[:n])])
-    # Nonzero rows in RREF, as above: the constructor's check cannot fail.
-    return Subspace._trusted(ambient_dim=n, basis=basis)
+        # The text of str(self.coords), without building it.
+        return f"{self.id}({', '.join(map(str, self.ints))})"
 
 
 class ContextError(ValueError):
@@ -358,18 +185,3 @@ def validate_context(rays: Sequence[Ray], dim: int) -> Context:
     if rays and len(rays[0].ints) != dim:
         raise _dimension_error(rays, dim)
     return Context(rays)
-
-
-def boolean_algebra_of(context: Context) -> frozenset[Projector]:
-    """All 2^d sums of atomic projectors of the context, one per subset.
-
-    This is the Boolean algebra the context generates inside the projector
-    lattice; it always contains the zero projector and the identity. The
-    atoms of a :class:`Context` are mutually orthogonal, so every sum is a
-    projector by construction and skips the constructor's checks.
-    """
-    sums = [RMatrix.zeros(context.dim, context.dim)]
-    for r in context.rays:
-        atom = projector_of(r).matrix
-        sums += [total + atom for total in sums]
-    return frozenset([Projector._trusted(matrix=total) for total in sums])

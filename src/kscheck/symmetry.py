@@ -8,17 +8,22 @@ single-particle vectors are built by (anti)symmetrizing the product.
 States are kept unnormalized with an exact cached squared norm, because
 the usual 1/sqrt(2) factor is irrational while every physically meaningful
 quantity here (exchange parity, joint probabilities) only ever divides by
-the squared norm.
+the squared norm. Single-particle vectors are read by
+:func:`kscheck.lattice._as_vector`, so ``symm`` loads the lattice too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-from .exactlin import RMatrix, RVector, Scalar, _Frozen, outer, trace_product
-from .qlogic import Projector, _as_vector
+from .exactlin import RMatrix, RVector, Scalar, outer, trace_product
+from .frozen import _Frozen
+from .lattice import _as_vector
+
+if TYPE_CHECKING:
+    from .lattice import Projector
 
 Vec = Union[RVector, Iterable[Scalar]]
 

@@ -247,13 +247,14 @@ def reference_nonneg_solve(a_rows, b, pivots=None):
                     leave = i
         pivot = tableau[leave][enter]
         tableau[leave] = [x / pivot for x in tableau[leave]]
+        # Where the pivot row holds 0, x - f * y is x: skip the update.
         for i in range(m):
             if i != leave and tableau[i][enter] != 0:
                 f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+                tableau[i] = [x - f * y if y else x for x, y in zip(tableau[i], tableau[leave])]
         if z[enter] != 0:
             f = z[enter]
-            z = [x - f * y for x, y in zip(z, tableau[leave])]
+            z = [x - f * y if y else x for x, y in zip(z, tableau[leave])]
         basis[leave] = enter
         if pivots is not None:
             pivots.append((leave, enter))

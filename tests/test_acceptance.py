@@ -38,7 +38,8 @@ from kscheck import (
     without_context,
 )
 from kscheck.cli import run
-from kscheck.qlogic import Ray, Subspace
+from kscheck.lattice import Subspace
+from kscheck.qlogic import Ray
 from kscheck.symmetry import product_state
 
 from helpers import (

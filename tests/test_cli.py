@@ -312,9 +312,15 @@ LOADED_AFTER_RUN = """\
 import sys
 import kscheck.cli
 kscheck.cli.run(sys.argv[1:])
-watched = ("dataclasses", "kscheck.data", "kscheck.probability", "kscheck.symmetry")
+watched = (
+    "dataclasses", "decimal", "fractions", "kscheck.data", "kscheck.exactlin",
+    "kscheck.lattice", "kscheck.probability", "kscheck.symmetry",
+)
 print("loaded", *[m for m in watched if m in sys.modules])
 """
+
+# The Fraction code: exactlin, and fractions, which imports decimal.
+FRACTION_CODE = ("decimal", "fractions", "kscheck.exactlin")
 
 
 def run_bare(code, *argv):
@@ -335,13 +341,23 @@ class TestColdStart:
         out = run_bare(LOADED_AFTER_RUN, "color", cabello_file)
         assert out.splitlines() == ["NO VALUATION", "loaded"]
 
+    @pytest.mark.parametrize("command", ["check", "color", "parity", "graph"])
+    def test_integer_commands_load_no_fraction_code(self, command, cabello_file, tmp_path):
+        argv = [command, cabello_file] + (["--dot", str(tmp_path / "g.dot")] if command == "graph" else [])
+        out = run_bare(LOADED_AFTER_RUN, *argv)
+        assert out.splitlines()[-1] == "loaded"
+
+    def test_model_loads_probability_and_the_fraction_code(self, cabello_file, mixed_state_file):
+        out = run_bare(LOADED_AFTER_RUN, "model", cabello_file, "--state", mixed_state_file)
+        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.probability"])
+
     def test_prob_loads_probability(self, cabello_file, mixed_state_file):
         out = run_bare(LOADED_AFTER_RUN, "prob", cabello_file, "--state", mixed_state_file, "--context", "1")
-        assert out.splitlines()[-1] == "loaded kscheck.probability"
+        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.probability"])
 
     def test_symm_loads_symmetry(self):
         out = run_bare(LOADED_AFTER_RUN, "symm", "--a=1,0", "--b=0,1", "--sign", "-")
-        assert out.splitlines()[-1] == "loaded kscheck.symmetry"
+        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.lattice", "kscheck.symmetry"])
 
     def test_public_names_resolve_on_access(self):
         out = run_bare(
@@ -383,7 +399,9 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out.lower() or True
+        out = capsys.readouterr().out
+        for command in ("check", "color", "parity", "graph", "model", "prob", "symm"):
+            assert re.search(rf"^\s+{command}\s", out, re.MULTILINE), command
 
 
 class TestExitCodeContract:

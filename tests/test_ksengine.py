@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kscheck import cabello18, ksengine
+from kscheck import cabello18, exactlin, ksengine
 from kscheck.ksengine import (
     KSScenario,
     NoncontextualModel,
@@ -26,8 +26,9 @@ from kscheck.ksengine import (
     verify_func,
     without_context,
 )
+from kscheck.lattice import projector_of
 from kscheck.probability import DensityOperator, born
-from kscheck.qlogic import Context, ContextError, Ray, projector_of
+from kscheck.qlogic import Context, ContextError, Ray
 
 from helpers import (
     brute_force_count,
@@ -640,6 +641,10 @@ class TestParityCertificate:
             (({"a": 2.0}, (0,)), "multiplicity of a is 2.0, expected an int"),
             (({"a": Fraction(2)}, (0,)), "multiplicity of a is Fraction(2, 1), expected an int"),
             (({"a": 2}, (0.0,)), "context indices must be ints"),
+            # Types are checked before any comparison with a number, which
+            # would raise an error naming no field.
+            (({"a": "2"}, (0,)), "multiplicity of a is '2', expected an int"),
+            (({"a": 2}, ("0",)), "context indices must be ints"),
         ]
         for (mults, contexts), match in cases:
             with pytest.raises(TypeError) as err:
@@ -886,7 +891,8 @@ class TestNoncontextualModel:
         # With the parity refutation hidden, the search finds no valuation
         # of Cabello's set, and the answer is None before any LP is solved.
         solves = []
-        monkeypatch.setattr(ksengine, "_int_nonneg_solve", lambda *args: solves.append(args))
+        # noncontextual_model imports the solver from exactlin when it runs.
+        monkeypatch.setattr(exactlin, "_int_nonneg_solve", lambda *args: solves.append(args))
         s = cabello18()
         with unittest.mock.patch.object(KSScenario, "_parity_subset", None):
             assert noncontextual_model(s, DensityOperator.maximally_mixed(4)) is None
@@ -896,6 +902,10 @@ class TestNoncontextualModel:
         valuations = {0: Valuation({"a": 1, "b": 0}), 1: Valuation({"a": 0, "b": 1})}
         with pytest.raises(TypeError, match="expected an integer or Fraction, got float"):
             NoncontextualModel({0: 0.5, 1: 0.5}, valuations)
+        # The type is checked before the range, so the error names the weight.
+        with pytest.raises(TypeError) as err:
+            NoncontextualModel({0: "1", 1: 0}, valuations)
+        assert str(err.value) == "weight '1' for valuation 0: expected an integer or Fraction, got str"
         model = NoncontextualModel({0: 1, 1: 0}, valuations)
         assert model.ray_probability("a") == 1
         assert {type(w) for w in model.weights.values()} == {Fraction}
@@ -926,7 +936,7 @@ class TestNoncontextualModel:
 
     def test_model_reproduces_born_probabilities(self):
         from kscheck.probability import born
-        from kscheck.qlogic import projector_of
+        from kscheck.lattice import projector_of
 
         s = two_disjoint_contexts_scenario()
         rho = DensityOperator.mixture(
@@ -975,7 +985,7 @@ class TestNoncontextualModel:
             fed.append(rows)
             return solve(rows, rhs)
 
-        solve = ksengine._int_nonneg_solve
+        solve = exactlin._int_nonneg_solve
         verdicts = Counter()
         rng = random.Random(77)
         deletions = [without_context(cabello, k) for k in range(9)]
@@ -983,7 +993,7 @@ class TestNoncontextualModel:
         assert len(grids) >= 7
         assert reference_peeled_rays([c.ray_ids for c in grids[-1].contexts]) == []
         assert count_valuations(grids[-1]) == 8 and grids[-1]._parity_subset is None
-        monkeypatch.setattr(ksengine, "_int_nonneg_solve", spy)
+        monkeypatch.setattr(exactlin, "_int_nonneg_solve", spy)
         for s in deletions + grids:
             valuations = list(enumerate_valuations(s))
             assert valuations
@@ -1021,11 +1031,11 @@ class TestNoncontextualModel:
             fed.append((rows, rhs, solution))
             return solution
 
-        solve = ksengine._int_nonneg_solve
+        solve = exactlin._int_nonneg_solve
         rng = random.Random(120)
         wide = [s for s in grid_scenarios(4, rng, 40, max_rays=16) if 26 <= count_valuations(s) <= 120]
         assert len(wide) >= 12
-        monkeypatch.setattr(ksengine, "_int_nonneg_solve", spy)
+        monkeypatch.setattr(exactlin, "_int_nonneg_solve", spy)
         for s in [without_context(cabello, k) for k in range(9)] + wide[:12]:
             for _ in range(3):
                 noncontextual_model(s, rand_mixed_state(rng, 4, max_parts=3))

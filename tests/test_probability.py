@@ -19,7 +19,8 @@ from kscheck.probability import (
     ray_probability,
 )
 from kscheck.ksengine import build_scenario, noncontextual_model, without_context
-from kscheck.qlogic import Context, ContextError, Projector, Ray, projector_of, validate_context
+from kscheck.lattice import Projector, projector_of
+from kscheck.qlogic import Context, ContextError, Ray, validate_context
 
 from helpers import gram_schmidt, int_digit_limit, rand_mixed_state
 

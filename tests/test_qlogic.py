@@ -7,11 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kscheck import cabello18
 from kscheck.exactlin import RMatrix, RVector, outer
-from kscheck.qlogic import (
-    Context,
-    ContextError,
+from kscheck.lattice import (
     Projector,
-    Ray,
     Subspace,
     boolean_algebra_of,
     canonical_ray_coords,
@@ -19,8 +16,8 @@ from kscheck.qlogic import (
     meet,
     ortho,
     projector_of,
-    validate_context,
 )
+from kscheck.qlogic import Context, ContextError, Ray, validate_context
 
 from helpers import (
     gram_schmidt,
@@ -234,6 +231,12 @@ class TestSubspaceConstructor:
                 Subspace(dim, (vec(1, 0),))
             with pytest.raises(TypeError, match="ambient dimension must be an int"):
                 Subspace(dim, ())
+
+    def test_type_is_checked_before_the_value(self):
+        # A str is not compared with 1 first, which would name no field.
+        with pytest.raises(TypeError) as err:
+            Subspace("2", [])
+        assert str(err.value) == "ambient dimension must be an int, got str"
 
     @given(st.data())
     @settings(deadline=None)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from kscheck.exactlin import RMatrix, RVector
-from kscheck.qlogic import Ray, projector_of
+from kscheck.lattice import projector_of
+from kscheck.qlogic import Ray
 from kscheck.symmetry import (
     TwoParticleState,
     exchange_parity,

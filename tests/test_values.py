@@ -39,7 +39,7 @@ from kscheck import (
     symmetrize,
     without_context,
 )
-from kscheck.exactlin import _Frozen
+from kscheck.frozen import _Frozen
 from kscheck.probability import ClassicalAxiomReport, PvmReport, StateAxiomReport
 
 
