@@ -16,8 +16,9 @@ The modules split at the ``Fraction`` boundary. Rays and contexts
 work on ints, and with :mod:`kscheck.frozen` and :mod:`kscheck.cli` they
 are all that ``check``, ``color``, ``parity`` and ``graph`` load. The
 ``Fraction`` side, :mod:`kscheck.exactlin` and :mod:`fractions`, loads
-with states (:mod:`kscheck.probability`, for ``model`` and ``prob``), the
-subspace lattice (:mod:`kscheck.lattice`) and two-particle states
+with states (:mod:`kscheck.probability`, for ``prob``), the
+noncontextual model (:mod:`kscheck.model`, for ``model``), the subspace
+lattice (:mod:`kscheck.lattice`) and two-particle states
 (:mod:`kscheck.symmetry`, for ``symm``).
 """
 
@@ -42,8 +43,6 @@ _EXPORTS = {
     "ksengine": (
         "FuncReport",
         "KSScenario",
-        "MODEL_VALUATION_LIMIT",
-        "NoncontextualModel",
         "ParityCertificate",
         "SEARCH_NODE_BUDGET",
         "ScenarioError",
@@ -53,12 +52,12 @@ _EXPORTS = {
         "count_valuations",
         "enumerate_valuations",
         "find_valuation",
-        "noncontextual_model",
         "orthogonality_graph",
         "parity_certificate",
         "verify_func",
         "without_context",
     ),
+    "model": ("MODEL_VALUATION_LIMIT", "NoncontextualModel", "noncontextual_model"),
     "probability": (
         "DensityOperator",
         "FiniteProbabilitySpace",

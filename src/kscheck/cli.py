@@ -21,9 +21,10 @@ written only when it returns. All numbers printed are exact rationals.
 
 Each start loads only what its subcommand runs. ``check``, ``color``,
 ``parity`` and ``graph`` work on ints and load neither
-:mod:`kscheck.exactlin` nor :mod:`fractions`; ``model`` and ``prob`` load
-them with :mod:`kscheck.probability`, and ``symm`` with
-:mod:`kscheck.symmetry`.
+:mod:`kscheck.exactlin` nor :mod:`fractions`; ``prob`` loads them with
+:mod:`kscheck.probability`, ``model`` with :mod:`kscheck.model` and
+``probability``, and ``symm`` with :mod:`kscheck.symmetry`, which
+loads no lattice.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .ksengine import (
     KSScenario,
     count_valuations,
     find_valuation,
-    noncontextual_model,
     orthogonality_graph,
     parity_certificate,
 )
@@ -49,8 +49,8 @@ from .ksengine import (
 if TYPE_CHECKING:
     from .exactlin import RVector
 
-# probability, symmetry and exactlin are imported by the subcommands that
-# use them, so that every other start skips loading them.
+# model, probability, symmetry and exactlin are imported by the subcommands
+# that use them, so that every other start skips loading them.
 
 
 def _load_scenario(path: str, *, merge: bool = True) -> KSScenario:
@@ -114,6 +114,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
+    from .model import noncontextual_model
+
     s = _load_scenario(args.file)
     rho = _load_state(args.state, s.dim)
     model = noncontextual_model(s, rho)

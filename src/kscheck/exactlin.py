@@ -99,6 +99,10 @@ class RVector(_Frozen):
         return "(" + ", ".join(str(x) for x in self.entries) + ")"
 
 
+def _as_vector(coords: Union[RVector, Iterable[Scalar]]) -> RVector:
+    return coords if isinstance(coords, RVector) else RVector(tuple(coords))
+
+
 class RMatrix(_Frozen):
     """Immutable rectangular matrix with exact rational entries."""
 

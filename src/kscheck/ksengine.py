@@ -8,9 +8,9 @@ that reference them. On top of it this module provides:
 * parity certificates of non-colorability (an odd set of contexts in
   which every ray occurs an even number of times),
 * the functional-composition checks a valuation must satisfy,
-* exact feasibility of a noncontextual model: nonnegative rational
-  weights over all valuations reproducing every ray's Born probability,
-* the orthogonality graph of the ray family.
+* the orthogonality graph of the ray family,
+* what the noncontextual model of :mod:`kscheck.model` asks of a
+  scenario: its components, its search, and the rows its LP keeps.
 
 Finding, enumerating, counting and the model first look for an odd set
 of contexts covering every ray an even number of times, found once per
@@ -22,23 +22,21 @@ Counting shows no order, so it branches on the context with the fewest
 open rays and caches the count of each residual scenario. Both keep a
 state as the mask of the rays still open and expand it by one step that
 checks only the contexts of the rays it closes, so the tables they share
-are linear in the input. Counting and the model's enumeration give up
+are linear in the input. Counting and the model's searches give up
 after SEARCH_NODE_BUDGET search nodes; finding and enumerating
 valuations have no budget.
 
 Contexts that share no ray, directly or through other contexts, pose
-independent problems. Finding and counting therefore work one
-component at a time, over the components cached once per scenario. A
-component of one context needs no search, and no search tables: its
+independent problems. Finding, counting and the model therefore work
+one component at a time, over the components cached once per scenario.
+A component of one context needs no search, and no search tables: its
 first ray is its first valuation and its ``dim`` rays its count. The
 valuation found is still the first of the whole search, as
-:func:`find_valuation` proves. Enumerating and the model keep the whole
-search, as their order interleaves the components.
+:func:`find_valuation` proves. Only enumerating keeps the whole search,
+as its order interleaves the components.
 
-Everything here but the model works on ints. The model's LP, its
-``NoncontextualModel`` and its weights import :mod:`kscheck.exactlin`,
-:mod:`fractions` and :mod:`kscheck.probability` when they run, so loading
-this module loads none of them.
+Everything here works on ints, so loading this module loads neither
+:mod:`kscheck.exactlin` nor :mod:`fractions`.
 """
 
 from __future__ import annotations
@@ -53,11 +51,9 @@ from .frozen import _Frozen
 from .qlogic import Context, Ray, validate_context
 
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Union
 
     from .exactlin import RVector, Scalar
-    from .probability import DensityOperator
 
     RaySpec = tuple[str, Union[RVector, Iterable[Scalar]]]
 
@@ -65,10 +61,6 @@ if TYPE_CHECKING:
 # nodes, a node being one ray set to 1. The refusal is then about the work
 # done, not about the size of the input.
 SEARCH_NODE_BUDGET = 1_000_000
-
-# noncontextual_model materializes one LP column per valuation; beyond
-# this the exact simplex stops being a desk-scale computation.
-MODEL_VALUATION_LIMIT = 20000
 
 
 class ScenarioError(ValueError):
@@ -139,47 +131,6 @@ class ParityCertificate(_Frozen):
     @property
     def context_count(self) -> int:
         return len(self.contexts)
-
-
-class NoncontextualModel(_Frozen):
-    """Probability weights over valuations reproducing Born statistics.
-
-    ``weights`` maps valuation enumeration indices to nonzero rational
-    weights; ``valuations`` holds the corresponding valuations.
-    """
-
-    weights: Mapping[int, Fraction]
-    valuations: Mapping[int, Valuation]
-
-    def __init__(self, weights: Mapping[int, Fraction], valuations: Mapping[int, Valuation]) -> None:
-        import fractions
-
-        import kscheck.exactlin as exactlin
-
-        weights = dict(weights)
-        valuations = dict(valuations)
-        if set(weights) != set(valuations):
-            raise ValueError("weights and valuations must share the same keys")
-        for k, w in weights.items():
-            if not isinstance(w, (int, fractions.Fraction)):
-                raise TypeError(
-                    f"weight {w!r} for valuation {k}: expected an integer or Fraction, got {type(w).__name__}"
-                )
-            if not 0 <= w <= 1:
-                raise ValueError(f"weight {w} for valuation {k} is outside [0, 1]")
-        if sum(weights.values()) != 1:
-            raise ValueError("weights must sum to exactly 1")
-        weights = {k: exactlin._frac(w) for k, w in weights.items()}
-        self.__dict__.update(weights=weights, valuations=valuations)
-
-    def ray_probability(self, ray_id: str) -> Fraction:
-        """Probability the model assigns to a ray: sum of w(v) over v(ray)=1."""
-        import fractions
-
-        return sum(
-            (w for k, w in self.weights.items() if self.valuations[k][ray_id] == 1),
-            fractions.Fraction(0),
-        )
 
 
 class _SearchTables(NamedTuple):
@@ -378,7 +329,9 @@ class KSScenario(_Frozen):
         row and rows already rebuilt or kept. The kept rows and the ones
         row therefore have the full system's feasible set, so the same
         verdict and the same vertices. A dual vector of the kept system,
-        padded with zeros, is one of the full system.
+        padded with zeros, is one of the full system. Each dropped row is
+        rebuilt inside its own context, so a component's kept rays are all
+        that its own LP needs.
         """
         # Imported here: only the model needs it, and every CLI start
         # would pay for the import.
@@ -838,64 +791,6 @@ def verify_func(valuation: Valuation | Mapping[str, int], s: KSScenario) -> Func
         if total != 1:
             additivity.append((k, total))
     return FuncReport(idem, tuple(products), tuple(additivity))
-
-
-def noncontextual_model(s: KSScenario, rho: "DensityOperator") -> NoncontextualModel | None:
-    """Exact feasibility of a hidden-weights model for the given state.
-
-    Enumerates every valuation and solves, over exact rationals, for
-    nonnegative weights summing to 1 such that for every ray the weighted
-    fraction of valuations assigning it 1 equals its Born probability.
-    Returns the model or None when the system is infeasible. INFEASIBLE
-    here is a theorem: no tolerance is involved anywhere.
-
-    A scenario with an odd set of contexts covering every ray an even
-    number of times has no valuation, so its answer is None with no
-    search. Otherwise the valuations are enumerated once, under
-    SEARCH_NODE_BUDGET, and more than MODEL_VALUATION_LIMIT of them raise
-    ScenarioTooLargeError.
-    The LP has a row for each ray its contexts do not imply (see
-    ``KSScenario._model_rays``, which proves the dropped rows redundant),
-    in ray order, and the all-ones row last. It has the full system's
-    feasible set, so the verdict is the full system's and the weights are
-    one of its vertices. The 0/1 valuation columns are built from the
-    search's ray masks and, with the Born probabilities and the ones
-    row's 1 as the right-hand side, handed to the integer simplex behind
-    :func:`kscheck.exactlin.nonneg_solve`, so the weights are the vertex
-    it returns on the kept rows. Valuation objects are built for the
-    support only.
-    """
-    # Imported here, so that no other command loads them. Of the import
-    # forms, these absolute ones cost least per call.
-    import fractions
-
-    import kscheck.exactlin as exactlin
-    import kscheck.probability as probability
-
-    if rho.dim != s.dim:
-        raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
-    if s._parity_subset is not None:
-        return None
-    limit = MODEL_VALUATION_LIMIT
-    everything = range(len(s.contexts))
-    hits = list(itertools.islice(_search(s._tables, everything, SEARCH_NODE_BUDGET), limit + 1))
-    if not hits:
-        return None
-    if len(hits) > limit:
-        raise ScenarioTooLargeError(
-            f"more than {limit} valuations exceed the model feasibility limit"
-        )
-    kept = s._model_rays
-    targets = [probability.ray_probability(rho, s.rays[k]) for k in kept]
-    rows = [[ones >> k & 1 for ones in hits] for k in kept]
-    rows.append([1] * len(hits))
-    weights = exactlin._int_nonneg_solve(rows, targets + [fractions.Fraction(1)])
-    if weights is None:
-        return None
-    support = {i: _valuation(s, hits[i]) for i in weights}
-    # No check can fail: the vertex meets the ones row exactly, so its nonzero
-    # weights are positive Fractions summing to 1, keyed like the support.
-    return NoncontextualModel._trusted(weights=weights, valuations=support)
 
 
 def orthogonality_graph(s: KSScenario) -> tuple[tuple[str, str], ...]:

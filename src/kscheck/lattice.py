@@ -17,16 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .exactlin import RMatrix, RVector, kernel_basis, row_reduce
+from .exactlin import RMatrix, RVector, _as_vector, kernel_basis, row_reduce
 from .frozen import _Frozen
 from .qlogic import _canonical_ints, _dot
 
 if TYPE_CHECKING:
     from .qlogic import Context, Coords, Ray
-
-
-def _as_vector(coords: Coords) -> RVector:
-    return coords if isinstance(coords, RVector) else RVector(tuple(coords))
 
 
 def canonical_ray_coords(coords: Coords) -> RVector:

@@ -1,0 +1,241 @@
+"""Noncontextual models: nonnegative rational weights over valuations
+that reproduce every ray's Born probability under a state.
+
+A state has such a model exactly when each component of its scenario
+has one (see :func:`noncontextual_model`), so the model is solved one
+component at a time: a component of one context takes its Born
+probabilities as its weights, any other solves an exact LP over its own
+valuations, and the components' models are joined by the north-west
+corner coupling. Only ``kscheck model`` and the library load this module,
+and with it :mod:`kscheck.exactlin`, :mod:`fractions` and
+:mod:`kscheck.probability`.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+from . import exactlin, ksengine, probability
+from .frozen import _Frozen
+from .ksengine import ScenarioTooLargeError, _gave_up, _valuation
+
+if TYPE_CHECKING:
+    from .ksengine import KSScenario, Valuation
+    from .probability import DensityOperator
+
+# noncontextual_model materializes one LP column per valuation of a
+# component; beyond this the exact simplex stops being a desk-scale
+# computation.
+MODEL_VALUATION_LIMIT = 20000
+
+
+class NoncontextualModel(_Frozen):
+    """Probability weights over valuations reproducing Born statistics.
+
+    ``weights`` maps keys to nonzero rational weights; ``valuations`` holds
+    the valuation of each key. The keys follow the enumeration order of
+    :func:`kscheck.ksengine.enumerate_valuations`. On a scenario of one
+    component they are the valuations' enumeration indices. On several
+    they number the joined support 0, 1, 2, ... in enumeration order.
+    """
+
+    weights: Mapping[int, Fraction]
+    valuations: Mapping[int, Valuation]
+
+    def __init__(self, weights: Mapping[int, Fraction], valuations: Mapping[int, Valuation]) -> None:
+        weights = dict(weights)
+        valuations = dict(valuations)
+        if set(weights) != set(valuations):
+            raise ValueError("weights and valuations must share the same keys")
+        for k, w in weights.items():
+            if not isinstance(w, (int, Fraction)):
+                raise TypeError(
+                    f"weight {w!r} for valuation {k}: expected an integer or Fraction, got {type(w).__name__}"
+                )
+            if not 0 <= w <= 1:
+                raise ValueError(f"weight {w} for valuation {k} is outside [0, 1]")
+        if sum(weights.values()) != 1:
+            raise ValueError("weights must sum to exactly 1")
+        weights = {k: exactlin._frac(w) for k, w in weights.items()}
+        self.__dict__.update(weights=weights, valuations=valuations)
+
+    def ray_probability(self, ray_id: str) -> Fraction:
+        """Probability the model assigns to a ray: sum of w(v) over v(ray)=1."""
+        return sum(
+            (w for k, w in self.weights.items() if self.valuations[k][ray_id] == 1),
+            Fraction(0),
+        )
+
+
+def _component_model(
+    s: KSScenario, rho: DensityOperator, component: Sequence[int], kept: Sequence[int]
+) -> tuple[list[int], dict[int, Fraction]] | None:
+    """The columns of one component, as ray masks in enumeration order,
+    and the nonzero weights of its model keyed by column, or None when it
+    has no model.
+
+    A component of one context has its ``dim`` unit choices as columns.
+    Their weights are forced by the marginals, and they are its rays' Born
+    probabilities, which sum to 1 as every context is an orthogonal basis.
+    Any other component is searched under the node budget, and its LP has
+    the rows of the rays ``kept``, the kept rays of the component, and the
+    ones row.
+    """
+    if len(component) == 1:
+        if s.dim > ksengine.SEARCH_NODE_BUDGET:
+            raise _gave_up(ksengine.SEARCH_NODE_BUDGET)
+        _too_many(s.dim)
+        rays = s._context_rays[component[0]]
+        weights = {}
+        for j, i in enumerate(rays):
+            p = probability.ray_probability(rho, s.rays[i])
+            if p:
+                weights[j] = p
+        return [1 << i for i in rays], weights
+    search = ksengine._search(s._tables, component, ksengine.SEARCH_NODE_BUDGET)
+    hits = list(itertools.islice(search, MODEL_VALUATION_LIMIT + 1))
+    if not hits:
+        return None
+    _too_many(len(hits))
+    targets = [probability.ray_probability(rho, s.rays[k]) for k in kept]
+    rows = [[ones >> k & 1 for ones in hits] for k in kept]
+    rows.append([1] * len(hits))
+    weights = exactlin._int_nonneg_solve(rows, targets + [Fraction(1)])
+    return None if weights is None else (hits, weights)
+
+
+def _too_many(columns: int) -> None:
+    limit = MODEL_VALUATION_LIMIT
+    if columns > limit:
+        raise ScenarioTooLargeError(f"more than {limit} valuations exceed the model feasibility limit")
+
+
+def _coupling(parts: Sequence[Sequence[tuple[int, Fraction]]]) -> list[tuple[int, Fraction]]:
+    """The north-west corner coupling of the components' models, as
+    (ray mask, weight) pairs.
+
+    Each part is one component's support as (ray mask, weight) pairs in
+    the component's enumeration order, its weights positive and summing
+    to 1. Lay each part's weights end to end on [0, 1], in that order, and
+    cut [0, 1] wherever some part passes from one valuation to the next.
+    Each piece joins the valuations that cover it, one per part, and
+    weighs its length. The cuts are merged in increasing order, and ``ones``
+    swaps a part's mask for its next one at each of its cuts; the parts'
+    rays are disjoint, so XOR does the swap.
+
+    Each valuation of a part is covered by pieces of total length its
+    weight, so the joined model keeps every part's model as its marginal.
+    A part of sᵢ valuations has sᵢ − 1 cuts, so there are at most
+    Σsᵢ − (k − 1) pieces for k parts. Along [0, 1] every part's valuation
+    only moves forward, and at each cut one moves. So of two joined
+    valuations the earlier is, on every component, at or before the
+    later, and strictly before on some. At the first context where they
+    differ, in some component, they agree on that component's earlier
+    contexts, so there the earlier one chooses an earlier ray: the joined
+    support comes out in enumeration order.
+    """
+    ones = 0
+    cuts = []
+    for part in parts:
+        ones |= part[0][0]
+        passed = 0
+        for (mask, w), (after, _) in zip(part, part[1:]):
+            passed += w
+            cuts.append((passed, mask ^ after))
+    cuts.sort()
+    joined = []
+    done = Fraction(0)
+    for at, swap in cuts:
+        if at != done:
+            joined.append((ones, at - done))
+            done = at
+        ones ^= swap
+    joined.append((ones, 1 - done))
+    return joined
+
+
+def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualModel | None:
+    """Exact feasibility of a hidden-weights model for the given state.
+
+    Solves, over exact rationals, for nonnegative weights on the
+    valuations, summing to 1, such that for every ray the weighted fraction
+    of valuations assigning it 1 equals its Born probability. Returns the
+    model or None when there is none. INFEASIBLE here is a theorem: no
+    tolerance is involved anywhere.
+
+    A scenario with an odd set of contexts covering every ray an even
+    number of times has no valuation, so its answer is None with no
+    search.
+
+    The state has a model exactly when every component of the scenario
+    (see ``KSScenario._components``) has one. The system's only
+    constraints are each ray's marginal and the ones row, and each ray
+    lies in exactly one component. A model of the whole, marginalised onto
+    one component, therefore meets that component's constraints. Every
+    coupling of the components' models keeps each component's marginal, so
+    it meets every constraint of the whole. So each component is solved on
+    its own, and the first that has no valuation or no model gives None.
+
+    A component of one context needs no LP: its ``dim`` valuations each
+    choose one ray, so the marginals force each one's weight to that ray's
+    Born probability, and these sum to 1. Any other component's valuations
+    are enumerated once, under SEARCH_NODE_BUDGET, and more than
+    MODEL_VALUATION_LIMIT of them raise ScenarioTooLargeError; a component
+    of one context is held to both too, at ``dim`` nodes and valuations.
+    Its LP has a row for each of its rays that the contexts do not imply,
+    in ray order, and the all-ones row last. The kept rays are those of
+    ``KSScenario._model_rays``, which proves the dropped rows redundant.
+    Every row it drops is implied inside the dropped ray's own context,
+    which lies in the component, so the component's kept rows have its
+    full system's feasible set. The 0/1 valuation columns are built from
+    the search's ray masks and, with the Born probabilities and the ones
+    row's 1 as the right-hand side, handed to the integer simplex behind
+    :func:`kscheck.exactlin.nonneg_solve`, whose vertex gives the weights.
+
+    On a scenario of one component, the model's keys are the enumeration
+    indices of the support. On several, the components' supports are
+    joined by the north-west corner coupling (see :func:`_coupling`), in
+    exact rationals, into at most Σsᵢ − (k − 1) valuations for k
+    components of sᵢ valuations each, keyed 0, 1, 2, ... in enumeration
+    order. Valuation objects are built for the support only.
+    """
+    if rho.dim != s.dim:
+        raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
+    if s._parity_subset is not None:
+        return None
+    components = s._components
+    if len(components) == 1:
+        solved = _component_model(s, rho, components[0], s._model_rays)
+        if solved is None:
+            return None
+        hits, weights = solved
+        support = {i: _valuation(s, hits[i]) for i in weights}
+        # No check can fail: the weights meet the ones row exactly, or are a
+        # basis's Born probabilities, so they are positive Fractions summing
+        # to 1, keyed like the support.
+        return NoncontextualModel._trusted(weights=weights, valuations=support)
+    owner = [0] * len(s.rays)
+    context_rays = s._context_rays
+    for c, component in enumerate(components):
+        for k in component:
+            for i in context_rays[k]:
+                owner[i] = c
+    kept: list[list[int]] = [[] for _ in components]
+    for i in s._model_rays:
+        kept[owner[i]].append(i)
+    parts = []
+    for component, rows in zip(components, kept):
+        solved = _component_model(s, rho, component, rows)
+        if solved is None:
+            return None
+        hits, weights = solved
+        parts.append([(hits[j], weights[j]) for j in sorted(weights)])
+    joined = _coupling(parts)
+    # No check can fail: each part's weights are positive and sum to 1, so
+    # the coupling's are positive and sum to 1; the keys are shared.
+    return NoncontextualModel._trusted(
+        weights={n: w for n, (_, w) in enumerate(joined)},
+        valuations={n: _valuation(s, ones) for n, (ones, _) in enumerate(joined)},
+    )

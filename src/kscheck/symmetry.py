@@ -9,7 +9,8 @@ States are kept unnormalized with an exact cached squared norm, because
 the usual 1/sqrt(2) factor is irrational while every physically meaningful
 quantity here (exchange parity, joint probabilities) only ever divides by
 the squared norm. Single-particle vectors are read by
-:func:`kscheck.lattice._as_vector`, so ``symm`` loads the lattice too.
+:func:`kscheck.exactlin._as_vector`, so ``symm`` loads the Fraction code
+but not the lattice.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Union
 
-from .exactlin import RMatrix, RVector, Scalar, outer, trace_product
+from .exactlin import RMatrix, RVector, Scalar, _as_vector, outer, trace_product
 from .frozen import _Frozen
-from .lattice import _as_vector
 
 if TYPE_CHECKING:
     from .lattice import Projector

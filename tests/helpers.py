@@ -292,6 +292,19 @@ def reference_peeled_rays(contexts):
             return dropped
 
 
+def reference_components(contexts):
+    """Connected components of contexts given as id lists, two contexts
+    being connected when they share a ray: per component its context
+    indices in increasing order, the components ordered by their first
+    context."""
+    components = []
+    for k, c in enumerate(contexts):
+        joined = [comp for comp in components if any(set(c) & set(contexts[j]) for j in comp)]
+        merged = sorted([k] + [j for comp in joined for j in comp])
+        components = [comp for comp in components if comp not in joined] + [merged]
+    return sorted(components)
+
+
 def reference_rank(rows):
     """Rank of a matrix given as rows, by plain Fraction elimination."""
     rows = [[Fraction(x) for x in r] for r in rows]

@@ -314,7 +314,7 @@ import kscheck.cli
 kscheck.cli.run(sys.argv[1:])
 watched = (
     "dataclasses", "decimal", "fractions", "kscheck.data", "kscheck.exactlin",
-    "kscheck.lattice", "kscheck.probability", "kscheck.symmetry",
+    "kscheck.lattice", "kscheck.model", "kscheck.probability", "kscheck.symmetry",
 )
 print("loaded", *[m for m in watched if m in sys.modules])
 """
@@ -349,7 +349,7 @@ class TestColdStart:
 
     def test_model_loads_probability_and_the_fraction_code(self, cabello_file, mixed_state_file):
         out = run_bare(LOADED_AFTER_RUN, "model", cabello_file, "--state", mixed_state_file)
-        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.probability"])
+        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.model", "kscheck.probability"])
 
     def test_prob_loads_probability(self, cabello_file, mixed_state_file):
         out = run_bare(LOADED_AFTER_RUN, "prob", cabello_file, "--state", mixed_state_file, "--context", "1")
@@ -357,7 +357,7 @@ class TestColdStart:
 
     def test_symm_loads_symmetry(self):
         out = run_bare(LOADED_AFTER_RUN, "symm", "--a=1,0", "--b=0,1", "--sign", "-")
-        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.lattice", "kscheck.symmetry"])
+        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.symmetry"])
 
     def test_public_names_resolve_on_access(self):
         out = run_bare(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import unittest.mock
 from collections import Counter
 from fractions import Fraction
@@ -8,10 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import kscheck.model
 from kscheck import cabello18, exactlin, ksengine
 from kscheck.ksengine import (
     KSScenario,
-    NoncontextualModel,
     ParityCertificate,
     ScenarioError,
     ScenarioTooLargeError,
@@ -20,13 +21,13 @@ from kscheck.ksengine import (
     count_valuations,
     enumerate_valuations,
     find_valuation,
-    noncontextual_model,
     orthogonality_graph,
     parity_certificate,
     verify_func,
     without_context,
 )
 from kscheck.lattice import projector_of
+from kscheck.model import NoncontextualModel, noncontextual_model
 from kscheck.probability import DensityOperator, born
 from kscheck.qlogic import Context, ContextError, Ray
 
@@ -36,6 +37,7 @@ from helpers import (
     has_parity_subset,
     rand_mixed_state,
     reference_nonneg_solve,
+    reference_components,
     reference_peeled_rays,
     reference_rank,
     reference_valuations,
@@ -583,6 +585,106 @@ class TestFindByComponent:
         assert built == [s]
 
 
+def turned_copies(scenario, k):
+    """``k`` copies of ``scenario``, copy ``c`` turned by the Cayley matrix
+    of the skew-symmetric matrix with ``c + 1`` above its diagonal."""
+    rays, contexts = [], []
+    for copy in range(k):
+        skew = [[0] * 4 for _ in range(4)]
+        for i, j in itertools.combinations(range(4), 2):
+            skew[i][j], skew[j][i] = copy + 1, -(copy + 1)
+        q = cayley(skew)
+        rays += [(f"k{copy}{r.id}", tuple(sum(a * x for a, x in zip(row, r.ints)) for row in q)) for r in scenario.rays]
+        contexts += [[f"k{copy}{rid}" for rid in c.ray_ids] for c in scenario.contexts]
+    return build_scenario(rays, contexts)
+
+
+class TestModelByComponent:
+    """The model solves one component at a time and joins the parts; each
+    verdict must be the whole LP's, and each model a model of the whole."""
+
+    @given(rotated_copies(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_copies_against_the_whole_lp(self, drawn, seed):
+        """A FEASIBLE model is a solution of the whole LP, over every
+        valuation and every ray, so the Fraction simplex has one too; on
+        INFEASIBLE it must find none."""
+        rays, contexts, owner, sizes, dead = drawn
+        s = build_scenario(rays, contexts)
+        assume(len(s.rays) == sum(sizes) and count_valuations(s) <= 2000)
+        valuations = list(enumerate_valuations(s))
+        rho = rand_mixed_state(random.Random(seed), 4, max_parts=3)
+        probs = [born(rho, projector_of(r)) for r in s.rays]
+        model = noncontextual_model(s, rho)
+        if model is None:
+            if valuations:
+                rows = [[v[r.id] for v in valuations] for r in s.rays] + [[1] * len(valuations)]
+                assert reference_nonneg_solve(rows, probs + [Fraction(1)]) is None
+            return
+        assert all(w > 0 for w in model.weights.values()) and sum(model.weights.values()) == 1
+        for r, p in zip(s.rays, probs):
+            assert model.ray_probability(r.id) == p
+        components = reference_components([c.ray_ids for c in s.contexts])
+        parts = [len(noncontextual_model(subscenario(s, comp), rho).weights) for comp in components]
+        assert len(model.weights) <= sum(parts) - (len(parts) - 1)
+        index = {v.ones(): i for i, v in enumerate(valuations)}
+        keys = sorted(model.weights)
+        positions = [index[model.valuations[key].ones()] for key in keys]
+        assert positions == sorted(set(positions))
+        if len(components) == 1:
+            assert keys == positions
+        else:
+            assert keys == list(range(len(keys)))
+
+    def test_one_part_without_a_model(self, cabello):
+        """Five Cabello contexts, which have no model for this pure state,
+        and a basis sharing no ray with them: INFEASIBLE, as the whole LP
+        of 44 * 4 columns says. The maximally mixed state has a model."""
+        part = subscenario(cabello, [0, 1, 3, 4, 5])
+        rays = [(r.id, r.ints) for r in part.rays] + [(f"x{i}", v) for i, v in enumerate(DISJOINT_BASES[0])]
+        s = build_scenario(rays, [["x0", "x1", "x2", "x3"]] + [list(c.ray_ids) for c in part.contexts])
+        assert len(s._components) == 2
+        valuations = list(enumerate_valuations(s))
+        assert len(valuations) == 44 * 4
+        rows = [[v[r.id] for v in valuations] for r in s.rays] + [[1] * len(valuations)]
+        for rho, feasible in ((DensityOperator.pure((1, 2, 3, 4)), False), (DensityOperator.maximally_mixed(4), True)):
+            b = [born(rho, projector_of(r)) for r in s.rays] + [Fraction(1)]
+            assert (reference_nonneg_solve(rows, b) is not None) == feasible
+            assert (noncontextual_model(s, rho) is not None) == feasible
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_turned_copies_of_a_deletion(self, cabello, k):
+        """At the parent of the split, 3 copies took 748 s and 4 were
+        refused as over MODEL_VALUATION_LIMIT."""
+        s = turned_copies(without_context(cabello, 0), k)
+        assert len(s.rays) == 18 * k and len(s._components) == k
+        rho = DensityOperator.maximally_mixed(4)
+        start = time.perf_counter()
+        model = noncontextual_model(s, rho)
+        assert time.perf_counter() - start < 1
+        assert model is not None
+        assert all(model.ray_probability(r.id) == Fraction(1, 4) for r in s.rays)
+        assert all(w > 0 for w in model.weights.values())
+        # Every copy has the same LP, so the same weights: the coupling cuts
+        # each at the same points and joins the copies' i-th valuations.
+        part = len(noncontextual_model(without_context(cabello, 0), rho).weights)
+        assert len(model.weights) == part
+        # A pure state that some copies have no model for: INFEASIBLE, and
+        # the Fraction simplex agrees on each copy's own LP.
+        pure = DensityOperator.pure((1, 2, 3, 4))
+        assert noncontextual_model(s, pure) is None
+        verdicts = set()
+        for copy in range(k):
+            own = subscenario(s, range(8 * copy, 8 * copy + 8))
+            valuations = list(enumerate_valuations(own))
+            rows = [[v[r.id] for v in valuations] for r in own.rays] + [[1] * len(valuations)]
+            b = [born(pure, projector_of(r)) for r in own.rays] + [Fraction(1)]
+            feasible = reference_nonneg_solve(rows, b) is not None
+            assert (noncontextual_model(own, pure) is not None) == feasible
+            verdicts.add(feasible)
+        assert verdicts == {True, False}
+
+
 class TestWithoutContext:
     def test_each_deletion_restores_colorability(self, cabello):
         # Pinned by the standalone brute-force oracle: deleting any one of
@@ -699,6 +801,22 @@ def grid_scenarios(dim, rng, tries, max_rays=14):
         vectors = sorted({v for b in bases for v in b})
         if len(vectors) > max_rays:
             continue
+        ids = {v: f"r{i}" for i, v in enumerate(vectors)}
+        out.append(build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in bases]))
+    return out
+
+
+def connected_grid_scenarios(rng, tries):
+    """Scenarios of 3 to 6 orthogonal bases of the {0, +-1}^4 grid, from
+    ``tries`` draws, each basis after the first sharing a ray with one
+    before it, so that each scenario is one component."""
+    out = []
+    for _ in range(tries):
+        bases = [rng.choice(GRID4_BASES)]
+        for _ in range(rng.randint(2, 5)):
+            seen = {v for b in bases for v in b}
+            bases.append(rng.choice([b for b in GRID4_BASES if b not in bases and seen & set(b)]))
+        vectors = sorted({v for b in bases for v in b})
         ids = {v: f"r{i}" for i, v in enumerate(vectors)}
         out.append(build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in bases]))
     return out
@@ -977,8 +1095,10 @@ class TestNoncontextualModel:
         """On Cabello deletions, random {0, +-1}^4 subsets and a ring of
         bases that peels nothing: the verdict is the full LP's, each
         dropped row is the ones row minus the other rows of its context,
-        and the LP gets the reference's kept rows, which on the deletions
-        are as many as the full LP's rank."""
+        and each component of several contexts gets an LP of the
+        reference's kept rows among its own rays, over its own valuations.
+        On the deletions, one component each, those rows are as many as
+        the full LP's rank."""
         fed = []
 
         def spy(rows, rhs):
@@ -993,6 +1113,8 @@ class TestNoncontextualModel:
         assert len(grids) >= 7
         assert reference_peeled_rays([c.ray_ids for c in grids[-1].contexts]) == []
         assert count_valuations(grids[-1]) == 8 and grids[-1]._parity_subset is None
+        split = [s for s in grids if len(reference_components([c.ray_ids for c in s.contexts])) > 1]
+        assert len(split) >= 5
         monkeypatch.setattr(exactlin, "_int_nonneg_solve", spy)
         for s in deletions + grids:
             valuations = list(enumerate_valuations(s))
@@ -1005,25 +1127,34 @@ class TestNoncontextualModel:
                 rest = [column[o] for o in contexts[k] if o != rid]
                 assert column[rid] == [1 - sum(xs) for xs in zip(*rest)]
             dropped = {rid for rid, _ in peeled}
-            kept = [column[r.id] for r in s.rays if r.id not in dropped]
             if s in deletions:
+                kept = [column[r.id] for r in s.rays if r.id not in dropped]
                 assert len(kept) + 1 == reference_rank(full)
+            lps = []
+            for component in reference_components(contexts):
+                if len(component) == 1:
+                    continue
+                own = {rid for k in component for rid in contexts[k]}
+                part = list(enumerate_valuations(subscenario(s, component)))
+                rows = [[v[r.id] for v in part] for r in s.rays if r.id in own and r.id not in dropped]
+                lps.append(rows + [[1] * len(part)])
             for _ in range(1 if s in grids[:-1] else 2):
                 rho = rand_mixed_state(rng, 4, max_parts=3)
                 b = [born(rho, projector_of(r)) for r in s.rays] + [Fraction(1)]
                 del fed[:]
                 model = noncontextual_model(s, rho)
-                assert fed == [kept + [[1] * len(valuations)]]
+                # The first component with no model ends the solving.
+                assert fed == (lps if model is not None else lps[: len(fed)])
                 feasible = reference_nonneg_solve(full, b) is not None
                 assert (model is not None) == feasible
                 verdicts[feasible] += 1
         assert verdicts[True] >= 3 and verdicts[False] >= 3
 
     def test_wide_lps_match_the_fraction_simplex(self, cabello, monkeypatch):
-        """The LP of every Cabello deletion and of {0, +-1}^4 subsets with
-        26 to 120 valuations, each under several states, has the Fraction
-        simplex's vertex or, like it, none. The subsets' LPs are as wide as
-        the benchmark's, and both verdicts occur."""
+        """The LP of every Cabello deletion and of {0, +-1}^4 subsets of one
+        component with 26 to 120 valuations, each under several states, has
+        the Fraction simplex's vertex or, like it, none. The subsets' LPs
+        are as wide as the benchmark's, and both verdicts occur."""
         fed = []
 
         def spy(rows, rhs):
@@ -1032,9 +1163,10 @@ class TestNoncontextualModel:
             return solution
 
         solve = exactlin._int_nonneg_solve
-        rng = random.Random(120)
-        wide = [s for s in grid_scenarios(4, rng, 40, max_rays=16) if 26 <= count_valuations(s) <= 120]
+        rng = random.Random(121)
+        wide = [s for s in connected_grid_scenarios(rng, 40) if 26 <= count_valuations(s) <= 120]
         assert len(wide) >= 12
+        assert all(len(s._components) == 1 for s in wide)
         monkeypatch.setattr(exactlin, "_int_nonneg_solve", spy)
         for s in [without_context(cabello, k) for k in range(9)] + wide[:12]:
             for _ in range(3):
@@ -1067,10 +1199,10 @@ class TestNoncontextualModel:
     def test_valuation_limit(self, monkeypatch):
         s = single_context_scenario()
         rho = DensityOperator.maximally_mixed(4)
-        monkeypatch.setattr(ksengine, "MODEL_VALUATION_LIMIT", 3)
+        monkeypatch.setattr(kscheck.model, "MODEL_VALUATION_LIMIT", 3)
         with pytest.raises(ScenarioTooLargeError, match="more than 3 valuations"):
             noncontextual_model(s, rho)
-        monkeypatch.setattr(ksengine, "MODEL_VALUATION_LIMIT", 4)
+        monkeypatch.setattr(kscheck.model, "MODEL_VALUATION_LIMIT", 4)
         assert noncontextual_model(s, rho) is not None
 
     def test_dimension_mismatch(self, cabello):

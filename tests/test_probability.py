@@ -18,7 +18,8 @@ from kscheck.probability import (
     finite_pvm_check,
     ray_probability,
 )
-from kscheck.ksengine import build_scenario, noncontextual_model, without_context
+from kscheck.ksengine import build_scenario, without_context
+from kscheck.model import noncontextual_model
 from kscheck.lattice import Projector, projector_of
 from kscheck.qlogic import Context, ContextError, Ray, validate_context
 
