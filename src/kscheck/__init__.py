@@ -12,14 +12,15 @@ subcommand uses.
 
 The modules split at the ``Fraction`` boundary. Rays and contexts
 (:mod:`kscheck.qlogic`), the search, parity and the graph
-(:mod:`kscheck.ksengine`) and scenario parsing (:mod:`kscheck.dsl`)
-work on ints, and with :mod:`kscheck.frozen` and :mod:`kscheck.cli` they
-are all that ``check``, ``color``, ``parity`` and ``graph`` load. The
+(:mod:`kscheck.ksengine`), scenario parsing (:mod:`kscheck.dsl`) and
+the rational token grammar (:mod:`kscheck.rational`) work on ints, and
+with :mod:`kscheck.frozen` and :mod:`kscheck.cli` they are all that
+``check``, ``color``, ``parity`` and ``graph`` load. The
 ``Fraction`` side, :mod:`kscheck.exactlin` and :mod:`fractions`, loads
 with states (:mod:`kscheck.probability`, for ``prob``), the
 noncontextual model (:mod:`kscheck.model`, for ``model``), the subspace
 lattice (:mod:`kscheck.lattice`) and two-particle states
-(:mod:`kscheck.symmetry`, for ``symm``).
+(:mod:`kscheck.symmetry`, for ``symm``, which loads no scenario code).
 """
 
 from importlib import import_module
@@ -29,7 +30,7 @@ __version__ = "0.1.0"
 # Each public name, grouped by the submodule that defines it.
 _EXPORTS = {
     "data": ("cabello18", "cabello18_text"),
-    "dsl": ("ParseError", "parse_rational", "parse_scenario", "parse_state", "serialize_scenario"),
+    "dsl": ("ParseError", "parse_scenario", "parse_state", "serialize_scenario"),
     "exactlin": (
         "RMatrix",
         "RVector",
@@ -80,6 +81,7 @@ _EXPORTS = {
         "projector_of",
     ),
     "qlogic": ("Context", "ContextError", "Ray", "validate_context"),
+    "rational": ("parse_rational",),
     "symmetry": (
         "TwoParticleState",
         "exchange_parity",

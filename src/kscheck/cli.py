@@ -24,7 +24,9 @@ Each start loads only what its subcommand runs. ``check``, ``color``,
 :mod:`kscheck.exactlin` nor :mod:`fractions`; ``prob`` loads them with
 :mod:`kscheck.probability`, ``model`` with :mod:`kscheck.model` and
 ``probability``, and ``symm`` with :mod:`kscheck.symmetry`, which
-loads no lattice.
+loads no lattice. Only the commands that read a scenario file load
+:mod:`kscheck.dsl`, :mod:`kscheck.ksengine` and :mod:`kscheck.qlogic`,
+so ``symm`` loads none of them.
 """
 
 from __future__ import annotations
@@ -37,27 +39,27 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .dsl import parse_rational, parse_scenario, parse_state
-from .ksengine import (
-    KSScenario,
-    count_valuations,
-    find_valuation,
-    orthogonality_graph,
-    parity_certificate,
-)
+from .rational import parse_rational
 
 if TYPE_CHECKING:
     from .exactlin import RVector
+    from .ksengine import KSScenario
 
-# model, probability, symmetry and exactlin are imported by the subcommands
-# that use them, so that every other start skips loading them.
+# The scenario code, model, probability, symmetry and exactlin are imported
+# by the subcommands that use them, so that every other start skips loading
+# them. Each import runs when its command does, so it reads the name the
+# module holds then.
 
 
 def _load_scenario(path: str, *, merge: bool = True) -> KSScenario:
+    from .dsl import parse_scenario
+
     return parse_scenario(Path(path).read_text(encoding="utf-8"), merge=merge)
 
 
 def _load_state(path: str, dim: int):
+    from .dsl import parse_state
+
     return parse_state(Path(path).read_text(encoding="utf-8"), dim)
 
 
@@ -68,6 +70,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
+    from .ksengine import count_valuations, find_valuation
+
     s = _load_scenario(args.file, merge=not args.no_merge)
     if args.count:
         n = count_valuations(s)
@@ -83,6 +87,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 
 def _cmd_parity(args: argparse.Namespace) -> int:
+    from .ksengine import parity_certificate
+
     s = _load_scenario(args.file)
     cert = parity_certificate(s)
     if cert is None:
@@ -106,6 +112,8 @@ def _dot_text(s: KSScenario, edges: Sequence[tuple[str, str]]) -> str:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from .ksengine import orthogonality_graph
+
     s = _load_scenario(args.file)
     edges = orthogonality_graph(s)
     Path(args.dot).write_text(_dot_text(s, edges), encoding="utf-8")

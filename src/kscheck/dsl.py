@@ -32,9 +32,11 @@ State files describe a density operator in one of three forms::
     0 0 1/4 0
     0 0 0 1/4
 
-Scenario parsing works on ints alone. Only :func:`parse_rational` and
-:func:`parse_state` import :mod:`fractions`, :mod:`kscheck.exactlin` and
-:mod:`kscheck.probability`, when they run.
+Scenario parsing works on ints alone. Only :func:`parse_state`, with
+the :func:`~kscheck.rational.parse_rational` it calls, imports
+:mod:`fractions`, :mod:`kscheck.exactlin` and :mod:`kscheck.probability`,
+when it runs. The token grammar of a rational is
+:mod:`kscheck.rational`'s.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from typing import TYPE_CHECKING
 
 from .ksengine import KSScenario, _assemble
 from .qlogic import Context, Ray
+from .rational import _rational_parts, parse_rational
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -53,8 +56,7 @@ if TYPE_CHECKING:
     from .probability import DensityOperator
 
 _WORD_RE = re.compile(r"\S+")  # the words of str.split(), which splits on the same whitespace
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
-# Words that _RATIONAL_RE accepts with no "/", joined by single spaces.
+# Words that rational._RATIONAL_RE accepts with no "/", joined by single spaces.
 _INTEGERS_RE = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
 _DIM_RE = re.compile(r"^[0-9]+$")
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_@.\-]*$")
@@ -82,30 +84,6 @@ def _column(raw: str, k: int) -> int:
     return next(islice(_WORD_RE.finditer(raw), k, None)).start() + 1
 
 
-def _rational_parts(token: str) -> tuple[int, int]:
-    """``(numerator, denominator)`` of an integer or ``p/q`` token, as
-    written: not reduced, the denominator positive.
-
-    Raises ``ValueError`` on anything else, on a zero denominator, and,
-    from ``int``, on more digits than the interpreter converts.
-    """
-    if not _RATIONAL_RE.match(token):
-        raise ValueError(f"invalid rational {token!r}")
-    num, _, den = token.partition("/")
-    d = int(den) if den else 1
-    if d == 0:
-        raise ValueError(f"zero denominator in {token!r}")
-    return int(num), d
-
-
-def parse_rational(token: str) -> Fraction:
-    """Parse an integer or ``p/q`` token. Decimal notation is rejected."""
-    # Of the import forms, this one costs least per call.
-    import fractions
-
-    return fractions.Fraction(*_rational_parts(token))
-
-
 def _parts(line: int, raw: str, words: list[str], first: int) -> list[tuple[int, int]]:
     """:func:`_rational_parts` of each of ``words[first:]``, raising a
     ParseError at the first word that is not a rational."""
@@ -124,7 +102,7 @@ def _ints(line: int, raw: str, words: list[str], first: int) -> tuple[int, ...]:
 
     Integers alone, the usual case, are checked by one match over the
     joined words and read by ``int``. The match keeps out what ``int``
-    would accept beyond ``_RATIONAL_RE``: ``1_0``, non-ASCII digits,
+    would accept beyond ``rational._RATIONAL_RE``: ``1_0``, non-ASCII digits,
     surrounding spaces. Every other case, errors included, goes word by
     word through :func:`_parts`.
     """

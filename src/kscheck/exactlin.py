@@ -57,7 +57,7 @@ class RVector(_Frozen):
         ent = tuple([_frac(x) for x in entries])
         if not ent:
             raise ValueError("vector must have at least one entry")
-        self.__dict__["entries"] = ent
+        self._store(ent)
 
     @property
     def dim(self) -> int:
@@ -115,7 +115,7 @@ class RMatrix(_Frozen):
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("matrix rows must all have the same length")
-        self.__dict__["rows"] = rows
+        self._store(rows)
 
     @classmethod
     def identity(cls, n: int) -> "RMatrix":

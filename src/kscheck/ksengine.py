@@ -82,7 +82,7 @@ class Valuation(_Frozen):
         bad = {k: v for k, v in frozen.items() if v not in (0, 1) or not isinstance(v, int)}
         if bad:
             raise ValueError(f"valuation values must be 0 or 1, got {bad}")
-        self.__dict__["assignment"] = frozen
+        self._store(frozen)
 
     def __getitem__(self, ray_id: str) -> int:
         return self.assignment[ray_id]
@@ -126,7 +126,7 @@ class ParityCertificate(_Frozen):
             raise ValueError("context indices must be increasing and nonnegative")
         if len(contexts) % 2 != 1:
             raise ValueError(f"context count {len(contexts)} is not odd")
-        self.__dict__.update(ray_multiplicities=mults, contexts=contexts)
+        self._store(mults, contexts)
 
     @property
     def context_count(self) -> int:
@@ -174,7 +174,7 @@ class KSScenario(_Frozen):
         unused = sorted(set(by_id) - referenced)
         if unused:
             raise ScenarioError(f"rays not used in any context: {', '.join(unused)}")
-        self.__dict__.update(dim=dim, rays=rays, contexts=contexts)
+        self._store(dim, rays, contexts)
 
     @cached_property
     def _context_rays(self) -> tuple[tuple[int, ...], ...]:
@@ -434,22 +434,18 @@ def _assemble(declared: Sequence[Ray], contexts: Sequence[Context], *, merge: bo
             out_contexts = list(contexts)
         else:
             rebuilt = [tuple([keeper[r.ints] for r in c.rays]) for c in contexts]
-            out_contexts = [Context._trusted(rays=rays) for rays in rebuilt]
+            out_contexts = [Context._trusted(rays) for rays in rebuilt]
     else:
         # Minted ids are distinct. k has no "@", so a minted id's last "@c"
         # is the appended one, and the id gives back the declared id and k.
         # A validated context never repeats an id: a repeated ray coincides
         # with itself. A minted ray keeps ints that are already canonical.
         out_contexts = [
-            Context._trusted(
-                rays=tuple([Ray._trusted(id=f"{r.id}@c{k}", ints=r.ints) for r in c.rays])
-            )
+            Context._trusted(tuple([Ray._trusted(f"{r.id}@c{k}", r.ints) for r in c.rays]))
             for k, c in enumerate(contexts, start=1)
         ]
         out_rays = [r for c in out_contexts for r in c.rays]
-    return KSScenario._trusted(
-        dim=declared[0].dim, rays=tuple(out_rays), contexts=tuple(out_contexts)
-    )
+    return KSScenario._trusted(declared[0].dim, tuple(out_rays), tuple(out_contexts))
 
 
 def without_context(s: KSScenario, index: int) -> KSScenario:
@@ -467,7 +463,7 @@ def without_context(s: KSScenario, index: int) -> KSScenario:
     rays = tuple(r for r in s.rays if r.id in referenced)
     # Keeps a nonempty subset of a scenario's contexts and exactly the rays
     # they reference, so every invariant of s still holds.
-    return KSScenario._trusted(dim=s.dim, rays=rays, contexts=contexts)
+    return KSScenario._trusted(s.dim, rays, contexts)
 
 
 def _gave_up(budget: float) -> ScenarioTooLargeError:
@@ -629,7 +625,7 @@ def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> in
 
 def _valuation(s: KSScenario, ones: int) -> Valuation:
     # A fresh dict of the bits 0 and 1, which is what the checks ensure.
-    return Valuation._trusted(assignment={r.id: ones >> i & 1 for i, r in enumerate(s.rays)})
+    return Valuation._trusted({r.id: ones >> i & 1 for i, r in enumerate(s.rays)})
 
 
 def find_valuation(s: KSScenario) -> Valuation | None:
@@ -724,7 +720,7 @@ def parity_certificate(s: KSScenario) -> ParityCertificate | None:
     mults = {r.id: counts[r.id] for r in s.rays if r.id in counts}
     # No check can fail: the subset's masks XOR to 0, so each count is even
     # and positive; range gives increasing indices; its row reduced to 1: odd.
-    return ParityCertificate._trusted(ray_multiplicities=mults, contexts=contexts)
+    return ParityCertificate._trusted(mults, contexts)
 
 
 class FuncReport(_Frozen):
@@ -740,11 +736,7 @@ class FuncReport(_Frozen):
         product_violations: tuple[tuple[int, str, str], ...] = (),
         additivity_violations: tuple[tuple[int, int], ...] = (),
     ) -> None:
-        self.__dict__.update(
-            idempotence_violations=idempotence_violations,
-            product_violations=product_violations,
-            additivity_violations=additivity_violations,
-        )
+        self._store(idempotence_violations, product_violations, additivity_violations)
 
     @property
     def ok(self) -> bool:

@@ -53,15 +53,15 @@ class Projector(_Frozen):
             raise ValueError("projector matrix must be symmetric")
         if matrix @ matrix != matrix:
             raise ValueError("projector matrix must be idempotent")
-        self.__dict__["matrix"] = matrix
+        self._store(matrix)
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":
-        return cls._trusted(matrix=RMatrix.zeros(dim, dim))
+        return cls._trusted(RMatrix.zeros(dim, dim))
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":
-        return cls._trusted(matrix=RMatrix.identity(dim))
+        return cls._trusted(RMatrix.identity(dim))
 
     @property
     def dim(self) -> int:
@@ -76,7 +76,7 @@ class Projector(_Frozen):
 
     def complement(self) -> "Projector":
         # Symmetric, and (I - P)^2 = I - 2P + P^2 = I - P.
-        return Projector._trusted(matrix=RMatrix.identity(self.dim) - self.matrix)
+        return Projector._trusted(RMatrix.identity(self.dim) - self.matrix)
 
     def range(self) -> "Subspace":
         return Subspace.span(self.matrix.row_vectors(), self.dim)
@@ -92,7 +92,7 @@ def projector_of(ray: Ray) -> Projector:
     v = ray.ints
     n = _dot(v, v)
     rows = tuple([tuple([Fraction(a * b, n) for b in v]) for a in v])
-    return Projector._trusted(matrix=RMatrix(rows))
+    return Projector._trusted(RMatrix(rows))
 
 
 class Subspace(_Frozen):
@@ -123,7 +123,7 @@ class Subspace(_Frozen):
         # exactly when row_reduce gives them back unchanged.
         if basis and row_reduce(RMatrix(basis))[0].row_vectors() != basis:
             raise ValueError("subspace basis is not in reduced row echelon form")
-        self.__dict__.update(ambient_dim=ambient_dim, basis=basis)
+        self._store(ambient_dim, basis)
 
     @classmethod
     def span(cls, vectors: Sequence[Coords], ambient_dim: int | None = None) -> "Subspace":
@@ -138,7 +138,7 @@ class Subspace(_Frozen):
         rref, rank = row_reduce(RMatrix(vecs))
         # row_reduce returns the unique RREF, whose first rank rows are
         # the nonzero ones: the constructor's RREF check cannot fail.
-        return cls._trusted(ambient_dim=dim, basis=rref.row_vectors()[:rank])
+        return cls._trusted(dim, rref.row_vectors()[:rank])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -148,7 +148,7 @@ class Subspace(_Frozen):
     def full(cls, ambient_dim: int) -> "Subspace":
         # The identity's rows are already the RREF of the whole space, and
         # RMatrix.identity rejects an ambient dimension below 1.
-        return cls._trusted(ambient_dim=ambient_dim, basis=RMatrix.identity(ambient_dim).row_vectors())
+        return cls._trusted(ambient_dim, RMatrix.identity(ambient_dim).row_vectors())
 
     @property
     def dim(self) -> int:
@@ -207,7 +207,7 @@ def meet(s: Subspace, t: Subspace) -> Subspace:
     rref, rank = row_reduce(RMatrix(rows))
     basis = tuple([RVector(row[n:]) for row in rref.rows[:rank] if not any(row[:n])])
     # Nonzero rows in RREF, as above: the constructor's check cannot fail.
-    return Subspace._trusted(ambient_dim=n, basis=basis)
+    return Subspace._trusted(n, basis)
 
 
 def boolean_algebra_of(context: Context) -> frozenset[Projector]:
@@ -222,4 +222,4 @@ def boolean_algebra_of(context: Context) -> frozenset[Projector]:
     for r in context.rays:
         atom = projector_of(r).matrix
         sums += [total + atom for total in sums]
-    return frozenset([Projector._trusted(matrix=total) for total in sums])
+    return frozenset([Projector._trusted(total) for total in sums])

@@ -59,7 +59,7 @@ class NoncontextualModel(_Frozen):
         if sum(weights.values()) != 1:
             raise ValueError("weights must sum to exactly 1")
         weights = {k: exactlin._frac(w) for k, w in weights.items()}
-        self.__dict__.update(weights=weights, valuations=valuations)
+        self._store(weights, valuations)
 
     def ray_probability(self, ray_id: str) -> Fraction:
         """Probability the model assigns to a ray: sum of w(v) over v(ray)=1."""
@@ -215,7 +215,7 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
         # No check can fail: the weights meet the ones row exactly, or are a
         # basis's Born probabilities, so they are positive Fractions summing
         # to 1, keyed like the support.
-        return NoncontextualModel._trusted(weights=weights, valuations=support)
+        return NoncontextualModel._trusted(weights, support)
     owner = [0] * len(s.rays)
     context_rays = s._context_rays
     for c, component in enumerate(components):
@@ -236,6 +236,6 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
     # No check can fail: each part's weights are positive and sum to 1, so
     # the coupling's are positive and sum to 1; the keys are shared.
     return NoncontextualModel._trusted(
-        weights={n: w for n, (_, w) in enumerate(joined)},
-        valuations={n: _valuation(s, ones) for n, (ones, _) in enumerate(joined)},
+        {n: w for n, (_, w) in enumerate(joined)},
+        {n: _valuation(s, ones) for n, (ones, _) in enumerate(joined)},
     )

@@ -55,7 +55,7 @@ class FiniteProbabilitySpace(_Frozen):
         weights = {k: _frac(v) for k, v in weights.items()}
         if set(weights) != set(outcomes):
             raise ValueError("weights must be given for exactly the declared outcomes")
-        self.__dict__.update(outcomes=outcomes, weights=weights)
+        self._store(outcomes, weights)
 
     @classmethod
     def uniform(cls, outcomes: Iterable[Label]) -> "FiniteProbabilitySpace":
@@ -84,7 +84,7 @@ class _Report(_Frozen):
     violations: tuple[str, ...]
 
     def __init__(self, violations: tuple[str, ...]) -> None:
-        self.__dict__["violations"] = violations
+        self._store(violations)
 
     @property
     def ok(self) -> bool:
@@ -171,7 +171,7 @@ def _mixture(parts: Sequence[tuple[Scalar, RVector | Iterable[Scalar]]]) -> "Den
                     row[j] += sa * b
     g = gcd(common, *itertools.chain.from_iterable(total))
     return DensityOperator._trusted(
-        _scaled=(common // g, tuple([tuple([x // g for x in row]) for row in total]))
+        (common // g, tuple([tuple([x // g for x in row]) for row in total]))
     )
 
 
@@ -202,7 +202,7 @@ class DensityOperator(_Frozen):
         scaled = (common, tuple(map(tuple, rows)))
         if not _is_psd(rows):
             raise ValueError("density operator must be positive semidefinite")
-        self.__dict__["_scaled"] = scaled
+        self._store(scaled)
 
     @cached_property
     def matrix(self) -> RMatrix:
@@ -296,7 +296,7 @@ def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilityS
     and the weights are ``Fraction`` values keyed by exactly those ids.
     """
     weights = {r.id: ray_probability(rho, r) for r in c.rays}
-    return FiniteProbabilitySpace._trusted(outcomes=tuple(weights), weights=weights)
+    return FiniteProbabilitySpace._trusted(tuple(weights), weights)
 
 
 class StateAxiomReport(_Report):

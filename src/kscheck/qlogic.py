@@ -36,11 +36,20 @@ if TYPE_CHECKING:
 
 
 def _canonical_ints(coords: Coords) -> tuple[int, ...]:
-    """Canonical integer coordinates of the ray through ``coords``."""
+    """Canonical integer coordinates of the ray through ``coords``.
+
+    Entries that are all exactly ``int`` are their own integer form. When
+    their gcd is 1, as it is for most rays written by hand, the result is
+    the tuple itself or, when its first nonzero entry is negative, its
+    negation: the same ints the division by the signed gcd, here 1 or -1,
+    would give, without dividing. Bools, other ``int`` subclasses and
+    ``Fraction`` entries go through ``exactlin._frac``, whose denominators
+    are cleared into plain ints; it rejects any other type.
+    """
     entries = tuple(coords)
     if not entries:
         raise ValueError("vector must have at least one entry")
-    if set(map(type, entries)) == {int}:
+    if all([type(x) is int for x in entries]):
         ints = entries
     else:
         # Imported here, so that int coordinates never load it. Of the
@@ -56,9 +65,11 @@ def _canonical_ints(coords: Coords) -> tuple[int, ...]:
     for first in ints:
         if first:
             break
+    if g == 1:
+        return ints if first > 0 else tuple([-x for x in ints])
     if first < 0:
         g = -g
-    return ints if g == 1 else tuple([x // g for x in ints])
+    return tuple([x // g for x in ints])
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -81,7 +92,7 @@ class Ray(_Frozen):
     def __init__(self, id: str, coords: Coords) -> None:
         if type(id) is not str:
             raise TypeError(f"ray id must be a str, got {type(id).__name__}")
-        self.__dict__.update(id=id, ints=_canonical_ints(coords))
+        self._store(id, _canonical_ints(coords))
 
     @property
     def coords(self) -> RVector:
@@ -161,7 +172,7 @@ class Context(_Frozen):
             raise ContextError(violations)
         if len({r.id for r in rays}) != dim:
             raise ContextError(["a context's ray ids must be distinct"])
-        self.__dict__["rays"] = rays
+        self._store(rays)
 
     @property
     def dim(self) -> int:

@@ -38,7 +38,7 @@ class TwoParticleState(_Frozen):
             raise ValueError("amplitude matrix must be square")
         if amplitudes.is_zero():
             raise ValueError("the zero state is not a state")
-        self.__dict__["amplitudes"] = amplitudes
+        self._store(amplitudes)
 
     @property
     def dim_single(self) -> int:

@@ -313,14 +313,23 @@ import sys
 import kscheck.cli
 kscheck.cli.run(sys.argv[1:])
 watched = (
-    "dataclasses", "decimal", "fractions", "kscheck.data", "kscheck.exactlin",
-    "kscheck.lattice", "kscheck.model", "kscheck.probability", "kscheck.symmetry",
+    "dataclasses", "decimal", "fractions", "kscheck.data", "kscheck.dsl", "kscheck.exactlin",
+    "kscheck.ksengine", "kscheck.lattice", "kscheck.model", "kscheck.probability",
+    "kscheck.qlogic", "kscheck.symmetry",
 )
 print("loaded", *[m for m in watched if m in sys.modules])
 """
 
 # The Fraction code: exactlin, and fractions, which imports decimal.
 FRACTION_CODE = ("decimal", "fractions", "kscheck.exactlin")
+# The scenario code, which every command but symm loads.
+SCENARIO_CODE = ("kscheck.dsl", "kscheck.ksengine", "kscheck.qlogic")
+
+
+def loaded_line(*modules):
+    """The last line LOADED_AFTER_RUN prints when ``modules`` are loaded:
+    in ``watched`` order, which is sorted."""
+    return " ".join(["loaded", *sorted(modules)])
 
 
 def run_bare(code, *argv):
@@ -339,25 +348,29 @@ class TestColdStart:
 
     def test_color_loads_neither_probability_nor_symmetry(self, cabello_file):
         out = run_bare(LOADED_AFTER_RUN, "color", cabello_file)
-        assert out.splitlines() == ["NO VALUATION", "loaded"]
+        assert out.splitlines() == ["NO VALUATION", loaded_line(*SCENARIO_CODE)]
 
     @pytest.mark.parametrize("command", ["check", "color", "parity", "graph"])
     def test_integer_commands_load_no_fraction_code(self, command, cabello_file, tmp_path):
         argv = [command, cabello_file] + (["--dot", str(tmp_path / "g.dot")] if command == "graph" else [])
         out = run_bare(LOADED_AFTER_RUN, *argv)
-        assert out.splitlines()[-1] == "loaded"
+        assert out.splitlines()[-1] == loaded_line(*SCENARIO_CODE)
 
     def test_model_loads_probability_and_the_fraction_code(self, cabello_file, mixed_state_file):
         out = run_bare(LOADED_AFTER_RUN, "model", cabello_file, "--state", mixed_state_file)
-        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.model", "kscheck.probability"])
+        assert out.splitlines()[-1] == loaded_line(
+            *FRACTION_CODE, *SCENARIO_CODE, "kscheck.model", "kscheck.probability"
+        )
 
     def test_prob_loads_probability(self, cabello_file, mixed_state_file):
         out = run_bare(LOADED_AFTER_RUN, "prob", cabello_file, "--state", mixed_state_file, "--context", "1")
-        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.probability"])
+        assert out.splitlines()[-1] == loaded_line(*FRACTION_CODE, *SCENARIO_CODE, "kscheck.probability")
 
     def test_symm_loads_symmetry(self):
+        """symm loads symmetry and the Fraction code, and none of the
+        scenario code, which it never runs."""
         out = run_bare(LOADED_AFTER_RUN, "symm", "--a=1,0", "--b=0,1", "--sign", "-")
-        assert out.splitlines()[-1] == " ".join(["loaded", *FRACTION_CODE, "kscheck.symmetry"])
+        assert out.splitlines()[-1] == loaded_line(*FRACTION_CODE, "kscheck.symmetry")
 
     def test_public_names_resolve_on_access(self):
         out = run_bare(
@@ -426,12 +439,13 @@ class TestExitCodeContract:
 
 class TestUnexpectedFailure:
     def test_crash_exits_two_with_one_error_line(self, small_file, monkeypatch, capsys):
-        import kscheck.cli
+        import kscheck.ksengine
 
         def crash(s):
             raise RuntimeError("search blew up\nwith a second line")
 
-        monkeypatch.setattr(kscheck.cli, "find_valuation", crash)
+        # color imports find_valuation from kscheck.ksengine when it runs.
+        monkeypatch.setattr(kscheck.ksengine, "find_valuation", crash)
         assert run(["color", small_file]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -476,28 +476,34 @@ GRID4_BASES = grid4_bases()
 
 
 @st.composite
-def rotated_copies(draw):
+def rotated_copies(draw, core=False):
     """(rays, contexts, copy of each context, copy ray counts, whether the
     first copy is all of Cabello's set): 2 to 6 copies of Cabello or
     {0, +-1}^4 context subsets, each turned by its own Cayley matrix, with
     the contexts of all copies shuffled together, the rays of each context
-    shuffled, and the declarations shuffled."""
+    shuffled, and the declarations shuffled. With ``core``, the first copy
+    is a subset of 5 to 8 of Cabello's contexts, which has valuations yet
+    no model for many states, and one more copy has one context, so the
+    whole LP stays small enough for the Fraction simplex."""
     cab = cabello18()
     cab_rays = {r.id: r.ints for r in cab.rays}
     cab_contexts = [c.ray_ids for c in cab.contexts]
-    dead = draw(st.sampled_from((False, False, True)))
+    dead = not core and draw(st.sampled_from((False, False, True)))
     # A Cayley matrix per copy, from the entries above A's diagonal; equal
     # matrices would turn equal subsets alike.
-    n = draw(st.integers(2, 6))
+    n = 2 if core else draw(st.integers(2, 6))
+    most = 1 if core else 3
     uppers = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 6), min_size=n, max_size=n, unique=True))
     rays, contexts, owner, sizes = {}, [], [], []
     for copy, upper in enumerate(uppers):
         if dead and copy == 0:
             picked = cab_contexts
+        elif core and copy == 0:
+            picked = [cab_contexts[k] for k in sorted(draw(st.sets(st.integers(0, 8), min_size=5, max_size=8)))]
         elif draw(st.booleans()):
-            picked = [cab_contexts[k] for k in draw(st.sets(st.integers(0, 8), min_size=1, max_size=3))]
+            picked = [cab_contexts[k] for k in draw(st.sets(st.integers(0, 8), min_size=1, max_size=most))]
         else:
-            indices = st.lists(st.integers(0, len(GRID4_BASES) - 1), min_size=1, max_size=3, unique=True)
+            indices = st.lists(st.integers(0, len(GRID4_BASES) - 1), min_size=1, max_size=most, unique=True)
             picked = [[f"g{v}" for v in GRID4_BASES[k]] for k in draw(indices)]
         skew = [[0] * 4 for _ in range(4)]
         for (i, j), x in zip(itertools.combinations(range(4), 2), upper):
@@ -603,17 +609,19 @@ class TestModelByComponent:
     """The model solves one component at a time and joins the parts; each
     verdict must be the whole LP's, and each model a model of the whole."""
 
-    @given(rotated_copies(), st.integers(0, 2**32 - 1))
+    @given(st.booleans().flatmap(lambda core: rotated_copies(core=core)), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=50, deadline=None)
-    def test_copies_against_the_whole_lp(self, drawn, seed):
+    def test_copies_against_the_whole_lp(self, drawn, seed, aligned):
         """A FEASIBLE model is a solution of the whole LP, over every
         valuation and every ray, so the Fraction simplex has one too; on
-        INFEASIBLE it must find none."""
+        INFEASIBLE it must find none. The state is mixed, or pure along
+        one of the rays."""
         rays, contexts, owner, sizes, dead = drawn
         s = build_scenario(rays, contexts)
         assume(len(s.rays) == sum(sizes) and count_valuations(s) <= 2000)
         valuations = list(enumerate_valuations(s))
-        rho = rand_mixed_state(random.Random(seed), 4, max_parts=3)
+        rng = random.Random(seed)
+        rho = DensityOperator.pure(rng.choice(s.rays).ints) if aligned else rand_mixed_state(rng, 4, max_parts=3)
         probs = [born(rho, projector_of(r)) for r in s.rays]
         model = noncontextual_model(s, rho)
         if model is None:

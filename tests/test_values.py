@@ -1,8 +1,11 @@
 """Value semantics of the package's immutable classes: equality, hashing,
-repr, immutability, keyword construction and cached attributes."""
+repr, immutability, slotted fields, keyword construction, copies and
+cached attributes."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from functools import cached_property
 
@@ -179,11 +182,40 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
     assert a == make()
 
 
+# The classes with a cached_property, whose values also get an instance
+# __dict__ for the cached results.
+CACHING = {KSScenario, DensityOperator, TwoParticleState}
+
+
+def _assert_holds_exactly_its_fields(value):
+    """Each field is in a set slot, and only a caching class's value has an
+    instance __dict__, which holds cached names only, never a field."""
+    cls = type(value)
+    slots = [name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())]
+    assert [name for name in slots if name != "__dict__"] == list(cls._fields)
+    for name in cls._fields:
+        getattr(value, name)  # AttributeError if the slot is not set
+    cached = {
+        name
+        for klass in cls.__mro__
+        for name, attr in vars(klass).items()
+        if isinstance(attr, cached_property)
+    }
+    assert bool(cached) == (cls in CACHING) == ("__dict__" in slots)
+    if cached:
+        for name in cached:
+            getattr(value, name)
+        assert set(vars(value)) == cached
+    else:
+        assert not hasattr(value, "__dict__")
+
+
 @by_name
 def test_values_hold_exactly_their_fields(cls):
     fields, make = VALUES[cls]
+    assert cls._fields == fields
     for value in (make(), _checked(make())):
-        assert set(vars(value)) == set(fields)
+        _assert_holds_exactly_its_fields(value)
 
 
 @pytest.mark.parametrize("cls", FIELD_PARAMETERS, ids=lambda cls: cls.__name__)
@@ -325,11 +357,28 @@ def test_trusted_values_are_frozen(site):
 @by_site
 def test_trusted_values_hold_exactly_their_fields(site):
     for value in TRUSTED[site]():
-        cls = type(value)
-        cached = {
-            name
-            for klass in cls.__mro__
-            for name, attr in vars(klass).items()
-            if isinstance(attr, cached_property)
-        }
-        assert set(vars(value)) - cached == set(cls._fields)
+        _assert_holds_exactly_its_fields(value)
+
+
+def _copies(value):
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+
+
+def _assert_copies_are_equal(value):
+    for twin in _copies(value):
+        assert type(twin) is type(value) and twin == value
+        _assert_holds_exactly_its_fields(twin)
+
+
+@by_name
+def test_values_copy_and_pickle(cls):
+    _assert_copies_are_equal(VALUES[cls][1]())
+
+
+@by_site
+def test_trusted_values_copy_and_pickle(site):
+    for value in TRUSTED[site]():
+        _assert_copies_are_equal(value)
