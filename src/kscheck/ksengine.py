@@ -10,7 +10,9 @@ that reference them. On top of it this module provides:
 * the functional-composition checks a valuation must satisfy,
 * the orthogonality graph of the ray family,
 * what the noncontextual model of :mod:`kscheck.model` asks of a
-  scenario: its components, its search, and the rows its LP keeps.
+  scenario: its components, its search, the rows its LP keeps, and a
+  store for each component's columns, so a component is searched once
+  per scenario whatever the number of states.
 
 Finding, enumerating, counting and the model first look for an odd set
 of contexts covering every ray an even number of times, found once per
@@ -147,6 +149,12 @@ class KSScenario(_Frozen):
     every context ray a scenario ray, so every context is an orthogonal
     basis of ``dim`` rays (see :class:`Context`), and no unused ray. A
     basis matters to the model: its Born probabilities sum to exactly 1.
+
+    What depends on the scenario alone is computed once and cached on it:
+    each context's ray indices and mask, the search tables, the
+    components, the parity subset, the rays the model's LP keeps, and the
+    model's columns. The columns are stored one component at a time, the
+    first time a state asks about it, and never for a refused search.
     """
 
     dim: int
@@ -355,6 +363,16 @@ class KSScenario(_Frozen):
                 if live[i] == 1:
                     heapq.heappush(heap, next(j for j in ray_contexts[i] if not peeled[j]))
         return tuple([i for i in range(len(self.rays)) if i not in dropped])
+
+    @cached_property
+    def _model_columns(self) -> dict[int, list[int]]:
+        """The model LP's columns by component of more than one context,
+        keyed by the component's first context: the ray masks of its
+        valuations in enumeration order, or an empty list when it has none.
+        Filled by :func:`kscheck.model.noncontextual_model` the first time a
+        state asks about the component; refusals are not stored.
+        """
+        return {}
 
     def multiplicities(self) -> dict[str, int]:
         """How many contexts each ray appears in."""

@@ -6,7 +6,9 @@ has one (see :func:`noncontextual_model`), so the model is solved one
 component at a time: a component of one context takes its Born
 probabilities as its weights, any other solves an exact LP over its own
 valuations, and the components' models are joined by the north-west
-corner coupling. Only ``kscheck model`` and the library load this module,
+corner coupling. A component's valuations depend on the scenario alone,
+so each is searched once per scenario and kept on it for every later
+state. Only ``kscheck model`` and the library load this module,
 and with it :mod:`kscheck.exactlin`, :mod:`fractions` and
 :mod:`kscheck.probability`.
 """
@@ -34,8 +36,10 @@ MODEL_VALUATION_LIMIT = 20000
 class NoncontextualModel(_Frozen):
     """Probability weights over valuations reproducing Born statistics.
 
-    ``weights`` maps keys to nonzero rational weights; ``valuations`` holds
-    the valuation of each key. The keys follow the enumeration order of
+    ``weights`` maps keys to rational weights in [0, 1] summing to 1, and
+    ``valuations`` holds the valuation of each key. The models
+    :func:`noncontextual_model` returns hold positive weights only; a model
+    built by hand may hold zeros. The keys follow the enumeration order of
     :func:`kscheck.ksengine.enumerate_valuations`. On a scenario of one
     component they are the valuations' enumeration indices. On several
     they number the joined support 0, 1, 2, ... in enumeration order.
@@ -79,9 +83,11 @@ def _component_model(
     A component of one context has its ``dim`` unit choices as columns.
     Their weights are forced by the marginals, and they are its rays' Born
     probabilities, which sum to 1 as every context is an orthogonal basis.
-    Any other component is searched under the node budget, and its LP has
-    the rows of the rays ``kept``, the kept rays of the component, and the
-    ones row.
+    Any other component's columns are searched under the node budget the
+    first time a state asks about it, and stored in
+    ``KSScenario._model_columns`` when the search finishes within
+    MODEL_VALUATION_LIMIT. Its LP has the rows of the rays ``kept``, the
+    kept rays of the component, and the ones row.
     """
     if len(component) == 1:
         if s.dim > ksengine.SEARCH_NODE_BUDGET:
@@ -94,8 +100,13 @@ def _component_model(
             if p:
                 weights[j] = p
         return [1 << i for i in rays], weights
-    search = ksengine._search(s._tables, component, ksengine.SEARCH_NODE_BUDGET)
-    hits = list(itertools.islice(search, MODEL_VALUATION_LIMIT + 1))
+    stored = s._model_columns
+    hits = stored.get(component[0])
+    if hits is None:
+        search = ksengine._search(s._tables, component, ksengine.SEARCH_NODE_BUDGET)
+        hits = list(itertools.islice(search, MODEL_VALUATION_LIMIT + 1))
+        if len(hits) <= MODEL_VALUATION_LIMIT:
+            stored[component[0]] = hits
     if not hits:
         return None
     _too_many(len(hits))
@@ -181,7 +192,8 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
     A component of one context needs no LP: its ``dim`` valuations each
     choose one ray, so the marginals force each one's weight to that ray's
     Born probability, and these sum to 1. Any other component's valuations
-    are enumerated once, under SEARCH_NODE_BUDGET, and more than
+    are enumerated once per scenario, under SEARCH_NODE_BUDGET, the first
+    time a state asks about the component, and more than
     MODEL_VALUATION_LIMIT of them raise ScenarioTooLargeError; a component
     of one context is held to both too, at ``dim`` nodes and valuations.
     Its LP has a row for each of its rays that the contexts do not imply,
@@ -193,6 +205,20 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
     the search's ray masks and, with the Born probabilities and the ones
     row's 1 as the right-hand side, handed to the integer simplex behind
     :func:`kscheck.exactlin.nonneg_solve`, whose vertex gives the weights.
+
+    The valuations do not depend on the state, so the search's ray masks,
+    in enumeration order, are stored in ``KSScenario._model_columns``, and
+    a later call on the same scenario reads them instead of searching. A
+    component with no valuation stores an empty list, so it gives None
+    again at once. Components are still solved in order, so a state with
+    no model on an earlier component gives None before a later one is
+    searched, as precomputing every component could raise where this
+    returns None. A refusal is not stored, since it holds for the budget
+    and limit in force and not for the scenario: a search over
+    SEARCH_NODE_BUDGET stores nothing and raises again on the next call,
+    and the stored masks are held to MODEL_VALUATION_LIMIT on every call.
+    Only the masks are stored, one int per valuation; the 0/1 rows are
+    built from them on each call.
 
     On a scenario of one component, the model's keys are the enumeration
     indices of the support. On several, the components' supports are

@@ -1008,10 +1008,40 @@ class TestNoncontextualModel:
         s = without_context(cabello, 0)
         rho = DensityOperator.maximally_mixed(4)
         monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 10)
-        with pytest.raises(ScenarioTooLargeError, match="after visiting 10 nodes"):
-            noncontextual_model(s, rho)
+        # A refusal is not stored: the next call searches and refuses again.
+        for _ in range(2):
+            with pytest.raises(ScenarioTooLargeError, match="after visiting 10 nodes"):
+                noncontextual_model(s, rho)
         monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 1000)
-        assert noncontextual_model(s, rho) is not None
+        model = noncontextual_model(s, rho)
+        assert model is not None
+        assert model == noncontextual_model(without_context(cabello, 0), rho)
+
+    def test_no_later_search_after_an_infeasible_component(self, cabello, monkeypatch):
+        """Five Cabello contexts, which have no model for this pure state,
+        then a turned Cabello deletion sharing no ray with them (the first
+        turned copy shares some). Their searches visit 79 and 118 nodes.
+        Under a budget of 100 the pure state is None on every call, as the
+        first component ends the solving before the second is searched,
+        even once the first one's columns are stored."""
+        part = subscenario(cabello, [0, 1, 3, 4, 5])
+        turned = subscenario(turned_copies(without_context(cabello, 0), 2), range(8, 16))
+        s = build_scenario(
+            [(r.id, r.ints) for r in part.rays + turned.rays],
+            [list(c.ray_ids) for c in part.contexts + turned.contexts],
+        )
+        assert len(s._components) == 2
+        monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 100)
+        pure = DensityOperator.pure((1, 2, 3, 4))
+        for _ in range(2):
+            assert noncontextual_model(s, pure) is None
+            assert list(s._model_columns) == [0]
+        mixed = DensityOperator.maximally_mixed(4)
+        with pytest.raises(ScenarioTooLargeError, match="after visiting 100 nodes"):
+            noncontextual_model(s, mixed)
+        monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 1000)
+        assert noncontextual_model(s, mixed) is not None
+        assert noncontextual_model(s, pure) is None
 
     def test_no_valuation_without_a_parity_subset(self, monkeypatch):
         # With the parity refutation hidden, the search finds no valuation
@@ -1192,6 +1222,10 @@ class TestNoncontextualModel:
         assert verdicts[True] >= 10 and verdicts[False] >= 10
 
     def test_one_search_per_model(self, cabello, monkeypatch):
+        """A component of more than one context is searched once per
+        scenario, however many states ask about it, and each state gets the
+        model that a freshly built scenario gives it, whether it is solved
+        first or after the others."""
         searches = []
 
         def spy(*args):
@@ -1200,9 +1234,25 @@ class TestNoncontextualModel:
 
         search = ksengine._search
         monkeypatch.setattr(ksengine, "_search", spy)
-        for k in range(9):
-            noncontextual_model(without_context(cabello, k), DensityOperator.maximally_mixed(4))
-        assert len(searches) == 9
+        rng = random.Random(27)
+        states = [
+            DensityOperator.maximally_mixed(4),
+            DensityOperator.pure((1, 2, 3, 4)),
+            rand_mixed_state(rng, 4, max_parts=3),
+        ]
+        makers = [lambda k=k: without_context(cabello, k) for k in range(9)]
+        # Three turned copies of a deletion: three components of 8 contexts.
+        makers.append(lambda: turned_copies(without_context(cabello, 0), 3))
+        fresh = [[noncontextual_model(make(), rho) for rho in states] for make in makers]
+        verdicts = Counter(model is not None for models in fresh for model in models)
+        assert verdicts[True] >= 3 and verdicts[False] >= 3
+        for order in ((0, 1, 2), (2, 1, 0)):
+            del searches[:]
+            for make, models in zip(makers, fresh):
+                s = make()
+                for j in order:
+                    assert noncontextual_model(s, states[j]) == models[j]
+            assert len(searches) == 9 + 3
 
     def test_valuation_limit(self, monkeypatch):
         s = single_context_scenario()
@@ -1212,6 +1262,22 @@ class TestNoncontextualModel:
             noncontextual_model(s, rho)
         monkeypatch.setattr(kscheck.model, "MODEL_VALUATION_LIMIT", 4)
         assert noncontextual_model(s, rho) is not None
+
+    def test_valuation_limit_holds_for_stored_columns(self, cabello, monkeypatch):
+        """A deletion has 26 valuations. A search past the limit stores
+        nothing, and the stored columns meet the limit in force on every
+        call."""
+        s = without_context(cabello, 0)
+        rho = DensityOperator.maximally_mixed(4)
+        fresh = noncontextual_model(without_context(cabello, 0), rho)
+        monkeypatch.setattr(kscheck.model, "MODEL_VALUATION_LIMIT", 10)
+        with pytest.raises(ScenarioTooLargeError, match="more than 10 valuations"):
+            noncontextual_model(s, rho)
+        monkeypatch.setattr(kscheck.model, "MODEL_VALUATION_LIMIT", 26)
+        assert noncontextual_model(s, rho) == fresh
+        monkeypatch.setattr(kscheck.model, "MODEL_VALUATION_LIMIT", 25)
+        with pytest.raises(ScenarioTooLargeError, match="more than 25 valuations"):
+            noncontextual_model(s, rho)
 
     def test_dimension_mismatch(self, cabello):
         with pytest.raises(ValueError):
