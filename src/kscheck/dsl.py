@@ -186,7 +186,7 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
             try:
                 # Each ray line holds exactly dim coordinates, so only the
                 # Context checks can fail here.
-                contexts.append(Context(tuple([rays[rid] for rid in ids])))
+                contexts.append(Context([rays[rid] for rid in ids]))
             except ValueError as exc:  # a ContextError, or a violation too long to print
                 raise ParseError(line, _column(raw, 0), str(exc)) from None
             used.update(ids)

@@ -10,9 +10,8 @@ that reference them. On top of it this module provides:
 * the functional-composition checks a valuation must satisfy,
 * the orthogonality graph of the ray family,
 * what the noncontextual model of :mod:`kscheck.model` asks of a
-  scenario: its components, its search, the rows its LP keeps, and a
-  store for each component's columns, so a component is searched once
-  per scenario whatever the number of states.
+  scenario: its components, its search, and a store that the model alone
+  fills and reads.
 
 Finding, enumerating, counting and the model first look for an odd set
 of contexts covering every ray an even number of times, found once per
@@ -152,9 +151,8 @@ class KSScenario(_Frozen):
 
     What depends on the scenario alone is computed once and cached on it:
     each context's ray indices and mask, the search tables, the
-    components, the parity subset, the rays the model's LP keeps, and the
-    model's columns. The columns are stored one component at a time, the
-    first time a state asks about it, and never for a refused search.
+    components and the parity subset. ``_model_columns`` is the store of
+    :mod:`kscheck.model`.
     """
 
     dim: int
@@ -162,6 +160,7 @@ class KSScenario(_Frozen):
     contexts: tuple[Context, ...]
 
     def __init__(self, dim: int, rays: tuple[Ray, ...], contexts: tuple[Context, ...]) -> None:
+        rays, contexts = tuple(rays), tuple(contexts)
         ids = [r.id for r in rays]
         if len(set(ids)) != len(ids):
             raise ScenarioError("ray ids must be unique")
@@ -311,66 +310,11 @@ class KSScenario(_Frozen):
         return None
 
     @cached_property
-    def _model_rays(self) -> tuple[int, ...]:
-        """Indices, in ray order, of the rays whose rows the model LP keeps:
-        every ray but those the contexts imply.
-
-        The peel: while some unpeeled context holds a ray that lies in no
-        other unpeeled context, take the lowest-indexed such context, drop
-        the row of its first such ray in context order, and mark the
-        context peeled. ``live`` counts each ray's unpeeled contexts, and
-        a context enters the heap when one of its rays' counts reaches 1,
-        which happens once per ray. It stays eligible until it is peeled,
-        because only its own peel lowers that count again. So the peel
-        takes time linear in the ray slots, up to the heap's log factor.
-
-        The dropped rows are implied. Every valuation sets exactly one ray
-        per context to 1, so on every valuation column a context's rows sum
-        to the all-ones row; every context is an orthogonal basis, as every
-        :class:`Context` is, so its rays' Born probabilities sum to exactly
-        1, the ones row's target.
-        Hence a dropped ray's row equals the ones row minus the other rows
-        of its context, targets included. When it was dropped, each of
-        those other rays lay in that unpeeled context, so none had been
-        dropped before: each is kept or dropped later. Taking the dropped
-        rays in reverse peel order, each row is thus rebuilt from the ones
-        row and rows already rebuilt or kept. The kept rows and the ones
-        row therefore have the full system's feasible set, so the same
-        verdict and the same vertices. A dual vector of the kept system,
-        padded with zeros, is one of the full system. Each dropped row is
-        rebuilt inside its own context, so a component's kept rays are all
-        that its own LP needs.
-        """
-        # Imported here: only the model needs it, and every CLI start
-        # would pay for the import.
-        import heapq
-
-        context_rays, _, _, ray_contexts = self._tables
-        live = [len(ks) for ks in ray_contexts]
-        peeled = [False] * len(context_rays)
-        # In increasing order, so already a heap.
-        heap = [k for k, rays in enumerate(context_rays) if any(live[i] == 1 for i in rays)]
-        dropped = set()
-        while heap:
-            k = heapq.heappop(heap)
-            if peeled[k]:
-                continue
-            peeled[k] = True
-            rays = context_rays[k]
-            dropped.add(next(i for i in rays if live[i] == 1))
-            for i in rays:
-                live[i] -= 1
-                if live[i] == 1:
-                    heapq.heappush(heap, next(j for j in ray_contexts[i] if not peeled[j]))
-        return tuple([i for i in range(len(self.rays)) if i not in dropped])
-
-    @cached_property
-    def _model_columns(self) -> dict[int, list[int]]:
-        """The model LP's columns by component of more than one context,
-        keyed by the component's first context: the ray masks of its
-        valuations in enumeration order, or an empty list when it has none.
-        Filled by :func:`kscheck.model.noncontextual_model` the first time a
-        state asks about the component; refusals are not stored.
+    def _model_columns(self) -> dict[int, tuple[list[int], list[int]]]:
+        """The noncontextual model's store, which :mod:`kscheck.model`
+        alone fills and reads, keyed by the first context of a component.
+        It is cached on the scenario, as a value's slots take no other
+        attribute.
         """
         return {}
 
@@ -754,7 +698,11 @@ class FuncReport(_Frozen):
         product_violations: tuple[tuple[int, str, str], ...] = (),
         additivity_violations: tuple[tuple[int, int], ...] = (),
     ) -> None:
-        self._store(idempotence_violations, product_violations, additivity_violations)
+        self._store(
+            tuple(idempotence_violations),
+            tuple(map(tuple, product_violations)),
+            tuple(map(tuple, additivity_violations)),
+        )
 
     @property
     def ok(self) -> bool:
@@ -800,7 +748,7 @@ def verify_func(valuation: Valuation | Mapping[str, int], s: KSScenario) -> Func
         total = sum(values[rid] for rid in ids)
         if total != 1:
             additivity.append((k, total))
-    return FuncReport(idem, tuple(products), tuple(additivity))
+    return FuncReport(idem, products, additivity)
 
 
 def orthogonality_graph(s: KSScenario) -> tuple[tuple[str, str], ...]:

@@ -5,9 +5,10 @@ A state has such a model exactly when each component of its scenario
 has one (see :func:`noncontextual_model`), so the model is solved one
 component at a time: a component of one context takes its Born
 probabilities as its weights, any other solves an exact LP over its own
-valuations, and the components' models are joined by the north-west
-corner coupling. A component's valuations depend on the scenario alone,
-so each is searched once per scenario and kept on it for every later
+valuations and the rows :func:`_kept_rays` keeps, and the components'
+models are joined by the north-west corner coupling. A component's
+valuations and kept rows depend on the scenario alone, so each is
+searched and peeled once per scenario and kept on it for every later
 state. Only ``kscheck model`` and the library load this module,
 and with it :mod:`kscheck.exactlin`, :mod:`fractions` and
 :mod:`kscheck.probability`.
@@ -15,6 +16,7 @@ and with it :mod:`kscheck.exactlin`, :mod:`fractions` and
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -73,8 +75,67 @@ class NoncontextualModel(_Frozen):
         )
 
 
+def _kept_rays(s: KSScenario, component: Sequence[int]) -> list[int]:
+    """Indices, in ray order, of the rays of a component of several
+    contexts whose rows its LP keeps: every ray but those the contexts
+    imply.
+
+    The peel: while some unpeeled context holds a ray that lies in no
+    other unpeeled context, take the lowest-indexed such context, drop
+    the row of its first such ray in context order, and mark the
+    context peeled. ``live`` counts each ray's unpeeled contexts, and
+    a context enters the heap when one of its rays' counts reaches 1,
+    which happens once per ray. It stays eligible until it is peeled,
+    because only its own peel lowers that count again. So the peel
+    takes time linear in the ray slots, up to the heap's log factor.
+
+    The dropped rows are implied. Every valuation sets exactly one ray
+    per context to 1, so on every valuation column a context's rows sum
+    to the all-ones row; every context is an orthogonal basis, as every
+    :class:`~kscheck.qlogic.Context` is, so its rays' Born probabilities
+    sum to exactly 1, the ones row's target.
+    Hence a dropped ray's row equals the ones row minus the other rows
+    of its context, targets included. When it was dropped, each of
+    those other rays lay in that unpeeled context, so none had been
+    dropped before: each is kept or dropped later. Taking the dropped
+    rays in reverse peel order, each row is thus rebuilt from the ones
+    row and rows already rebuilt or kept. The kept rows and the ones
+    row therefore have the full system's feasible set, so the same
+    verdict and the same vertices. A dual vector of the kept system,
+    padded with zeros, is one of the full system.
+
+    Peeling each component on its own drops the same rays as one peel
+    over the whole scenario. A peel changes the ``live`` counts of its
+    own context's rays only, and pushes only contexts that hold one of
+    them, so the counts and heap entries of a component change only when
+    one of its own contexts is peeled. Whenever the whole peel pops one
+    of the component's contexts, that context is the least of the
+    component's entries, so the component's pops, and the rays they
+    drop, come in the same order either way.
+    """
+    context_rays, _, _, ray_contexts = s._tables
+    rays = sorted({i for k in component for i in context_rays[k]})
+    live = {i: len(ray_contexts[i]) for i in rays}
+    peeled = set()
+    # The component's contexts are in increasing order, so already a heap.
+    heap = [k for k in component if any(live[i] == 1 for i in context_rays[k])]
+    dropped = set()
+    while heap:
+        k = heapq.heappop(heap)
+        if k in peeled:
+            continue
+        peeled.add(k)
+        own = context_rays[k]
+        dropped.add(next(i for i in own if live[i] == 1))
+        for i in own:
+            live[i] -= 1
+            if live[i] == 1:
+                heapq.heappush(heap, next(j for j in ray_contexts[i] if j not in peeled))
+    return [i for i in rays if i not in dropped]
+
+
 def _component_model(
-    s: KSScenario, rho: DensityOperator, component: Sequence[int], kept: Sequence[int]
+    s: KSScenario, rho: DensityOperator, component: Sequence[int]
 ) -> tuple[list[int], dict[int, Fraction]] | None:
     """The columns of one component, as ray masks in enumeration order,
     and the nonzero weights of its model keyed by column, or None when it
@@ -83,11 +144,11 @@ def _component_model(
     A component of one context has its ``dim`` unit choices as columns.
     Their weights are forced by the marginals, and they are its rays' Born
     probabilities, which sum to 1 as every context is an orthogonal basis.
-    Any other component's columns are searched under the node budget the
-    first time a state asks about it, and stored in
-    ``KSScenario._model_columns`` when the search finishes within
-    MODEL_VALUATION_LIMIT. Its LP has the rows of the rays ``kept``, the
-    kept rays of the component, and the ones row.
+    Any other component's columns are searched under the node budget, and
+    its kept rays peeled by :func:`_kept_rays`, the first time a state
+    asks about it. Both are stored in ``KSScenario._model_columns`` when
+    the search finishes within MODEL_VALUATION_LIMIT. Its LP has the rows
+    of the kept rays and the ones row.
     """
     if len(component) == 1:
         if s.dim > ksengine.SEARCH_NODE_BUDGET:
@@ -100,13 +161,14 @@ def _component_model(
             if p:
                 weights[j] = p
         return [1 << i for i in rays], weights
-    stored = s._model_columns
-    hits = stored.get(component[0])
-    if hits is None:
+    stored = s._model_columns.get(component[0])
+    if stored is None:
         search = ksengine._search(s._tables, component, ksengine.SEARCH_NODE_BUDGET)
         hits = list(itertools.islice(search, MODEL_VALUATION_LIMIT + 1))
+        stored = (_kept_rays(s, component), hits)
         if len(hits) <= MODEL_VALUATION_LIMIT:
-            stored[component[0]] = hits
+            s._model_columns[component[0]] = stored
+    kept, hits = stored
     if not hits:
         return None
     _too_many(len(hits))
@@ -196,29 +258,29 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
     time a state asks about the component, and more than
     MODEL_VALUATION_LIMIT of them raise ScenarioTooLargeError; a component
     of one context is held to both too, at ``dim`` nodes and valuations.
-    Its LP has a row for each of its rays that the contexts do not imply,
+    Its LP has a row for each of its rays that its contexts do not imply,
     in ray order, and the all-ones row last. The kept rays are those of
-    ``KSScenario._model_rays``, which proves the dropped rows redundant.
-    Every row it drops is implied inside the dropped ray's own context,
-    which lies in the component, so the component's kept rows have its
+    :func:`_kept_rays`, which peels the component on its own and proves
+    the dropped rows redundant, so the component's kept rows have its
     full system's feasible set. The 0/1 valuation columns are built from
     the search's ray masks and, with the Born probabilities and the ones
     row's 1 as the right-hand side, handed to the integer simplex behind
     :func:`kscheck.exactlin.nonneg_solve`, whose vertex gives the weights.
 
-    The valuations do not depend on the state, so the search's ray masks,
-    in enumeration order, are stored in ``KSScenario._model_columns``, and
-    a later call on the same scenario reads them instead of searching. A
-    component with no valuation stores an empty list, so it gives None
-    again at once. Components are still solved in order, so a state with
+    The valuations and the kept rays do not depend on the state, so the
+    kept rays and the search's ray masks, in enumeration order, are stored
+    in ``KSScenario._model_columns``, and a later call on the same
+    scenario reads them instead of searching and peeling. A component with
+    no valuation stores an empty list of masks, so it gives None again at
+    once. Components are still solved in order, so a state with
     no model on an earlier component gives None before a later one is
     searched, as precomputing every component could raise where this
     returns None. A refusal is not stored, since it holds for the budget
     and limit in force and not for the scenario: a search over
     SEARCH_NODE_BUDGET stores nothing and raises again on the next call,
     and the stored masks are held to MODEL_VALUATION_LIMIT on every call.
-    Only the masks are stored, one int per valuation; the 0/1 rows are
-    built from them on each call.
+    Only the kept rays and the masks, one int per valuation, are stored;
+    the 0/1 rows are built from them on each call.
 
     On a scenario of one component, the model's keys are the enumeration
     indices of the support. On several, the components' supports are
@@ -231,34 +293,20 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
         raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
     if s._parity_subset is not None:
         return None
-    components = s._components
-    if len(components) == 1:
-        solved = _component_model(s, rho, components[0], s._model_rays)
+    parts = []
+    for component in s._components:
+        solved = _component_model(s, rho, component)
         if solved is None:
             return None
-        hits, weights = solved
+        parts.append(solved)
+    if len(parts) == 1:
+        ((hits, weights),) = parts
         support = {i: _valuation(s, hits[i]) for i in weights}
         # No check can fail: the weights meet the ones row exactly, or are a
         # basis's Born probabilities, so they are positive Fractions summing
         # to 1, keyed like the support.
         return NoncontextualModel._trusted(weights, support)
-    owner = [0] * len(s.rays)
-    context_rays = s._context_rays
-    for c, component in enumerate(components):
-        for k in component:
-            for i in context_rays[k]:
-                owner[i] = c
-    kept: list[list[int]] = [[] for _ in components]
-    for i in s._model_rays:
-        kept[owner[i]].append(i)
-    parts = []
-    for component, rows in zip(components, kept):
-        solved = _component_model(s, rho, component, rows)
-        if solved is None:
-            return None
-        hits, weights = solved
-        parts.append([(hits[j], weights[j]) for j in sorted(weights)])
-    joined = _coupling(parts)
+    joined = _coupling([[(hits[j], weights[j]) for j in sorted(weights)] for hits, weights in parts])
     # No check can fail: each part's weights are positive and sum to 1, so
     # the coupling's are positive and sum to 1; the keys are shared.
     return NoncontextualModel._trusted(

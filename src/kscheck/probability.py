@@ -84,7 +84,7 @@ class _Report(_Frozen):
     violations: tuple[str, ...]
 
     def __init__(self, violations: tuple[str, ...]) -> None:
-        self._store(violations)
+        self._store(tuple(violations))
 
     @property
     def ok(self) -> bool:
@@ -110,7 +110,7 @@ def check_classical_axioms(space: FiniteProbabilitySpace) -> ClassicalAxiomRepor
     for o, w in space.weights.items():
         if w < 0:
             violations.append(f"negative weight {w} on outcome {o!r}")
-    return ClassicalAxiomReport(tuple(violations))
+    return ClassicalAxiomReport(violations)
 
 
 def _is_psd(a: list[list[int]]) -> bool:

@@ -153,6 +153,7 @@ class Context(_Frozen):
     rays: tuple[Ray, ...]
 
     def __init__(self, rays: tuple[Ray, ...]) -> None:
+        rays = tuple(rays)
         if not rays:
             raise ContextError(["a context needs at least one ray"])
         dim = len(rays[0].ints)

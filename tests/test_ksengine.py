@@ -605,6 +605,21 @@ def turned_copies(scenario, k):
     return build_scenario(rays, contexts)
 
 
+def component_lps(s, dropped):
+    """Per component of several contexts, in order, the LP of the rows of
+    its rays not in ``dropped``, in ray order, over its own valuations,
+    then the ones row."""
+    contexts = [c.ray_ids for c in s.contexts]
+    lps = []
+    for component in reference_components(contexts):
+        if len(component) > 1:
+            own = {rid for k in component for rid in contexts[k]}
+            part = list(enumerate_valuations(subscenario(s, component)))
+            rows = [[v[r.id] for v in part] for r in s.rays if r.id in own and r.id not in dropped]
+            lps.append(rows + [[1] * len(part)])
+    return lps
+
+
 class TestModelByComponent:
     """The model solves one component at a time and joins the parts; each
     verdict must be the whole LP's, and each model a model of the whole."""
@@ -1168,14 +1183,7 @@ class TestNoncontextualModel:
             if s in deletions:
                 kept = [column[r.id] for r in s.rays if r.id not in dropped]
                 assert len(kept) + 1 == reference_rank(full)
-            lps = []
-            for component in reference_components(contexts):
-                if len(component) == 1:
-                    continue
-                own = {rid for k in component for rid in contexts[k]}
-                part = list(enumerate_valuations(subscenario(s, component)))
-                rows = [[v[r.id] for v in part] for r in s.rays if r.id in own and r.id not in dropped]
-                lps.append(rows + [[1] * len(part)])
+            lps = component_lps(s, dropped)
             for _ in range(1 if s in grids[:-1] else 2):
                 rho = rand_mixed_state(rng, 4, max_parts=3)
                 b = [born(rho, projector_of(r)) for r in s.rays] + [Fraction(1)]
@@ -1187,6 +1195,40 @@ class TestNoncontextualModel:
                 assert (model is not None) == feasible
                 verdicts[feasible] += 1
         assert verdicts[True] >= 3 and verdicts[False] >= 3
+
+    def test_interleaved_components_keep_the_whole_peels_rows(self, cabello, monkeypatch):
+        """Three turned copies of a Cabello deletion, their contexts
+        shuffled so that the components alternate in input order: each
+        component's LP has the rows that the reference peel of the whole
+        scenario keeps among its own rays, over its own valuations."""
+        fed = []
+
+        def spy(rows, rhs):
+            fed.append(rows)
+            return solve(rows, rhs)
+
+        solve = exactlin._int_nonneg_solve
+        monkeypatch.setattr(exactlin, "_int_nonneg_solve", spy)
+        copies = turned_copies(without_context(cabello, 0), 3)
+        rays = [(r.id, r.ints) for r in copies.rays]
+        contexts = [c.ray_ids for c in copies.contexts]
+        rng = random.Random(28)
+        verdicts = Counter()
+        for _ in range(3):
+            rng.shuffle(contexts)
+            s = build_scenario(rays, contexts)
+            components = reference_components(contexts)
+            assert len(components) == 3
+            assert all(a[-1] > b[0] for a, b in zip(components, components[1:]))
+            dropped = {rid for rid, _ in reference_peeled_rays(contexts)}
+            lps = component_lps(s, dropped)
+            for rho in (DensityOperator.maximally_mixed(4), DensityOperator.pure((1, 2, 3, 4))):
+                del fed[:]
+                model = noncontextual_model(s, rho)
+                # The first component with no model ends the solving.
+                assert fed == (lps if model is not None else lps[: len(fed)])
+                verdicts[model is not None] += 1
+        assert verdicts[True] >= 1 and verdicts[False] >= 1
 
     def test_wide_lps_match_the_fraction_simplex(self, cabello, monkeypatch):
         """The LP of every Cabello deletion and of {0, +-1}^4 subsets of one
@@ -1222,18 +1264,23 @@ class TestNoncontextualModel:
         assert verdicts[True] >= 10 and verdicts[False] >= 10
 
     def test_one_search_per_model(self, cabello, monkeypatch):
-        """A component of more than one context is searched once per
-        scenario, however many states ask about it, and each state gets the
-        model that a freshly built scenario gives it, whether it is solved
-        first or after the others."""
-        searches = []
+        """A component of more than one context is searched and peeled once
+        per scenario, however many states ask about it, and each state gets
+        the model that a freshly built scenario gives it, whether it is
+        solved first or after the others."""
+        calls = Counter()
 
-        def spy(*args):
-            searches.append(args)
-            return search(*args)
+        def spy_on(module, name):
+            real = getattr(module, name)
 
-        search = ksengine._search
-        monkeypatch.setattr(ksengine, "_search", spy)
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+
+        spy_on(ksengine, "_search")
+        spy_on(kscheck.model, "_kept_rays")
         rng = random.Random(27)
         states = [
             DensityOperator.maximally_mixed(4),
@@ -1247,12 +1294,12 @@ class TestNoncontextualModel:
         verdicts = Counter(model is not None for models in fresh for model in models)
         assert verdicts[True] >= 3 and verdicts[False] >= 3
         for order in ((0, 1, 2), (2, 1, 0)):
-            del searches[:]
+            calls.clear()
             for make, models in zip(makers, fresh):
                 s = make()
                 for j in order:
                     assert noncontextual_model(s, states[j]) == models[j]
-            assert len(searches) == 9 + 3
+            assert calls == {"_search": 9 + 3, "_kept_rays": 9 + 3}
 
     def test_valuation_limit(self, monkeypatch):
         s = single_context_scenario()

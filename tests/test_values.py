@@ -244,6 +244,33 @@ def test_func_report_defaults():
     assert report == FuncReport((), (), ())
 
 
+def _listed(value):
+    """``value`` with each tuple in it, at any depth, made a list."""
+    return [_listed(x) for x in value] if type(value) is tuple else value
+
+
+def _tuples(value):
+    """Every tuple in ``value``, at any depth, ``value`` itself included."""
+    if type(value) is not tuple:
+        return []
+    return [value] + [part for x in value for part in _tuples(x)]
+
+
+@pytest.mark.parametrize("cls", FIELD_PARAMETERS, ids=lambda cls: cls.__name__)
+def test_tuple_fields_hold_tuples(cls):
+    """A value built with each tuple in its fields given as a list equals
+    the one built from tuples, hashes as it does, and holds tuples there,
+    which cannot grow."""
+    fields, make = VALUES[cls]
+    a = make()
+    listed = cls(**{name: _listed(getattr(a, name)) for name in fields})
+    assert listed == a
+    if cls not in UNHASHABLE:
+        assert hash(listed) == hash(a)
+    for name in fields:
+        assert len(_tuples(getattr(listed, name))) == len(_tuples(getattr(a, name)))
+
+
 def test_cached_properties_cache():
     s = _scenario()
     tables = s._tables
