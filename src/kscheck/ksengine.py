@@ -22,19 +22,23 @@ first valuation found and the enumeration order are stable across runs.
 Counting shows no order, so it branches on the context with the fewest
 open rays and caches the count of each residual scenario. Both keep a
 state as the mask of the rays still open and expand it by one step that
-checks only the contexts of the rays it closes, so the tables they share
-are linear in the input. Counting and the model's searches give up
-after SEARCH_NODE_BUDGET search nodes; finding and enumerating
-valuations have no budget.
+checks only the contexts of the rays it closes. Counting and the model's
+searches give up after SEARCH_NODE_BUDGET search nodes; finding and
+enumerating valuations have no budget.
 
 Contexts that share no ray, directly or through other contexts, pose
 independent problems. Finding, counting and the model therefore work
 one component at a time, over the components cached once per scenario.
-A component of one context needs no search, and no search tables: its
-first ray is its first valuation and its ``dim`` rays its count. The
-valuation found is still the first of the whole search, as
-:func:`find_valuation` proves. Only enumerating keeps the whole search,
-as its order interleaves the components.
+A component of several contexts searches its own tables, cached on the
+scenario, in which its rays are bits 0, 1, 2, ... in ray order. So every
+mask of a search is as wide as its component, however large the
+scenario, and the tables are linear in the component. A component of
+one context needs no search, and no search tables: its first ray is its
+first valuation and its ``dim`` rays its count. The valuation found is
+still the first of the whole search, as :func:`find_valuation` proves.
+Only enumerating keeps the whole search, as its order interleaves the
+components; it builds the same tables over every context, where the
+bits are the scenario's ray indices.
 
 Everything here works on ints, so loading this module loads neither
 :mod:`kscheck.exactlin` nor :mod:`fractions`.
@@ -62,6 +66,9 @@ if TYPE_CHECKING:
 # nodes, a node being one ray set to 1. The refusal is then about the work
 # done, not about the size of the input.
 SEARCH_NODE_BUDGET = 1_000_000
+
+# Turns the digits of bin(ones) into the bytes 0 and 1, for itertools.compress.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class ScenarioError(ValueError):
@@ -135,10 +142,52 @@ class ParityCertificate(_Frozen):
 
 
 class _SearchTables(NamedTuple):
-    context_rays: tuple[tuple[int, ...], ...]  # ray indices, in context order
-    context_masks: tuple[int, ...]
-    forced: tuple[int, ...]  # per ray: every other ray sharing a context with it
-    ray_contexts: tuple[tuple[int, ...], ...]  # per ray: the contexts holding it
+    """Bitmask tables of the valuation search over a union of components.
+
+    Its rays are numbered from bit 0 in ray order: local bit ``b`` is the
+    scenario's ray ``rays[b]``, and every other field holds local bits.
+    Its contexts are numbered by position, in input order. Setting a ray
+    to 1 forces 0 on every ray in its ``forced`` mask. ``ray_contexts``
+    lists each ray's contexts, one entry per ray slot, so every table is
+    linear in the component.
+    """
+
+    rays: Sequence[int]  # per local bit, its scenario ray index, increasing
+    context_rays: Sequence[tuple[int, ...]]  # local ray bits, in context order
+    context_masks: Sequence[int]
+    forced: Sequence[int]  # per ray: every other ray sharing a context with it
+    ray_contexts: Sequence[Sequence[int]]  # per ray: the positions of its contexts
+
+    def ray_indices(self, ones: int) -> list[int]:
+        """Scenario indices of the rays in the local mask ``ones``."""
+        return list(itertools.compress(self.rays, bin(ones)[:1:-1].encode().translate(_BITS)))
+
+
+def _search_tables(s: KSScenario, contexts: Sequence[int]) -> _SearchTables:
+    """Search tables of ``contexts``, the increasing indices of a union of
+    components of ``s``. Every context holding one of their rays is among
+    them, so the search never leaves them. Over all contexts, local bits
+    are the scenario's ray indices.
+    """
+    context_rays = list(map(s._context_rays.__getitem__, contexts))
+    if len(context_rays) == len(s.contexts):
+        rays: Sequence[int] = range(len(s.rays))
+    else:
+        rays = sorted(set().union(*context_rays))
+        local = dict(zip(rays, itertools.count()))
+        context_rays = [tuple(map(local.__getitem__, own)) for own in context_rays]
+    ray_contexts: list[list[int]] = [[] for _ in rays]
+    masks = []
+    forced = [0] * len(rays)
+    for k, own in enumerate(context_rays):
+        mask = 0
+        for i in own:
+            ray_contexts[i].append(k)
+            mask |= 1 << i
+        masks.append(mask)
+        for i in own:
+            forced[i] |= mask ^ 1 << i
+    return _SearchTables(rays, context_rays, masks, forced, ray_contexts)
 
 
 class KSScenario(_Frozen):
@@ -150,9 +199,9 @@ class KSScenario(_Frozen):
     basis matters to the model: its Born probabilities sum to exactly 1.
 
     What depends on the scenario alone is computed once and cached on it:
-    each context's ray indices and mask, the search tables, the
-    components and the parity subset. ``_model_columns`` is the store of
-    :mod:`kscheck.model`.
+    each context's ray indices, the components, the search tables of each
+    component of several contexts and the parity subset.
+    ``_model_columns`` is the store of :mod:`kscheck.model`.
     """
 
     dim: int
@@ -192,33 +241,11 @@ class KSScenario(_Frozen):
         return tuple(zip(*[iter(flat)] * self.dim))
 
     @cached_property
-    def _context_masks(self) -> tuple[int, ...]:
-        """Per context, the mask of its rays: ray ``i`` is bit ``i``."""
-        return tuple([sum([1 << i for i in rays]) for rays in self._context_rays])
-
-    @cached_property
-    def _tables(self) -> _SearchTables:
-        """Bitmask tables of the valuation search, built once per scenario.
-
-        Ray ``i`` is bit ``i``. Setting a ray to 1 forces 0 on every ray in
-        its ``forced`` mask. ``ray_contexts`` lists each ray's contexts, one
-        entry per ray slot, so every table is linear in the input.
-        """
-        context_rays = self._context_rays
-        context_masks = self._context_masks
-        ray_contexts: list[list[int]] = [[] for _ in self.rays]
-        for k, rays in enumerate(context_rays):
-            for i in rays:
-                ray_contexts[i].append(k)
-        forced = []
-        for i, own in enumerate(ray_contexts):
-            mask = 0
-            for k in own:
-                mask |= context_masks[k]
-            forced.append(mask ^ 1 << i)
-        return _SearchTables(
-            context_rays, context_masks, tuple(forced), tuple(map(tuple, ray_contexts))
-        )
+    def _component_tables(self) -> dict[int, _SearchTables]:
+        """Per component of several contexts, keyed by its first context,
+        the search tables of its own contexts and rays (see
+        :func:`_search_tables`). A component of one context has none."""
+        return {c[0]: _search_tables(self, c) for c in self._components if len(c) > 1}
 
     @property
     def _shares_rays(self) -> bool:
@@ -286,9 +313,14 @@ class KSScenario(_Frozen):
         """
         if self.dim % 2 or not self._shares_rays:
             return None
-        masks = self._context_masks
+        # Each context's ray mask, ray i being bit i, and the rays seen twice.
+        masks = []
         seen = shared = 0
-        for m in masks:
+        for rays in self._context_rays:
+            m = 0
+            for i in rays:
+                m |= 1 << i
+            masks.append(m)
             shared |= seen & m
             seen |= m
         lone = seen ^ shared
@@ -446,7 +478,7 @@ def _step(open_rays: int, r: int, tables: _SearchTables) -> int | None:
     its rays stays open, unless it holds ``r``. ``kept`` still holds ``r``,
     so one test covers both.
     """
-    _, masks, forced, ray_contexts = tables
+    _, _, masks, forced, ray_contexts = tables
     closed = open_rays & forced[r]
     kept = open_rays ^ closed
     while closed:
@@ -458,33 +490,25 @@ def _step(open_rays: int, r: int, tables: _SearchTables) -> int | None:
     return kept ^ 1 << r
 
 
-def _search(
-    tables: _SearchTables, contexts: Sequence[int], budget: float = math.inf
-) -> Iterator[int]:
-    """Yield, as a mask of the rays set to 1, every 0/1 assignment of the
-    rays of ``contexts`` with exactly one 1 per context.
+def _search(tables: _SearchTables, budget: float = math.inf) -> Iterator[int]:
+    """Yield, as a local mask of the rays set to 1, every 0/1 assignment
+    of the rays of ``tables`` with exactly one 1 per context.
 
-    ``contexts`` are indices in input order of a union of components; the
-    search starts with exactly their rays open.
-    Depth-first over an explicit stack with one frame per open context.
-    Contexts are settled in input order and rays in context order, so
-    solutions come in lexicographic order of the choices. A state is the
-    mask of the open rays, expanded by :func:`_step`; ``ones`` is kept only
-    to yield the valuation. Every context holding a ray of ``contexts`` is
-    among them, so :func:`_step` never closes a ray outside them. In a live
-    state a context is settled exactly when it has no open ray, so the next
-    frame is the next context that meets the mask. Raises
-    ScenarioTooLargeError once more than ``budget`` rays have been set to 1.
+    The search starts with every ray of the tables open. Depth-first over
+    an explicit stack with one frame per open context. Contexts are
+    settled in input order and rays in context order, so solutions come
+    in lexicographic order of the choices. A state is the mask of the
+    open rays, expanded by :func:`_step`; ``ones`` is kept only to yield
+    the valuation. In a live state a context is settled exactly when it
+    has no open ray, so the next frame is the next context that meets the
+    mask. Raises ScenarioTooLargeError once more than ``budget`` rays have
+    been set to 1.
     """
-    context_rays = [tables.context_rays[k] for k in contexts]
-    masks = [tables.context_masks[k] for k in contexts]
-    start = 0
-    for m in masks:
-        start |= m
+    _, context_rays, masks, _, _ = tables
     depth = len(masks)
     nodes = 0
-    # (level, ones, open rays, rays left)
-    stack = [(0, 0, start, iter(context_rays[0]))]
+    # (level, ones, open rays, rays left), every ray open at the start
+    stack = [(0, 0, (1 << len(tables.rays)) - 1, iter(context_rays[0]))]
     while stack:
         level, ones, open_rays, rays = stack[-1]
         r = next(rays, None)
@@ -527,10 +551,9 @@ def _frame(open_rays: int, masks: Sequence[int]) -> list[int]:
     return [open_rays, best, 0]
 
 
-def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> int:
-    """Number of 0/1 assignments of the rays of the contexts in
-    ``component``, a component of several contexts, with exactly one 1 per
-    context.
+def _count(tables: _SearchTables, budget: float) -> int:
+    """Number of 0/1 assignments of the rays of ``tables``, those of a
+    component of several contexts, with exactly one 1 per context.
 
     A state is the mask of the open rays, as in :func:`_step`, which
     expands it. Settling a context closes all its rays, so in a live state
@@ -540,22 +563,19 @@ def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> in
     Each state is counted once and cached under its mask. A dead state
     counts 0.
 
-    Depth-first over an explicit stack of :func:`_frame` frames. Raises
-    ScenarioTooLargeError once more than ``budget`` rays have been set to
-    1, counting every open ray of a state whose count is a product.
+    Depth-first over an explicit stack of :func:`_frame` frames, starting
+    with every ray open. Raises ScenarioTooLargeError once more than
+    ``budget`` rays have been set to 1, counting every open ray of a state
+    whose count is a product.
     """
     masks = tables.context_masks
-    own = [masks[k] for k in component]
-    everything = 0
-    for m in own:
-        everything |= m
     cache: dict[int, int] = {}
     nodes = 0
     stack: list[list[int]] = []
-    state: int | None = everything  # a state to expand before going on
+    state: int | None = (1 << len(tables.rays)) - 1  # a state to expand before going on
     while True:
         if state is not None:
-            frame = _frame(state, own)
+            frame = _frame(state, masks)
             if not frame[1]:
                 nodes += state.bit_count()
                 if nodes > budget:
@@ -585,9 +605,14 @@ def _count(component: Sequence[int], tables: _SearchTables, budget: float) -> in
                 frame[2] += known
 
 
-def _valuation(s: KSScenario, ones: int) -> Valuation:
+def _valuation(s: KSScenario, ones: Iterable[int]) -> Valuation:
+    """The valuation setting to 1 the rays of scenario indices ``ones``."""
+    rays = s.rays
     # A fresh dict of the bits 0 and 1, which is what the checks ensure.
-    return Valuation._trusted({r.id: ones >> i & 1 for i, r in enumerate(s.rays)})
+    values = dict.fromkeys([r.id for r in rays], 0)
+    for i in ones:
+        values[rays[i].id] = 1
+    return Valuation._trusted(values)
 
 
 def find_valuation(s: KSScenario) -> Valuation | None:
@@ -606,7 +631,8 @@ def find_valuation(s: KSScenario) -> Valuation | None:
     chooses an earlier ray there. So ``m`` comes before ``x``.
 
     A component of one context takes that context's first ray, with no
-    search; any other runs the search over its own contexts and rays. A
+    search; any other runs the search over its own tables, and the local
+    bits of its first valuation give back scenario ray indices. A
     component with no valuation gives None. Unlike
     :func:`count_valuations` this has no node budget; each search stops at
     its first complete assignment.
@@ -614,15 +640,12 @@ def find_valuation(s: KSScenario) -> Valuation | None:
     if s._parity_subset is not None:
         return None
     context_rays = s._context_rays
-    ones = 0
-    for component in s._components:
-        if len(component) == 1:
-            ones |= 1 << context_rays[component[0]][0]
-        else:
-            first = next(_search(s._tables, component), None)
-            if first is None:
-                return None
-            ones |= first
+    ones = [context_rays[c[0]][0] for c in s._components if len(c) == 1]
+    for tables in s._component_tables.values():
+        first = next(_search(tables), None)
+        if first is None:
+            return None
+        ones += tables.ray_indices(first)
     return _valuation(s, ones)
 
 
@@ -632,8 +655,9 @@ def enumerate_valuations(s: KSScenario) -> Iterator[Valuation]:
     count_valuations."""
     if s._parity_subset is not None:
         return
-    for ones in _search(s._tables, range(len(s.contexts))):
-        yield _valuation(s, ones)
+    tables = _search_tables(s, range(len(s.contexts)))
+    for ones in _search(tables):
+        yield _valuation(s, tables.ray_indices(ones))
 
 
 def count_valuations(s: KSScenario) -> int:
@@ -655,7 +679,7 @@ def count_valuations(s: KSScenario) -> int:
     total = 1
     for component in s._components:
         if len(component) > 1:
-            total *= _count(component, s._tables, budget)
+            total *= _count(s._component_tables[component[0]], budget)
             if total == 0:
                 return 0
         elif s.dim > budget:

@@ -8,8 +8,10 @@ probabilities as its weights, any other solves an exact LP over its own
 valuations and the rows :func:`_kept_rays` keeps, and the components'
 models are joined by the north-west corner coupling. A component's
 valuations and kept rows depend on the scenario alone, so each is
-searched and peeled once per scenario and kept on it for every later
-state. Only ``kscheck model`` and the library load this module,
+searched and peeled once per scenario, on the component's own search
+tables, and kept on it for every later state in the tables' local bits,
+so the store of a component is as wide as the component. Only
+``kscheck model`` and the library load this module,
 and with it :mod:`kscheck.exactlin`, :mod:`fractions` and
 :mod:`kscheck.probability`.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -26,7 +29,7 @@ from .frozen import _Frozen
 from .ksengine import ScenarioTooLargeError, _gave_up, _valuation
 
 if TYPE_CHECKING:
-    from .ksengine import KSScenario, Valuation
+    from .ksengine import KSScenario, Valuation, _SearchTables
     from .probability import DensityOperator
 
 # noncontextual_model materializes one LP column per valuation of a
@@ -75,19 +78,20 @@ class NoncontextualModel(_Frozen):
         )
 
 
-def _kept_rays(s: KSScenario, component: Sequence[int]) -> list[int]:
-    """Indices, in ray order, of the rays of a component of several
-    contexts whose rows its LP keeps: every ray but those the contexts
-    imply.
+def _kept_rays(tables: _SearchTables) -> list[int]:
+    """Local bits, in ray order, of the rays of a component of several
+    contexts, given by its search tables, whose rows its LP keeps: every
+    ray but those the contexts imply.
 
     The peel: while some unpeeled context holds a ray that lies in no
     other unpeeled context, take the lowest-indexed such context, drop
     the row of its first such ray in context order, and mark the
-    context peeled. ``live`` counts each ray's unpeeled contexts, and
-    a context enters the heap when one of its rays' counts reaches 1,
-    which happens once per ray. It stays eligible until it is peeled,
-    because only its own peel lowers that count again. So the peel
-    takes time linear in the ray slots, up to the heap's log factor.
+    context peeled. A context's index is its position in the tables,
+    which follow input order. ``live`` counts each ray's unpeeled
+    contexts, and a context enters the heap when one of its rays' counts
+    reaches 1, which happens once per ray. It stays eligible until it is
+    peeled, because only its own peel lowers that count again. So the
+    peel takes time linear in the ray slots, up to the heap's log factor.
 
     The dropped rows are implied. Every valuation sets exactly one ray
     per context to 1, so on every valuation column a context's rows sum
@@ -113,12 +117,11 @@ def _kept_rays(s: KSScenario, component: Sequence[int]) -> list[int]:
     component's entries, so the component's pops, and the rays they
     drop, come in the same order either way.
     """
-    context_rays, _, _, ray_contexts = s._tables
-    rays = sorted({i for k in component for i in context_rays[k]})
-    live = {i: len(ray_contexts[i]) for i in rays}
+    _, context_rays, _, _, ray_contexts = tables
+    live = [len(own) for own in ray_contexts]
     peeled = set()
-    # The component's contexts are in increasing order, so already a heap.
-    heap = [k for k in component if any(live[i] == 1 for i in context_rays[k])]
+    # Positions come in increasing order, so this is already a heap.
+    heap = [k for k, own in enumerate(context_rays) if any(live[i] == 1 for i in own)]
     dropped = set()
     while heap:
         k = heapq.heappop(heap)
@@ -131,52 +134,51 @@ def _kept_rays(s: KSScenario, component: Sequence[int]) -> list[int]:
             live[i] -= 1
             if live[i] == 1:
                 heapq.heappush(heap, next(j for j in ray_contexts[i] if j not in peeled))
-    return [i for i in rays if i not in dropped]
+    return [i for i in range(len(live)) if i not in dropped]
 
 
 def _component_model(
     s: KSScenario, rho: DensityOperator, component: Sequence[int]
-) -> tuple[list[int], dict[int, Fraction]] | None:
-    """The columns of one component, as ray masks in enumeration order,
-    and the nonzero weights of its model keyed by column, or None when it
-    has no model.
+) -> dict[int, tuple[list[int], Fraction]] | None:
+    """The support of one component's model, keyed by column, each
+    column's scenario ray indices set to 1 with its positive weight, or
+    None when the component has no model. Columns are numbered in
+    enumeration order.
 
     A component of one context has its ``dim`` unit choices as columns.
     Their weights are forced by the marginals, and they are its rays' Born
     probabilities, which sum to 1 as every context is an orthogonal basis.
-    Any other component's columns are searched under the node budget, and
-    its kept rays peeled by :func:`_kept_rays`, the first time a state
-    asks about it. Both are stored in ``KSScenario._model_columns`` when
-    the search finishes within MODEL_VALUATION_LIMIT. Its LP has the rows
-    of the kept rays and the ones row.
+    Any other component's columns are searched, as local masks of its
+    search tables, under the node budget, and its kept rays peeled by
+    :func:`_kept_rays`, the first time a state asks about it. Both are
+    stored in ``KSScenario._model_columns`` when the search finishes
+    within MODEL_VALUATION_LIMIT. Its LP has the rows of the kept rays and
+    the ones row.
     """
     if len(component) == 1:
         if s.dim > ksengine.SEARCH_NODE_BUDGET:
             raise _gave_up(ksengine.SEARCH_NODE_BUDGET)
         _too_many(s.dim)
         rays = s._context_rays[component[0]]
-        weights = {}
-        for j, i in enumerate(rays):
-            p = probability.ray_probability(rho, s.rays[i])
-            if p:
-                weights[j] = p
-        return [1 << i for i in rays], weights
+        probs = [probability.ray_probability(rho, s.rays[i]) for i in rays]
+        return {j: ([i], p) for j, (i, p) in enumerate(zip(rays, probs)) if p}
+    tables = s._component_tables[component[0]]
     stored = s._model_columns.get(component[0])
     if stored is None:
-        search = ksengine._search(s._tables, component, ksengine.SEARCH_NODE_BUDGET)
+        search = ksengine._search(tables, ksengine.SEARCH_NODE_BUDGET)
         hits = list(itertools.islice(search, MODEL_VALUATION_LIMIT + 1))
-        stored = (_kept_rays(s, component), hits)
+        stored = (_kept_rays(tables), hits)
         if len(hits) <= MODEL_VALUATION_LIMIT:
             s._model_columns[component[0]] = stored
     kept, hits = stored
     if not hits:
         return None
     _too_many(len(hits))
-    targets = [probability.ray_probability(rho, s.rays[k]) for k in kept]
+    targets = [probability.ray_probability(rho, s.rays[tables.rays[k]]) for k in kept]
     rows = [[ones >> k & 1 for ones in hits] for k in kept]
     rows.append([1] * len(hits))
     weights = exactlin._int_nonneg_solve(rows, targets + [Fraction(1)])
-    return None if weights is None else (hits, weights)
+    return None if weights is None else {j: (tables.ray_indices(hits[j]), w) for j, w in weights.items()}
 
 
 def _too_many(columns: int) -> None:
@@ -185,18 +187,19 @@ def _too_many(columns: int) -> None:
         raise ScenarioTooLargeError(f"more than {limit} valuations exceed the model feasibility limit")
 
 
-def _coupling(parts: Sequence[Sequence[tuple[int, Fraction]]]) -> list[tuple[int, Fraction]]:
+def _coupling(parts: Sequence[Sequence[tuple[list[int], Fraction]]]) -> list[tuple[list[int], Fraction]]:
     """The north-west corner coupling of the components' models, as
-    (ray mask, weight) pairs.
+    (scenario ray indices set to 1, weight) pairs.
 
-    Each part is one component's support as (ray mask, weight) pairs in
-    the component's enumeration order, its weights positive and summing
-    to 1. Lay each part's weights end to end on [0, 1], in that order, and
-    cut [0, 1] wherever some part passes from one valuation to the next.
-    Each piece joins the valuations that cover it, one per part, and
-    weighs its length. The cuts are merged in increasing order, and ``ones``
-    swaps a part's mask for its next one at each of its cuts; the parts'
-    rays are disjoint, so XOR does the swap.
+    Each part is one component's support as (ray indices, weight) pairs
+    in the component's enumeration order, its weights positive and
+    summing to 1. Lay each part's weights end to end on [0, 1], in that
+    order, and cut [0, 1] wherever some part passes from one valuation to
+    the next. Each piece joins the valuations that cover it, one per
+    part, and weighs its length. Over the least common denominator ``D``
+    of all the weights, every cut is an integer multiple of ``1/D``, so
+    the cuts are merged in increasing order as ints, and at each cut the
+    position of the part that passes it steps forward by one.
 
     Each valuation of a part is covered by pieces of total length its
     weight, so the joined model keeps every part's model as its marginal.
@@ -209,23 +212,22 @@ def _coupling(parts: Sequence[Sequence[tuple[int, Fraction]]]) -> list[tuple[int
     contexts, so there the earlier one chooses an earlier ray: the joined
     support comes out in enumeration order.
     """
-    ones = 0
+    denominator = math.lcm(*[w.denominator for part in parts for _, w in part])
     cuts = []
-    for part in parts:
-        ones |= part[0][0]
-        passed = 0
-        for (mask, w), (after, _) in zip(part, part[1:]):
-            passed += w
-            cuts.append((passed, mask ^ after))
+    for p, part in enumerate(parts):
+        lengths = [w.numerator * (denominator // w.denominator) for _, w in part[:-1]]
+        cuts += [(at, p) for at in itertools.accumulate(lengths)]
     cuts.sort()
+    cuts.append((denominator, 0))  # the end of [0, 1] ends the last piece
+    positions = [0] * len(parts)
     joined = []
-    done = Fraction(0)
-    for at, swap in cuts:
+    done = 0
+    for at, p in cuts:
         if at != done:
-            joined.append((ones, at - done))
+            ones = [i for part, j in zip(parts, positions) for i in part[j][0]]
+            joined.append((ones, Fraction(at - done, denominator)))
             done = at
-        ones ^= swap
-    joined.append((ones, 1 - done))
+        positions[p] += 1
     return joined
 
 
@@ -263,17 +265,17 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
     :func:`_kept_rays`, which peels the component on its own and proves
     the dropped rows redundant, so the component's kept rows have its
     full system's feasible set. The 0/1 valuation columns are built from
-    the search's ray masks and, with the Born probabilities and the ones
+    the search's local masks and, with the Born probabilities and the ones
     row's 1 as the right-hand side, handed to the integer simplex behind
     :func:`kscheck.exactlin.nonneg_solve`, whose vertex gives the weights.
 
     The valuations and the kept rays do not depend on the state, so the
-    kept rays and the search's ray masks, in enumeration order, are stored
-    in ``KSScenario._model_columns``, and a later call on the same
-    scenario reads them instead of searching and peeling. A component with
-    no valuation stores an empty list of masks, so it gives None again at
-    once. Components are still solved in order, so a state with
-    no model on an earlier component gives None before a later one is
+    kept rays' local bits and the search's local masks, in enumeration
+    order, are stored in ``KSScenario._model_columns``, and a later call
+    on the same scenario reads them instead of searching and peeling. A
+    component with no valuation stores an empty list of masks, so it gives
+    None again at once. Components are still solved in order, so a state
+    with no model on an earlier component gives None before a later one is
     searched, as precomputing every component could raise where this
     returns None. A refusal is not stored, since it holds for the budget
     and limit in force and not for the scenario: a search over
@@ -284,10 +286,11 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
 
     On a scenario of one component, the model's keys are the enumeration
     indices of the support. On several, the components' supports are
-    joined by the north-west corner coupling (see :func:`_coupling`), in
-    exact rationals, into at most Σsᵢ − (k − 1) valuations for k
-    components of sᵢ valuations each, keyed 0, 1, 2, ... in enumeration
-    order. Valuation objects are built for the support only.
+    joined by the north-west corner coupling (see :func:`_coupling`),
+    exactly, into at most Σsᵢ − (k − 1) valuations for k components of sᵢ
+    valuations each, keyed 0, 1, 2, ... in enumeration order. Valuation
+    objects are built for the support only, from the scenario ray indices
+    of its components' columns.
     """
     if rho.dim != s.dim:
         raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
@@ -300,16 +303,13 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
             return None
         parts.append(solved)
     if len(parts) == 1:
-        ((hits, weights),) = parts
-        support = {i: _valuation(s, hits[i]) for i in weights}
-        # No check can fail: the weights meet the ones row exactly, or are a
-        # basis's Born probabilities, so they are positive Fractions summing
-        # to 1, keyed like the support.
-        return NoncontextualModel._trusted(weights, support)
-    joined = _coupling([[(hits[j], weights[j]) for j in sorted(weights)] for hits, weights in parts])
-    # No check can fail: each part's weights are positive and sum to 1, so
-    # the coupling's are positive and sum to 1; the keys are shared.
+        (support,) = parts
+    else:
+        support = dict(enumerate(_coupling([[part[j] for j in sorted(part)] for part in parts])))
+    # No check can fail: the weights meet the ones row exactly, or are a
+    # basis's Born probabilities, so each part's are positive Fractions
+    # summing to 1, and so are the coupling's; the keys are shared.
     return NoncontextualModel._trusted(
-        {n: w for n, (_, w) in enumerate(joined)},
-        {n: _valuation(s, ones) for n, (ones, _) in enumerate(joined)},
+        {k: w for k, (_, w) in support.items()},
+        {k: _valuation(s, ones) for k, (ones, _) in support.items()},
     )

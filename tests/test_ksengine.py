@@ -572,12 +572,12 @@ class TestFindByComponent:
     def test_a_chain_builds_no_search_tables(self, monkeypatch):
         built = []
 
-        def spy(s):
+        def spy(s, contexts):
             built.append(s)
-            return tables(s)
+            return tables(s, contexts)
 
-        tables = KSScenario._tables.func
-        monkeypatch.setattr(KSScenario, "_tables", property(spy))
+        tables = ksengine._search_tables
+        monkeypatch.setattr(ksengine, "_search_tables", spy)
         n = 300
         rays, contexts = [], []
         for k in range(1, n + 1):
@@ -706,6 +706,64 @@ class TestModelByComponent:
             assert (noncontextual_model(own, pure) is not None) == feasible
             verdicts.add(feasible)
         assert verdicts == {True, False}
+
+    def test_an_infeasible_side_against_the_whole_lp(self):
+        """Two copies of the KCBS pentagram, each pair of its consecutive
+        rays completed to a basis by their cross product, the second copy
+        turned: 20 rays, 10 contexts and 2 components of 11 valuations. A
+        pure state has no model on the first copy only, another on the
+        second only, and the maximally mixed state has one. Each verdict
+        is the whole 121-column LP's."""
+        pentagram = [(0, 1, -2), (1, -2, -1), (1, 0, 1), (1, 0, -1), (1, 2, 1)]
+        q = cayley([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
+        rays, contexts = [], []
+        for copy, turn in enumerate(([[int(i == j) for j in range(3)] for i in range(3)], q)):
+            for k, (a, b) in enumerate(zip(pentagram, pentagram[1:] + pentagram[:1])):
+                c = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+                rays += [
+                    (f"{name}{copy}{k}", tuple(sum(x * y for x, y in zip(row, v)) for row in turn))
+                    for name, v in (("p", a), ("c", c))
+                ]
+                contexts.append([f"p{copy}{k}", f"p{copy}{(k + 1) % 5}", f"c{copy}{k}"])
+        s = build_scenario(rays, contexts)
+        assert (len(s.rays), len(s._components), parity_certificate(s)) == (20, 2, None)
+        valuations = list(enumerate_valuations(s))
+        assert len(valuations) == 11 * 11
+        rows = [[v[r.id] for v in valuations] for r in s.rays] + [[1] * len(valuations)]
+        copies = [subscenario(s, range(5)), subscenario(s, range(5, 10))]
+        for rho, infeasible in (
+            (DensityOperator.pure((0, 1, 3)), 0),
+            (DensityOperator.pure((1, 1, 1)), 1),
+            (DensityOperator.maximally_mixed(3), None),
+        ):
+            probs = [born(rho, projector_of(r)) for r in s.rays]
+            model = noncontextual_model(s, rho)
+            assert [noncontextual_model(c, rho) is None for c in copies] == [k == infeasible for k in range(2)]
+            assert (model is None) == (infeasible is not None)
+            assert (reference_nonneg_solve(rows, probs + [Fraction(1)]) is None) == (model is None)
+            if model is not None:
+                assert len(model.weights) <= 11 + 11 - 1
+                assert [model.ray_probability(r.id) for r in s.rays] == probs
+
+    def test_masks_are_as_narrow_as_their_component(self, cabello):
+        """On 30 turned copies of a deletion, each component's tables number
+        its own rays from bit 0 in ray order: after count, find and a
+        model, every mask of its tables and every column the model stores
+        lies below 2 ** (its ray count)."""
+        s = turned_copies(without_context(cabello, 0), 30)
+        assert count_valuations(s) == 26**30
+        assert find_valuation(s) is not None
+        assert noncontextual_model(s, DensityOperator.maximally_mixed(4)) is not None
+        components = [c for c in s._components if len(c) > 1]
+        assert len(components) == 30
+        for component in components:
+            tables = s._component_tables[component[0]]
+            own = sorted({i for k in component for i in s._context_rays[k]})
+            assert list(tables.rays) == own
+            kept, columns = s._model_columns[component[0]]
+            top = 2 ** len(own)
+            assert all(0 < m < top for m in [*tables.context_masks, *tables.forced, *columns])
+            assert all(0 <= i < len(own) for i in kept)
 
 
 class TestWithoutContext:
@@ -871,6 +929,7 @@ class TestStep:
         scenarios += grid_scenarios(3, rng, 8)
         outcomes = Counter()
         for s in scenarios:
+            tables = ksengine._search_tables(s, range(len(s.contexts)))
             index = {r.id: i for i, r in enumerate(s.rays)}
             contexts = [set(c.ray_ids) for c in s.contexts]
 
@@ -882,7 +941,7 @@ class TestStep:
                 for r in sorted(open_ids):
                     child = open_ids - {rid for c in contexts if r in c for rid in c}
                     dead = any(r not in c and c & open_ids and not c & child for c in contexts)
-                    got = ksengine._step(mask(open_ids), index[r], s._tables)
+                    got = ksengine._step(mask(open_ids), index[r], tables)
                     assert got == (None if dead else mask(child))
                     outcomes[dead] += 1
         assert outcomes[True] > 20 and outcomes[False] > 100

@@ -273,8 +273,8 @@ def test_tuple_fields_hold_tuples(cls):
 
 def test_cached_properties_cache():
     s = _scenario()
-    tables = s._tables
-    assert s._tables is tables and vars(s)["_tables"] is tables
+    tables = s._component_tables
+    assert s._component_tables is tables and vars(s)["_component_tables"] is tables
     assert s == _scenario()
 
     rho = DensityOperator.pure((1, 1))
