@@ -10,8 +10,8 @@ that reference them. On top of it this module provides:
 * the functional-composition checks a valuation must satisfy,
 * the orthogonality graph of the ray family,
 * what the noncontextual model of :mod:`kscheck.model` asks of a
-  scenario: its components, its search, and a store that the model alone
-  fills and reads.
+  scenario: its components, its search, and per component a store that
+  the model alone fills and reads.
 
 Finding, enumerating, counting and the model first look for an odd set
 of contexts covering every ray an even number of times, found once per
@@ -28,17 +28,19 @@ enumerating valuations have no budget.
 
 Contexts that share no ray, directly or through other contexts, pose
 independent problems. Finding, counting and the model therefore work
-one component at a time, over the components cached once per scenario.
-A component of several contexts searches its own tables, cached on the
-scenario, in which its rays are bits 0, 1, 2, ... in ray order. So every
-mask of a search is as wide as its component, however large the
-scenario, and the tables are linear in the component. A component of
-one context needs no search, and no search tables: its first ray is its
-first valuation and its ``dim`` rays its count. The valuation found is
-still the first of the whole search, as :func:`find_valuation` proves.
-Only enumerating keeps the whole search, as its order interleaves the
-components; it builds the same tables over every context, where the
-bits are the scenario's ray indices.
+one component at a time, over the components cached once per scenario
+(see ``KSScenario._components``). A context that shares no ray is a lone
+context, and needs no search: its first ray is its first valuation and
+its ``dim`` rays its count, so finding, counting and the model each
+handle all lone contexts in one step. Each other component is one
+:class:`_Component` record, which holds the component's own search
+tables, in which its rays are bits 0, 1, 2, ... in ray order, and the
+model's store. So every mask of a search is as wide as its component,
+however large the scenario, and the tables are linear in the component.
+The valuation found is still the first of the whole search, as
+:func:`find_valuation` proves. Only enumerating keeps the whole search,
+as its order interleaves the components; it builds the same tables over
+every context, where the bits are the scenario's ray indices.
 
 Everything here works on ints, so loading this module loads neither
 :mod:`kscheck.exactlin` nor :mod:`fractions`.
@@ -166,8 +168,10 @@ class _SearchTables(NamedTuple):
 def _search_tables(s: KSScenario, contexts: Sequence[int]) -> _SearchTables:
     """Search tables of ``contexts``, the increasing indices of a union of
     components of ``s``. Every context holding one of their rays is among
-    them, so the search never leaves them. Over all contexts, local bits
-    are the scenario's ray indices.
+    them, so the search never leaves them. A :class:`_Component` record
+    holds the tables of one component of several contexts. Over all
+    contexts, as :func:`enumerate_valuations` asks, local bits are the
+    scenario's ray indices, and no renumbering runs.
     """
     context_rays = list(map(s._context_rays.__getitem__, contexts))
     if len(context_rays) == len(s.contexts):
@@ -190,6 +194,19 @@ def _search_tables(s: KSScenario, contexts: Sequence[int]) -> _SearchTables:
     return _SearchTables(rays, context_rays, masks, forced, ray_contexts)
 
 
+class _Component(NamedTuple):
+    """A component of several contexts of a scenario.
+
+    ``tables`` are its own search tables, built with the record, as
+    finding, counting and the model all read them. ``store`` is the store
+    of :mod:`kscheck.model`, which it alone fills, with the component's
+    kept rays and valuation columns, and reads; it stays empty until then.
+    """
+
+    tables: _SearchTables
+    store: list[list[int]]
+
+
 class KSScenario(_Frozen):
     """Deduplicated ray list plus the contexts referencing it.
 
@@ -199,9 +216,9 @@ class KSScenario(_Frozen):
     basis matters to the model: its Born probabilities sum to exactly 1.
 
     What depends on the scenario alone is computed once and cached on it:
-    each context's ray indices, the components, the search tables of each
-    component of several contexts and the parity subset.
-    ``_model_columns`` is the store of :mod:`kscheck.model`.
+    each context's ray indices, the components and the parity subset.
+    Each component of several contexts is one :class:`_Component` record,
+    which holds its search tables and the store of :mod:`kscheck.model`.
     """
 
     dim: int
@@ -240,13 +257,6 @@ class KSScenario(_Frozen):
         # Every context has dim rays: one zip cuts the runs of dim.
         return tuple(zip(*[iter(flat)] * self.dim))
 
-    @cached_property
-    def _component_tables(self) -> dict[int, _SearchTables]:
-        """Per component of several contexts, keyed by its first context,
-        the search tables of its own contexts and rays (see
-        :func:`_search_tables`). A component of one context has none."""
-        return {c[0]: _search_tables(self, c) for c in self._components if len(c) > 1}
-
     @property
     def _shares_rays(self) -> bool:
         """Whether some ray lies in two contexts.
@@ -257,15 +267,17 @@ class KSScenario(_Frozen):
         return len(self.contexts) * self.dim > len(self.rays)
 
     @cached_property
-    def _components(self) -> tuple[tuple[int, ...], ...]:
+    def _components(self) -> tuple[tuple[int, ...], tuple[_Component, ...]]:
         """Connected components of the context-intertwining structure.
 
-        Two contexts are connected when they share a ray. Per component,
-        its context indices in input order; the components are ordered by
-        their first context.
+        Two contexts are connected when they share a ray. First the lone
+        contexts, those sharing no ray, by index in input order; then one
+        :class:`_Component` record per component of several contexts, in
+        order of its first context, with the tables of its contexts in
+        input order.
         """
         if not self._shares_rays:
-            return tuple([(k,) for k in range(len(self.contexts))])
+            return tuple(range(len(self.contexts))), ()
         parent = list(range(len(self.rays)))
 
         def find(x: int) -> int:
@@ -283,7 +295,8 @@ class KSScenario(_Frozen):
         groups: dict[int, list[int]] = {}
         for k, ctx in enumerate(context_rays):
             groups.setdefault(find(ctx[0]), []).append(k)
-        return tuple(map(tuple, groups.values()))
+        lone = tuple([g[0] for g in groups.values() if len(g) == 1])
+        return lone, tuple([_Component(_search_tables(self, g), []) for g in groups.values() if len(g) > 1])
 
     @cached_property
     def _parity_subset(self) -> int | None:
@@ -340,15 +353,6 @@ class KSScenario(_Frozen):
             if row:
                 pivots[row.bit_length()] = (row, subset)
         return None
-
-    @cached_property
-    def _model_columns(self) -> dict[int, tuple[list[int], list[int]]]:
-        """The noncontextual model's store, which :mod:`kscheck.model`
-        alone fills and reads, keyed by the first context of a component.
-        It is cached on the scenario, as a value's slots take no other
-        attribute.
-        """
-        return {}
 
     def multiplicities(self) -> dict[str, int]:
         """How many contexts each ray appears in."""
@@ -630,18 +634,18 @@ def find_valuation(s: KSScenario) -> Valuation | None:
     on every earlier context of ``C``; as ``m`` is ``C``'s first, ``m``
     chooses an earlier ray there. So ``m`` comes before ``x``.
 
-    A component of one context takes that context's first ray, with no
-    search; any other runs the search over its own tables, and the local
-    bits of its first valuation give back scenario ray indices. A
-    component with no valuation gives None. Unlike
-    :func:`count_valuations` this has no node budget; each search stops at
-    its first complete assignment.
+    Each lone context takes its first ray, with no search; each
+    :class:`_Component` record runs the search over its own tables, and
+    the local bits of its first valuation give back scenario ray indices.
+    A record with no valuation gives None. Unlike :func:`count_valuations`
+    this has no node budget; each search stops at its first complete
+    assignment.
     """
     if s._parity_subset is not None:
         return None
-    context_rays = s._context_rays
-    ones = [context_rays[c[0]][0] for c in s._components if len(c) == 1]
-    for tables in s._component_tables.values():
+    lone, records = s._components
+    ones = [s._context_rays[k][0] for k in lone]
+    for tables, _ in records:
         first = next(_search(tables), None)
         if first is None:
             return None
@@ -666,27 +670,31 @@ def count_valuations(s: KSScenario) -> int:
     0 at once when an odd set of contexts covers every ray an even number
     of times. Otherwise the scenario splits into connected components of
     intertwined contexts; valuations multiply across components, so each
-    component is counted on its own. A component of one context has one
-    valuation per ray, ``dim``, and is counted as that many nodes, with no
-    search tables built; any other is counted by branching on the context
-    with the fewest open rays and caching the count of each residual
-    state. Each component's count gives up with ScenarioTooLargeError
-    after SEARCH_NODE_BUDGET nodes.
+    component is counted on its own. Each :class:`_Component` record is
+    counted by branching on the context with the fewest open rays and
+    caching the count of each residual state, and gives up with
+    ScenarioTooLargeError after SEARCH_NODE_BUDGET nodes. A lone context
+    has one valuation per ray, ``dim``, and is counted as that many nodes,
+    with no search tables, so the lone contexts together give
+    ``dim ** len(lone)``.
+
+    The records are counted first, in order, and the lone contexts last.
+    So a record that counts 0 gives 0 even where a lone context would be
+    over the budget, and a lone context's refusal comes only when every
+    record has a count.
     """
     if s._parity_subset is not None:
         return 0
     budget = SEARCH_NODE_BUDGET
+    lone, records = s._components
     total = 1
-    for component in s._components:
-        if len(component) > 1:
-            total *= _count(s._component_tables[component[0]], budget)
-            if total == 0:
-                return 0
-        elif s.dim > budget:
-            raise _gave_up(budget)
-        else:
-            total *= s.dim
-    return total
+    for tables, _ in records:
+        total *= _count(tables, budget)
+        if total == 0:
+            return 0
+    if lone and s.dim > budget:
+        raise _gave_up(budget)
+    return total * s.dim ** len(lone)
 
 
 def parity_certificate(s: KSScenario) -> ParityCertificate | None:

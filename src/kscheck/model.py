@@ -3,14 +3,15 @@ that reproduce every ray's Born probability under a state.
 
 A state has such a model exactly when each component of its scenario
 has one (see :func:`noncontextual_model`), so the model is solved one
-component at a time: a component of one context takes its Born
-probabilities as its weights, any other solves an exact LP over its own
-valuations and the rows :func:`_kept_rays` keeps, and the components'
-models are joined by the north-west corner coupling. A component's
-valuations and kept rows depend on the scenario alone, so each is
-searched and peeled once per scenario, on the component's own search
-tables, and kept on it for every later state in the tables' local bits,
-so the store of a component is as wide as the component. Only
+component at a time: a lone context, which shares no ray, takes its Born
+probabilities as its weights, each component of several contexts solves
+an exact LP over its own valuations and the rows :func:`_kept_rays`
+keeps, and the components' models are joined by the north-west corner
+coupling. A component's valuations and kept rows depend on the scenario
+alone, so each is searched and peeled once per scenario, on the search
+tables of the component's record (see ``KSScenario._components``), and
+kept in the record's store for every later state, in the tables' local
+bits, so the store of a component is as wide as the component. Only
 ``kscheck model`` and the library load this module,
 and with it :mod:`kscheck.exactlin`, :mod:`fractions` and
 :mod:`kscheck.probability`.
@@ -29,7 +30,7 @@ from .frozen import _Frozen
 from .ksengine import ScenarioTooLargeError, _gave_up, _valuation
 
 if TYPE_CHECKING:
-    from .ksengine import KSScenario, Valuation, _SearchTables
+    from .ksengine import KSScenario, Valuation, _Component, _SearchTables
     from .probability import DensityOperator
 
 # noncontextual_model materializes one LP column per valuation of a
@@ -138,39 +139,27 @@ def _kept_rays(tables: _SearchTables) -> list[int]:
 
 
 def _component_model(
-    s: KSScenario, rho: DensityOperator, component: Sequence[int]
+    s: KSScenario, rho: DensityOperator, component: _Component
 ) -> dict[int, tuple[list[int], Fraction]] | None:
-    """The support of one component's model, keyed by column, each
-    column's scenario ray indices set to 1 with its positive weight, or
-    None when the component has no model. Columns are numbered in
-    enumeration order.
+    """The support of the model of one component of several contexts,
+    given by its record, keyed by column, each column's scenario ray
+    indices set to 1 with its positive weight, or None when the component
+    has no model. Columns are numbered in enumeration order.
 
-    A component of one context has its ``dim`` unit choices as columns.
-    Their weights are forced by the marginals, and they are its rays' Born
-    probabilities, which sum to 1 as every context is an orthogonal basis.
-    Any other component's columns are searched, as local masks of its
-    search tables, under the node budget, and its kept rays peeled by
-    :func:`_kept_rays`, the first time a state asks about it. Both are
-    stored in ``KSScenario._model_columns`` when the search finishes
-    within MODEL_VALUATION_LIMIT. Its LP has the rows of the kept rays and
-    the ones row.
+    The columns are searched, as local masks of the record's search
+    tables, under the node budget, and the kept rays peeled by
+    :func:`_kept_rays`, the first time a state asks about the component.
+    Both go into the record's store when the search finishes within
+    MODEL_VALUATION_LIMIT. The LP has the rows of the kept rays and the
+    ones row.
     """
-    if len(component) == 1:
-        if s.dim > ksengine.SEARCH_NODE_BUDGET:
-            raise _gave_up(ksengine.SEARCH_NODE_BUDGET)
-        _too_many(s.dim)
-        rays = s._context_rays[component[0]]
-        probs = [probability.ray_probability(rho, s.rays[i]) for i in rays]
-        return {j: ([i], p) for j, (i, p) in enumerate(zip(rays, probs)) if p}
-    tables = s._component_tables[component[0]]
-    stored = s._model_columns.get(component[0])
-    if stored is None:
+    tables, store = component
+    if not store:
         search = ksengine._search(tables, ksengine.SEARCH_NODE_BUDGET)
         hits = list(itertools.islice(search, MODEL_VALUATION_LIMIT + 1))
-        stored = (_kept_rays(tables), hits)
-        if len(hits) <= MODEL_VALUATION_LIMIT:
-            s._model_columns[component[0]] = stored
-    kept, hits = stored
+        _too_many(len(hits))
+        store += _kept_rays(tables), hits
+    kept, hits = store
     if not hits:
         return None
     _too_many(len(hits))
@@ -211,6 +200,14 @@ def _coupling(parts: Sequence[Sequence[tuple[list[int], Fraction]]]) -> list[tup
     differ, in some component, they agree on that component's earlier
     contexts, so there the earlier one chooses an earlier ray: the joined
     support comes out in enumeration order.
+
+    The order of the parts does not matter, but for the order in which
+    each joined valuation lists its ray indices. The cuts are sorted by
+    position, so the pieces, their lengths and the valuation covering each
+    piece in each part are the same in any order of the parts. Cuts of
+    several parts at one position only break ties: every cut at a position
+    is passed before the next piece starts, whichever part it belongs to.
+    So the lone contexts' parts may come after the records' parts.
     """
     denominator = math.lcm(*[w.denominator for part in parts for _, w in part])
     cuts = []
@@ -253,14 +250,16 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
     it meets every constraint of the whole. So each component is solved on
     its own, and the first that has no valuation or no model gives None.
 
-    A component of one context needs no LP: its ``dim`` valuations each
-    choose one ray, so the marginals force each one's weight to that ray's
-    Born probability, and these sum to 1. Any other component's valuations
-    are enumerated once per scenario, under SEARCH_NODE_BUDGET, the first
-    time a state asks about the component, and more than
-    MODEL_VALUATION_LIMIT of them raise ScenarioTooLargeError; a component
-    of one context is held to both too, at ``dim`` nodes and valuations.
-    Its LP has a row for each of its rays that its contexts do not imply,
+    A lone context, which shares no ray, needs no LP: its ``dim``
+    valuations each choose one ray, so the marginals force each one's
+    weight to that ray's Born probability, and these sum to 1. The lone
+    contexts are held to SEARCH_NODE_BUDGET and MODEL_VALUATION_LIMIT too,
+    at ``dim`` nodes and valuations each. The valuations of a component of
+    several contexts, given by its :class:`~kscheck.ksengine._Component`
+    record, are enumerated once per scenario, under SEARCH_NODE_BUDGET,
+    the first time a state asks about the component, and more than
+    MODEL_VALUATION_LIMIT of them raise ScenarioTooLargeError. Its LP has
+    a row for each of its rays that its contexts do not imply,
     in ray order, and the all-ones row last. The kept rays are those of
     :func:`_kept_rays`, which peels the component on its own and proves
     the dropped rows redundant, so the component's kept rows have its
@@ -271,13 +270,16 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
 
     The valuations and the kept rays do not depend on the state, so the
     kept rays' local bits and the search's local masks, in enumeration
-    order, are stored in ``KSScenario._model_columns``, and a later call
-    on the same scenario reads them instead of searching and peeling. A
+    order, are stored in the record's ``store``, and a later call on the
+    same scenario reads them instead of searching and peeling. A
     component with no valuation stores an empty list of masks, so it gives
-    None again at once. Components are still solved in order, so a state
-    with no model on an earlier component gives None before a later one is
-    searched, as precomputing every component could raise where this
-    returns None. A refusal is not stored, since it holds for the budget
+    None again at once. The records are still solved in order, so a state
+    with no model on an earlier record gives None before a later one is
+    searched, as precomputing every record could raise where this returns
+    None. The lone contexts come after the records: a record with no model
+    gives None even where a lone context would be over the budget or the
+    limit, and a lone context's refusal comes only when every record has a
+    model. A refusal is not stored, since it holds for the budget
     and limit in force and not for the scenario: a search over
     SEARCH_NODE_BUDGET stores nothing and raises again on the next call,
     and the stored masks are held to MODEL_VALUATION_LIMIT on every call.
@@ -296,12 +298,20 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
         raise ValueError(f"state has dimension {rho.dim}, scenario has {s.dim}")
     if s._parity_subset is not None:
         return None
+    lone, records = s._components
     parts = []
-    for component in s._components:
-        solved = _component_model(s, rho, component)
+    for record in records:
+        solved = _component_model(s, rho, record)
         if solved is None:
             return None
         parts.append(solved)
+    if lone:
+        if s.dim > ksengine.SEARCH_NODE_BUDGET:
+            raise _gave_up(ksengine.SEARCH_NODE_BUDGET)
+        _too_many(s.dim)
+    for k in lone:
+        probs = [(i, probability.ray_probability(rho, s.rays[i])) for i in s._context_rays[k]]
+        parts.append({j: ([i], p) for j, (i, p) in enumerate(probs) if p})
     if len(parts) == 1:
         (support,) = parts
     else:

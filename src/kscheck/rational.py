@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _rational_parts(token: str) -> tuple[int, int]:
@@ -25,7 +25,8 @@ def _rational_parts(token: str) -> tuple[int, int]:
     Raises ``ValueError`` on anything else, on a zero denominator, and,
     from ``int``, on more digits than the interpreter converts.
     """
-    if not _RATIONAL_RE.match(token):
+    # fullmatch, as a $ anchor would also match before a trailing newline.
+    if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"invalid rational {token!r}")
     num, _, den = token.partition("/")
     d = int(den) if den else 1

@@ -47,7 +47,7 @@ class TestParseRational:
         assert parse_rational("-7/21") == Fraction(-1, 3)
 
     def test_rejects_decimals_and_junk(self):
-        for bad in ("1.5", "1e3", "a", "1/", "/2", "--1", "1/-2"):
+        for bad in ("1.5", "1e3", "a", "1/", "/2", "--1", "1/-2", "1\n", "3/4\n"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
 

@@ -560,7 +560,8 @@ class TestFindByComponent:
             assert first is None and list(enumerate_valuations(s)) == []
             return
         assert first.ones() == tuple(sorted(rid for ref in per_copy for rid in ref[0]))
-        assert len(s._components) >= len(sizes)
+        lone, records = s._components
+        assert len(lone) + len(records) >= len(sizes)
         if math.prod(map(len, per_copy)) <= 5000:
             joined = [set().union(*parts) for parts in itertools.product(*per_copy)]
             expected = [tuple(sorted(v)) for v in sorted(joined, key=lambda v: choice_key(s, v))]
@@ -666,7 +667,8 @@ class TestModelByComponent:
         part = subscenario(cabello, [0, 1, 3, 4, 5])
         rays = [(r.id, r.ints) for r in part.rays] + [(f"x{i}", v) for i, v in enumerate(DISJOINT_BASES[0])]
         s = build_scenario(rays, [["x0", "x1", "x2", "x3"]] + [list(c.ray_ids) for c in part.contexts])
-        assert len(s._components) == 2
+        lone, records = s._components
+        assert lone == (0,) and len(records) == 1
         valuations = list(enumerate_valuations(s))
         assert len(valuations) == 44 * 4
         rows = [[v[r.id] for v in valuations] for r in s.rays] + [[1] * len(valuations)]
@@ -680,7 +682,7 @@ class TestModelByComponent:
         """At the parent of the split, 3 copies took 748 s and 4 were
         refused as over MODEL_VALUATION_LIMIT."""
         s = turned_copies(without_context(cabello, 0), k)
-        assert len(s.rays) == 18 * k and len(s._components) == k
+        assert len(s.rays) == 18 * k and s._components[0] == () and len(s._components[1]) == k
         rho = DensityOperator.maximally_mixed(4)
         start = time.perf_counter()
         model = noncontextual_model(s, rho)
@@ -726,7 +728,8 @@ class TestModelByComponent:
                 ]
                 contexts.append([f"p{copy}{k}", f"p{copy}{(k + 1) % 5}", f"c{copy}{k}"])
         s = build_scenario(rays, contexts)
-        assert (len(s.rays), len(s._components), parity_certificate(s)) == (20, 2, None)
+        lone, records = s._components
+        assert (len(s.rays), lone, len(records), parity_certificate(s)) == (20, (), 2, None)
         valuations = list(enumerate_valuations(s))
         assert len(valuations) == 11 * 11
         rows = [[v[r.id] for v in valuations] for r in s.rays] + [[1] * len(valuations)]
@@ -746,24 +749,139 @@ class TestModelByComponent:
                 assert [model.ray_probability(r.id) for r in s.rays] == probs
 
     def test_masks_are_as_narrow_as_their_component(self, cabello):
-        """On 30 turned copies of a deletion, each component's tables number
-        its own rays from bit 0 in ray order: after count, find and a
-        model, every mask of its tables and every column the model stores
-        lies below 2 ** (its ray count)."""
+        """On 30 turned copies of a deletion, each component's record has
+        tables that number its own rays from bit 0 in ray order: after
+        count, find and a model, every mask of its tables and every column
+        the model stores in the record lies below 2 ** (its ray count)."""
         s = turned_copies(without_context(cabello, 0), 30)
         assert count_valuations(s) == 26**30
         assert find_valuation(s) is not None
         assert noncontextual_model(s, DensityOperator.maximally_mixed(4)) is not None
-        components = [c for c in s._components if len(c) > 1]
-        assert len(components) == 30
-        for component in components:
-            tables = s._component_tables[component[0]]
+        components = reference_components([c.ray_ids for c in s.contexts])
+        lone, records = s._components
+        assert lone == () and len(records) == len(components) == 30
+        for component, (tables, store) in zip(components, records):
             own = sorted({i for k in component for i in s._context_rays[k]})
             assert list(tables.rays) == own
-            kept, columns = s._model_columns[component[0]]
+            kept, columns = store
             top = 2 ** len(own)
             assert all(0 < m < top for m in [*tables.context_masks, *tables.forced, *columns])
             assert all(0 <= i < len(own) for i in kept)
+
+
+def lone_basis(k):
+    """A basis of four rays, each holding k, which no other scenario of
+    these tests shares."""
+    return ((1, 0, k, 0), (0, 1, 0, k), (k, 0, -1, 0), (0, k, 0, -1))
+
+
+@st.composite
+def coupling_parts(draw):
+    """2 to 4 parts for the coupling: each a list of (ray indices, weight)
+    pairs with positive Fraction weights summing to 1, the indices of
+    different parts disjoint."""
+    parts = []
+    for p in range(draw(st.integers(2, 4))):
+        sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+        ones = st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)
+        parts.append([([10 * p + i for i in draw(ones)], Fraction(n, sum(sizes))) for n in sizes])
+    return parts
+
+
+class TestComponents:
+    """The scenario's cached partition: its lone contexts, then one record
+    per component of several contexts, against the reference."""
+
+    def check(self, s):
+        contexts = [c.ray_ids for c in s.contexts]
+        reference = reference_components(contexts)
+        several = [c for c in reference if len(c) > 1]
+        lone, records = s._components
+        assert list(lone) == [c[0] for c in reference if len(c) == 1]
+        assert len(records) == len(several)
+        # reference_components orders the components by their first context.
+        for component, (tables, store) in zip(several, records):
+            assert list(tables.rays) == sorted({i for k in component for i in s._context_rays[k]})
+            rays = [tuple([tables.rays[b] for b in own]) for own in tables.context_rays]
+            assert rays == [s._context_rays[k] for k in component]
+            assert store == []
+        return lone, records
+
+    def test_a_chain(self):
+        rays, contexts = [], []
+        for k in range(1, 31):
+            rays += [(f"a{k}", (1, k)), (f"b{k}", (k, -1))]
+            contexts.append([f"b{k}", f"a{k}"])
+        assert self.check(build_scenario(rays, contexts)) == (tuple(range(30)), ())
+
+    def test_cabello(self, cabello):
+        lone, records = self.check(cabello)
+        assert lone == () and len(records) == 1 and len(records[0].tables.rays) == 18
+
+    def test_lone_bases_between_turned_copies(self, cabello):
+        """Three turned copies of a deletion, a lone basis after each of
+        the first two."""
+        copies = turned_copies(without_context(cabello, 0), 3)
+        rays = [(r.id, r.ints) for r in copies.rays]
+        contexts = []
+        for copy in range(3):
+            contexts += [list(c.ray_ids) for c in copies.contexts[8 * copy : 8 * copy + 8]]
+            if copy < 2:
+                ids = [f"x{copy}_{i}" for i in range(4)]
+                rays += zip(ids, lone_basis(copy + 2))
+                contexts.append(ids)
+        lone, records = self.check(build_scenario(rays, contexts))
+        assert lone == (8, 17) and len(records) == 3
+
+    @given(rotated_copies())
+    @settings(max_examples=50, deadline=None)
+    def test_rotated_copies(self, drawn):
+        rays, contexts, _, _, _ = drawn
+        self.check(build_scenario(rays, contexts))
+
+    @given(coupling_parts(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_the_coupling_ignores_the_order_of_its_parts(self, parts, rng):
+        """The lone contexts' parts join after the records' parts, so the
+        coupling must not depend on where a part comes."""
+        shuffled = rng.sample(parts, len(parts))
+
+        def joined(parts):
+            return [(sorted(ones), w) for ones, w in kscheck.model._coupling(parts)]
+
+        assert joined(shuffled) == joined(parts)
+
+    def test_a_record_comes_before_the_lone_contexts(self, cabello, monkeypatch):
+        """A lone basis first in input order, then a component. Under a
+        budget below the basis's 4 rays, which the component's own search
+        is spared, count and the model settle the component first: one
+        with no valuation gives 0 and None, and only one with valuations
+        and a model lets the lone basis refuse. A limit below 4 gives
+        None on the component with no valuation too."""
+        count, search = ksengine._count, ksengine._search
+        monkeypatch.setattr(ksengine, "_count", lambda tables, budget: count(tables, 1000))
+        monkeypatch.setattr(ksengine, "_search", lambda tables, budget: search(tables, 1000))
+        rho = DensityOperator.maximally_mixed(4)
+
+        def lone_first(part):
+            rays = [(f"x{i}", v) for i, v in enumerate(lone_basis(2))] + [(r.id, r.ints) for r in part.rays]
+            s = build_scenario(rays, [["x0", "x1", "x2", "x3"]] + [list(c.ray_ids) for c in part.contexts])
+            assert s._components[0] == (0,) and len(s._components[1]) == 1
+            return s
+
+        live = lone_first(without_context(cabello, 0))
+        assert count_valuations(live) == 4 * 26 and noncontextual_model(live, rho) is not None
+        with unittest.mock.patch.object(KSScenario, "_parity_subset", None):
+            monkeypatch.setattr(kscheck.model, "MODEL_VALUATION_LIMIT", 3)
+            assert noncontextual_model(lone_first(cabello), rho) is None
+            monkeypatch.setattr(kscheck.model, "MODEL_VALUATION_LIMIT", 30)
+            monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 3)
+            dead = lone_first(cabello)
+            assert count_valuations(dead) == 0
+            assert noncontextual_model(dead, rho) is None
+        for ask in (count_valuations, lambda s: noncontextual_model(s, rho)):
+            with pytest.raises(ScenarioTooLargeError, match="after visiting 3 nodes"):
+                ask(live)
 
 
 class TestWithoutContext:
@@ -1104,12 +1222,13 @@ class TestNoncontextualModel:
             [(r.id, r.ints) for r in part.rays + turned.rays],
             [list(c.ray_ids) for c in part.contexts + turned.contexts],
         )
-        assert len(s._components) == 2
+        lone, records = s._components
+        assert lone == () and len(records) == 2
         monkeypatch.setattr(ksengine, "SEARCH_NODE_BUDGET", 100)
         pure = DensityOperator.pure((1, 2, 3, 4))
         for _ in range(2):
             assert noncontextual_model(s, pure) is None
-            assert list(s._model_columns) == [0]
+            assert [bool(store) for _, store in records] == [True, False]
         mixed = DensityOperator.maximally_mixed(4)
         with pytest.raises(ScenarioTooLargeError, match="after visiting 100 nodes"):
             noncontextual_model(s, mixed)
@@ -1305,7 +1424,7 @@ class TestNoncontextualModel:
         rng = random.Random(121)
         wide = [s for s in connected_grid_scenarios(rng, 40) if 26 <= count_valuations(s) <= 120]
         assert len(wide) >= 12
-        assert all(len(s._components) == 1 for s in wide)
+        assert all(s._components[0] == () and len(s._components[1]) == 1 for s in wide)
         monkeypatch.setattr(exactlin, "_int_nonneg_solve", spy)
         for s in [without_context(cabello, k) for k in range(9)] + wide[:12]:
             for _ in range(3):

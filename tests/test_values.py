@@ -273,8 +273,9 @@ def test_tuple_fields_hold_tuples(cls):
 
 def test_cached_properties_cache():
     s = _scenario()
-    tables = s._component_tables
-    assert s._component_tables is tables and vars(s)["_component_tables"] is tables
+    components = s._components
+    assert components == ((0,), ()) and s._components is components
+    assert vars(s)["_components"] is components
     assert s == _scenario()
 
     rho = DensityOperator.pure((1, 1))
