@@ -15,7 +15,8 @@ that reference them. On top of it this module provides:
 
 Finding, enumerating, counting and the model first look for an odd set
 of contexts covering every ray an even number of times, found once per
-scenario by elimination over GF(2); such a set rules out every
+scenario by one elimination over GF(2) in input order, which returns
+the first odd dependency of the contexts; such a set rules out every
 valuation, so no search runs. Otherwise finding and enumerating search
 depth-first, contexts in input order and rays in context order, so the
 first valuation found and the enumeration order are stable across runs.
@@ -154,7 +155,7 @@ class _SearchTables(NamedTuple):
     linear in the component.
     """
 
-    rays: Sequence[int]  # per local bit, its scenario ray index, increasing
+    rays: list[int]  # per local bit, its scenario ray index, increasing
     context_rays: Sequence[tuple[int, ...]]  # local ray bits, in context order
     context_masks: Sequence[int]
     forced: Sequence[int]  # per ray: every other ray sharing a context with it
@@ -169,17 +170,16 @@ def _search_tables(s: KSScenario, contexts: Sequence[int]) -> _SearchTables:
     """Search tables of ``contexts``, the increasing indices of a union of
     components of ``s``. Every context holding one of their rays is among
     them, so the search never leaves them. A :class:`_Component` record
-    holds the tables of one component of several contexts. Over all
-    contexts, as :func:`enumerate_valuations` asks, local bits are the
-    scenario's ray indices, and no renumbering runs.
+    holds the tables of one component of several contexts.
+
+    Their rays, in increasing order, are numbered from local bit 0. Over
+    all contexts, as :func:`enumerate_valuations` asks, every ray is among
+    them, so each local bit is the scenario's own ray index.
     """
     context_rays = list(map(s._context_rays.__getitem__, contexts))
-    if len(context_rays) == len(s.contexts):
-        rays: Sequence[int] = range(len(s.rays))
-    else:
-        rays = sorted(set().union(*context_rays))
-        local = dict(zip(rays, itertools.count()))
-        context_rays = [tuple(map(local.__getitem__, own)) for own in context_rays]
+    rays = sorted(set().union(*context_rays))
+    local = dict(zip(rays, itertools.count()))
+    context_rays = [tuple(map(local.__getitem__, own)) for own in context_rays]
     ray_contexts: list[list[int]] = [[] for _ in rays]
     masks = []
     forced = [0] * len(rays)
@@ -310,40 +310,38 @@ class KSScenario(_Frozen):
         ray's value an even number of times, and the total is even. Yet it
         is one per context of the set, so it is odd.
 
-        The set is found by elimination over GF(2) on the rows
-        ``mask << 1 | 1``, whose low bit counts the contexts summed: a row
-        reduces to 1 exactly when an odd sum of ray masks is 0. A context
-        holding a ray that lies in no other context cannot be in the set,
-        so it is skipped, and a scenario where no ray lies in two contexts
-        has no set at all; it is told by counting, with no mask built.
+        The set is found by elimination over GF(2), in one pass over the
+        contexts in input order. Context ``k``'s row holds bit ``i + 1``
+        for each of its rays ``i``, and the parity unit, bit 0, which
+        counts the contexts summed: a sum of rows is 1 exactly when an odd
+        sum of ray masks is 0. A row is kept when it is not in the span of
+        the rows kept before it. It reduces to 1 exactly when its sum with
+        the unit lies in that span, as no kept row leads with bit 0. The
+        first row that does is returned, with the kept rows that sum to
+        it and the unit; they are unique, as the kept rows are
+        independent. So linear algebra alone fixes the set: the first odd
+        dependency in input order. A row holding a ray that lies in no
+        other row is always kept and never among them, as no other row
+        can cancel that ray's bit.
 
-        In odd dimension there is no set either. Every context has ``dim``
-        rays (see the class docstring), so an odd set of contexts has an
-        odd number ``dim * |set|`` of ray slots, while a cover meeting every
-        ray an even number of times has an even number. So the elimination
-        runs in even dimension only. (None decides no verdict: the search
-        that follows it is exact.)
+        A scenario where no ray lies in two contexts has no set at all; it
+        is told by counting, with no row built. In odd dimension there is
+        no set either. Every context has ``dim`` rays (see the class
+        docstring), so an odd set of contexts has an odd number
+        ``dim * |set|`` of ray slots, while a cover meeting every ray an
+        even number of times has an even number. So the elimination runs
+        in even dimension only. (None decides no verdict: the search that
+        follows it is exact.)
         """
         if self.dim % 2 or not self._shares_rays:
             return None
-        # Each context's ray mask, ray i being bit i, and the rays seen twice.
-        masks = []
-        seen = shared = 0
-        for rays in self._context_rays:
-            m = 0
-            for i in rays:
-                m |= 1 << i
-            masks.append(m)
-            shared |= seen & m
-            seen |= m
-        lone = seen ^ shared
         # Reduced rows keyed by the bit length of their leading bit. Only
         # rows other than 0 and 1 are stored, so no key is 0 or 1.
         pivots: dict[int, tuple[int, int]] = {}
-        for k, m in enumerate(masks):
-            if m & lone:
-                continue
-            row, subset = m << 1 | 1, 1 << k
+        for k, rays in enumerate(self._context_rays):
+            row, subset = 1, 1 << k
+            for i in rays:
+                row |= 2 << i
             while row.bit_length() in pivots:
                 pivot, pivot_subset = pivots[row.bit_length()]
                 row ^= pivot

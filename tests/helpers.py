@@ -305,6 +305,43 @@ def reference_components(contexts):
     return sorted(components)
 
 
+def reference_parity_subset(contexts):
+    """The first odd dependency of contexts given as id lists: the
+    increasing context indices of an odd set covering every ray an even
+    number of times, or None.
+
+    Each context is a GF(2) vector: one bit per ray id and a parity unit,
+    bit 0. Going through the contexts in input order, a vector is kept
+    when it is not in the span of the vectors kept before it. The first
+    vector whose sum with the unit lies in that span gives the answer:
+    its context together with the kept contexts summing to that sum.
+    Plain elimination on ints with lowest-bit pivots, sharing no code
+    with the package.
+    """
+    bits: dict[str, int] = {}
+    kept: dict[int, tuple[int, set]] = {}  # lowest bit -> (vector, its contexts)
+
+    def reduce(vector):
+        used = set()
+        while vector and vector & -vector in kept:
+            pivot, contexts = kept[vector & -vector]
+            vector ^= pivot
+            used ^= contexts
+        return vector, used
+
+    for k, c in enumerate(contexts):
+        vector = 1
+        for rid in c:
+            vector |= 1 << bits.setdefault(rid, len(bits) + 1)
+        rest, used = reduce(vector ^ 1)
+        if not rest:
+            return tuple(sorted(used | {k}))
+        rest, used = reduce(vector)
+        if rest:
+            kept[rest & -rest] = (rest, used | {k})
+    return None
+
+
 def reference_rank(rows):
     """Rank of a matrix given as rows, by plain Fraction elimination."""
     rows = [[Fraction(x) for x in r] for r in rows]

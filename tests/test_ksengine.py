@@ -38,6 +38,7 @@ from helpers import (
     rand_mixed_state,
     reference_nonneg_solve,
     reference_components,
+    reference_parity_subset,
     reference_peeled_rays,
     reference_rank,
     reference_valuations,
@@ -473,6 +474,14 @@ def grid4_bases():
 
 
 GRID4_BASES = grid4_bases()
+
+
+def bases_scenario(bases):
+    """Scenario of ``bases``, given as vectors, in their order, with ray
+    ``r<i>`` the ``i``-th of their vectors in sorted order."""
+    vectors = sorted({v for b in bases for v in b})
+    ids = {v: f"r{i}" for i, v in enumerate(vectors)}
+    return build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in bases])
 
 
 @st.composite
@@ -969,6 +978,31 @@ class TestParityCertificate:
         cert = parity_certificate(cabello)
         assert cert is not None and count_valuations(cabello) == 0
 
+    def test_subset_is_the_reference(self, cabello):
+        """The subset is the first odd dependency in input order, as
+        ``reference_parity_subset`` finds it, None against None included."""
+
+        def shuffled(s, rng):
+            contexts = [rng.sample(c.ray_ids, len(c.ray_ids)) for c in s.contexts]
+            return build_scenario([(r.id, r.ints) for r in s.rays], rng.sample(contexts, len(contexts)))
+
+        rng = random.Random(32)
+        scenarios = []
+        for _ in range(100):
+            sub = shuffled(subscenario(cabello, rng.sample(range(9), rng.randint(1, 9))), rng)
+            scenarios += [sub, with_disjoint_basis(sub)]
+        scenarios += [interleaved_scenario(cabello, rng.sample(range(9), 2)) for _ in range(30)]
+        scenarios += [bases_scenario(rng.sample(GRID4_BASES, rng.randint(3, 32))) for _ in range(100)]
+        found = 0
+        for s in scenarios:
+            cert = parity_certificate(s)
+            expected = reference_parity_subset([c.ray_ids for c in s.contexts])
+            assert (cert and cert.contexts) == expected
+            found += expected is not None
+        assert 40 < found < len(scenarios) - 40
+        whole = parity_certificate(bases_scenario(GRID4_BASES))
+        assert whole.contexts == (1, 3, 9, 10, 11, 15, 16, 20, 21)
+
 
 def with_disjoint_basis(cabello):
     """cabello18 plus one basis sharing no ray with it: the whole set has
@@ -997,11 +1031,8 @@ def grid_scenarios(dim, rng, tries, max_rays=14):
     out = []
     for _ in range(tries):
         bases = sorted({random_basis() for _ in range(rng.randint(2, 5))})
-        vectors = sorted({v for b in bases for v in b})
-        if len(vectors) > max_rays:
-            continue
-        ids = {v: f"r{i}" for i, v in enumerate(vectors)}
-        out.append(build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in bases]))
+        if len({v for b in bases for v in b}) <= max_rays:
+            out.append(bases_scenario(bases))
     return out
 
 
@@ -1015,9 +1046,7 @@ def connected_grid_scenarios(rng, tries):
         for _ in range(rng.randint(2, 5)):
             seen = {v for b in bases for v in b}
             bases.append(rng.choice([b for b in GRID4_BASES if b not in bases and seen & set(b)]))
-        vectors = sorted({v for b in bases for v in b})
-        ids = {v: f"r{i}" for i, v in enumerate(vectors)}
-        out.append(build_scenario(list(zip(ids.values(), vectors)), [[ids[v] for v in b] for b in bases]))
+        out.append(bases_scenario(bases))
     return out
 
 
