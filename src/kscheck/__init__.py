@@ -11,16 +11,18 @@ starts a fresh process for every command, loads only the modules its
 subcommand uses.
 
 The modules split at the ``Fraction`` boundary. Rays and contexts
-(:mod:`kscheck.qlogic`), the search, parity and the graph
-(:mod:`kscheck.ksengine`), scenario parsing (:mod:`kscheck.dsl`) and
-the rational token grammar (:mod:`kscheck.rational`) work on ints, and
-with :mod:`kscheck.frozen` and :mod:`kscheck.cli` they are all that
-``check``, ``color``, ``parity`` and ``graph`` load. The
-``Fraction`` side, :mod:`kscheck.exactlin` and :mod:`fractions`, loads
-with states (:mod:`kscheck.probability`, for ``prob``), the
-noncontextual model (:mod:`kscheck.model`, for ``model``), the subspace
-lattice (:mod:`kscheck.lattice`) and two-particle states
-(:mod:`kscheck.symmetry`, for ``symm``, which loads no scenario code).
+(:mod:`kscheck.qlogic`), scenarios (:mod:`kscheck.scenario`), the
+search, parity and the graph (:mod:`kscheck.ksengine`), scenario parsing
+(:mod:`kscheck.dsl`) and the rational token grammar
+(:mod:`kscheck.rational`) work on ints, and with :mod:`kscheck.frozen`
+and :mod:`kscheck.cli` they are all that ``check``, ``color``,
+``parity`` and ``graph`` load; ``check`` loads no search code, and an
+integer file no grammar. :mod:`fractions` loads with states
+(:mod:`kscheck.probability`, for ``prob``), and :mod:`kscheck.exactlin`
+with a state's matrix, the noncontextual model (:mod:`kscheck.model`,
+for ``model``), the subspace lattice (:mod:`kscheck.lattice`) and
+two-particle states (:mod:`kscheck.symmetry`, for ``symm``, which loads
+no scenario code).
 """
 
 from importlib import import_module
@@ -43,20 +45,16 @@ _EXPORTS = {
     ),
     "ksengine": (
         "FuncReport",
-        "KSScenario",
         "ParityCertificate",
         "SEARCH_NODE_BUDGET",
-        "ScenarioError",
         "ScenarioTooLargeError",
         "Valuation",
-        "build_scenario",
         "count_valuations",
         "enumerate_valuations",
         "find_valuation",
         "orthogonality_graph",
         "parity_certificate",
         "verify_func",
-        "without_context",
     ),
     "model": ("MODEL_VALUATION_LIMIT", "NoncontextualModel", "noncontextual_model"),
     "probability": (
@@ -82,6 +80,7 @@ _EXPORTS = {
     ),
     "qlogic": ("Context", "ContextError", "Ray", "validate_context"),
     "rational": ("parse_rational",),
+    "scenario": ("KSScenario", "ScenarioError", "build_scenario", "without_context"),
     "symmetry": (
         "TwoParticleState",
         "exchange_parity",

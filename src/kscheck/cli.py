@@ -21,12 +21,14 @@ written only when it returns. All numbers printed are exact rationals.
 
 Each start loads only what its subcommand runs. ``check``, ``color``,
 ``parity`` and ``graph`` work on ints and load neither
-:mod:`kscheck.exactlin` nor :mod:`fractions`; ``prob`` loads them with
-:mod:`kscheck.probability`, ``model`` with :mod:`kscheck.model` and
+:mod:`kscheck.exactlin` nor :mod:`fractions`; ``prob`` loads
+:mod:`fractions` with :mod:`kscheck.probability`, and ``exactlin`` only
+for a matrix state; ``model`` loads both with :mod:`kscheck.model` and
 ``probability``, and ``symm`` with :mod:`kscheck.symmetry`, which
 loads no lattice. Only the commands that read a scenario file load
-:mod:`kscheck.dsl`, :mod:`kscheck.ksengine` and :mod:`kscheck.qlogic`,
-so ``symm`` loads none of them.
+:mod:`kscheck.dsl`, :mod:`kscheck.scenario` and :mod:`kscheck.qlogic`,
+so ``symm`` loads none of them, and only those that search it, all but
+``check`` and ``prob``, load :mod:`kscheck.ksengine`.
 """
 
 from __future__ import annotations
@@ -39,16 +41,14 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .rational import parse_rational
-
 if TYPE_CHECKING:
     from .exactlin import RVector
-    from .ksengine import KSScenario
+    from .scenario import KSScenario
 
-# The scenario code, model, probability, symmetry and exactlin are imported
-# by the subcommands that use them, so that every other start skips loading
-# them. Each import runs when its command does, so it reads the name the
-# module holds then.
+# The scenario code, search, model, probability, symmetry, exactlin and the
+# rational grammar are imported by the subcommands that use them, so that
+# every other start skips loading them. Each import runs when its command
+# does, so it reads the name the module holds then.
 
 
 def _load_scenario(path: str, *, merge: bool = True) -> KSScenario:
@@ -165,6 +165,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 def _parse_coords_arg(text: str, flag: str) -> RVector:
     from .exactlin import RVector
+    from .rational import parse_rational
 
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .dsl import parse_scenario
-from .ksengine import KSScenario
+from .scenario import KSScenario
 
 
 def cabello18_text() -> str:

@@ -32,11 +32,13 @@ State files describe a density operator in one of three forms::
     0 0 1/4 0
     0 0 0 1/4
 
-Scenario parsing works on ints alone. Only :func:`parse_state`, with
-the :func:`~kscheck.rational.parse_rational` it calls, imports
-:mod:`fractions`, :mod:`kscheck.exactlin` and :mod:`kscheck.probability`,
-when it runs. The token grammar of a rational is
-:mod:`kscheck.rational`'s.
+Scenario parsing works on ints alone, and builds its scenario with
+:mod:`kscheck.scenario`, so it loads no search code. The token grammar
+of a rational is :mod:`kscheck.rational`'s, imported only when a word is
+not an integer, so a file of integer coordinates never loads it. Only
+:func:`parse_state` imports :mod:`kscheck.probability` and, with the
+:func:`~kscheck.rational.parse_rational` it calls, :mod:`fractions`,
+when it runs; only the matrix form imports :mod:`kscheck.exactlin`.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from itertools import islice
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .ksengine import KSScenario, _assemble
 from .qlogic import Context, Ray
-from .rational import _rational_parts, parse_rational
+from .scenario import KSScenario, _assemble
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -87,6 +88,8 @@ def _column(raw: str, k: int) -> int:
 def _parts(line: int, raw: str, words: list[str], first: int) -> list[tuple[int, int]]:
     """:func:`_rational_parts` of each of ``words[first:]``, raising a
     ParseError at the first word that is not a rational."""
+    from .rational import _rational_parts
+
     parts = []
     for k in range(first, len(words)):
         try:
@@ -122,7 +125,7 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
 
     Each context is validated once, as its line is read, so errors keep
     their line and column. ``merge`` has the meaning it has in
-    :func:`kscheck.ksengine.build_scenario`: merged scenarios identify
+    :func:`kscheck.scenario.build_scenario`: merged scenarios identify
     proportional rays across contexts, unmerged ones mint a distinct ray
     per context occurrence.
     """
@@ -230,6 +233,8 @@ def parse_state(text: str, dim: int) -> DensityOperator:
     # Imported here, so that commands reading no state file never load it.
     # Of the import forms, this absolute one costs least per call.
     import kscheck.probability as probability
+
+    from .rational import parse_rational
 
     lines = []
     for line, raw in enumerate(text.splitlines(), start=1):

@@ -30,8 +30,9 @@ from .frozen import _Frozen
 from .ksengine import ScenarioTooLargeError, _gave_up, _valuation
 
 if TYPE_CHECKING:
-    from .ksengine import KSScenario, Valuation, _Component, _SearchTables
+    from .ksengine import Valuation
     from .probability import DensityOperator
+    from .scenario import KSScenario, _Component, _SearchTables
 
 # noncontextual_model materializes one LP column per valuation of a
 # component; beyond this the exact simplex stops being a desk-scale
@@ -255,7 +256,7 @@ def noncontextual_model(s: KSScenario, rho: DensityOperator) -> NoncontextualMod
     weight to that ray's Born probability, and these sum to 1. The lone
     contexts are held to SEARCH_NODE_BUDGET and MODEL_VALUATION_LIMIT too,
     at ``dim`` nodes and valuations each. The valuations of a component of
-    several contexts, given by its :class:`~kscheck.ksengine._Component`
+    several contexts, given by its :class:`~kscheck.scenario._Component`
     record, are enumerated once per scenario, under SEARCH_NODE_BUDGET,
     the first time a state asks about the component, and more than
     MODEL_VALUATION_LIMIT of them raise ScenarioTooLargeError. Its LP has

@@ -13,7 +13,10 @@ from rational data only: an explicit matrix, whose positive
 semidefiniteness is decided by fraction-free elimination, never by
 eigenvalues, or a convex mixture of rational rays, which needs no check.
 Projectors appear only in annotations here, so ``prob`` and ``model``
-never load the subspace lattice of :mod:`kscheck.lattice`.
+never load the subspace lattice of :mod:`kscheck.lattice`. Only the
+checked constructors of a space and a mixture, ``DensityOperator.matrix``,
+:func:`born` and :func:`expectation` import :mod:`kscheck.exactlin`, so
+a pure or mixed state and its context distributions load none of it.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
-from .exactlin import RMatrix, RVector, Scalar, _frac, trace_product
 from .frozen import _Frozen
 from .qlogic import Context, Ray, _canonical_ints
 
 if TYPE_CHECKING:
-    from .ksengine import KSScenario
+    from .exactlin import RMatrix, RVector, Scalar
     from .lattice import Projector
+    from .scenario import KSScenario
 
 Label = Hashable
 
@@ -52,7 +55,9 @@ class FiniteProbabilitySpace(_Frozen):
         outcomes = tuple(outcomes)
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcomes must be distinct")
-        weights = {k: _frac(v) for k, v in weights.items()}
+        import kscheck.exactlin as exactlin
+
+        weights = {k: exactlin._frac(v) for k, v in weights.items()}
         if set(weights) != set(outcomes):
             raise ValueError("weights must be given for exactly the declared outcomes")
         self._store(outcomes, weights)
@@ -206,8 +211,10 @@ class DensityOperator(_Frozen):
 
     @cached_property
     def matrix(self) -> RMatrix:
+        import kscheck.exactlin as exactlin
+
         common, rows = self._scaled
-        return RMatrix(tuple([tuple([Fraction(x, common) for x in row]) for row in rows]))
+        return exactlin.RMatrix(tuple([tuple([Fraction(x, common) for x in row]) for row in rows]))
 
     @cached_property
     def _ray_weights(self) -> dict[tuple[int, ...], Fraction]:
@@ -228,7 +235,9 @@ class DensityOperator(_Frozen):
         """Convex mixture of pure states, weights summing to exactly 1."""
         if not parts:
             raise ValueError("mixture needs at least one component")
-        weights = [_frac(w) for w, _ in parts]
+        import kscheck.exactlin as exactlin
+
+        weights = [exactlin._frac(w) for w, _ in parts]
         if any(w < 0 for w in weights):
             raise ValueError("mixture weights must be nonnegative")
         if sum(weights) != 1:
@@ -247,7 +256,9 @@ def born(rho: DensityOperator, p: Projector) -> Fraction:
     """Probability trace(rho p) of the projector in the given state."""
     if rho.dim != p.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, projector {p.dim}")
-    return trace_product(rho.matrix, p.matrix)
+    import kscheck.exactlin as exactlin
+
+    return exactlin.trace_product(rho.matrix, p.matrix)
 
 
 def ray_probability(rho: DensityOperator, ray: Ray) -> Fraction:
@@ -278,7 +289,9 @@ def expectation(rho: DensityOperator, observable: RMatrix) -> Fraction:
     """Mean value trace(rho A) of a symmetric observable matrix."""
     if rho.dim != observable.nrows or not observable.is_square():
         raise ValueError("observable shape does not match the state")
-    return trace_product(rho.matrix, observable)
+    import kscheck.exactlin as exactlin
+
+    return exactlin.trace_product(rho.matrix, observable)
 
 
 def context_distribution(rho: DensityOperator, c: Context) -> FiniteProbabilitySpace:

@@ -15,6 +15,13 @@ from kscheck.cli import run
 
 from helpers import int_digit_limit
 
+# A mixture written as its weights and rays.
+MIXTURE_STATE = """\
+mixed
+w 1/2 pure 1 1 0 0
+w 1/2 pure 0 0 1 -1
+"""
+
 MIXED_STATE = """\
 matrix
 1/4 0 0 0
@@ -42,6 +49,13 @@ def cabello_file(tmp_path):
 def mixed_state_file(tmp_path):
     path = tmp_path / "mixed.state"
     path.write_text(MIXED_STATE, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def mixture_state_file(tmp_path):
+    path = tmp_path / "mixture.state"
+    path.write_text(MIXTURE_STATE, encoding="utf-8")
     return str(path)
 
 
@@ -315,15 +329,16 @@ kscheck.cli.run(sys.argv[1:])
 watched = (
     "dataclasses", "decimal", "fractions", "kscheck.data", "kscheck.dsl", "kscheck.exactlin",
     "kscheck.ksengine", "kscheck.lattice", "kscheck.model", "kscheck.probability",
-    "kscheck.qlogic", "kscheck.symmetry",
+    "kscheck.qlogic", "kscheck.rational", "kscheck.scenario", "kscheck.symmetry",
 )
 print("loaded", *[m for m in watched if m in sys.modules])
 """
 
 # The Fraction code: exactlin, and fractions, which imports decimal.
 FRACTION_CODE = ("decimal", "fractions", "kscheck.exactlin")
-# The scenario code, which every command but symm loads.
-SCENARIO_CODE = ("kscheck.dsl", "kscheck.ksengine", "kscheck.qlogic")
+# The scenario code, which every command but symm loads: the parser and
+# the scenario it builds, with no search code.
+SCENARIO_CODE = ("kscheck.dsl", "kscheck.qlogic", "kscheck.scenario")
 
 
 def loaded_line(*modules):
@@ -348,29 +363,43 @@ class TestColdStart:
 
     def test_color_loads_neither_probability_nor_symmetry(self, cabello_file):
         out = run_bare(LOADED_AFTER_RUN, "color", cabello_file)
-        assert out.splitlines() == ["NO VALUATION", loaded_line(*SCENARIO_CODE)]
+        assert out.splitlines() == ["NO VALUATION", loaded_line(*SCENARIO_CODE, "kscheck.ksengine")]
 
     @pytest.mark.parametrize("command", ["check", "color", "parity", "graph"])
     def test_integer_commands_load_no_fraction_code(self, command, cabello_file, tmp_path):
+        """On a file of integer coordinates, none of them loads the
+        rational grammar either, and check, which asks nothing of the
+        scenario, loads no search code."""
         argv = [command, cabello_file] + (["--dot", str(tmp_path / "g.dot")] if command == "graph" else [])
         out = run_bare(LOADED_AFTER_RUN, *argv)
-        assert out.splitlines()[-1] == loaded_line(*SCENARIO_CODE)
+        engine = () if command == "check" else ("kscheck.ksengine",)
+        assert out.splitlines()[-1] == loaded_line(*SCENARIO_CODE, *engine)
 
     def test_model_loads_probability_and_the_fraction_code(self, cabello_file, mixed_state_file):
         out = run_bare(LOADED_AFTER_RUN, "model", cabello_file, "--state", mixed_state_file)
         assert out.splitlines()[-1] == loaded_line(
-            *FRACTION_CODE, *SCENARIO_CODE, "kscheck.model", "kscheck.probability"
+            *FRACTION_CODE,
+            *SCENARIO_CODE,
+            "kscheck.ksengine",
+            "kscheck.model",
+            "kscheck.probability",
+            "kscheck.rational",
         )
 
-    def test_prob_loads_probability(self, cabello_file, mixed_state_file):
-        out = run_bare(LOADED_AFTER_RUN, "prob", cabello_file, "--state", mixed_state_file, "--context", "1")
-        assert out.splitlines()[-1] == loaded_line(*FRACTION_CODE, *SCENARIO_CODE, "kscheck.probability")
+    def test_prob_loads_probability(self, cabello_file, mixture_state_file):
+        """A mixture and its distributions need Fractions, read by the
+        rational grammar, but none of exactlin's matrices, and prob runs
+        no search."""
+        out = run_bare(LOADED_AFTER_RUN, "prob", cabello_file, "--state", mixture_state_file, "--context", "1")
+        assert out.splitlines()[-1] == loaded_line(
+            "decimal", "fractions", *SCENARIO_CODE, "kscheck.probability", "kscheck.rational"
+        )
 
     def test_symm_loads_symmetry(self):
         """symm loads symmetry and the Fraction code, and none of the
         scenario code, which it never runs."""
         out = run_bare(LOADED_AFTER_RUN, "symm", "--a=1,0", "--b=0,1", "--sign", "-")
-        assert out.splitlines()[-1] == loaded_line(*FRACTION_CODE, "kscheck.symmetry")
+        assert out.splitlines()[-1] == loaded_line(*FRACTION_CODE, "kscheck.rational", "kscheck.symmetry")
 
     def test_public_names_resolve_on_access(self):
         out = run_bare(
@@ -387,6 +416,9 @@ from kscheck import *
 print("unbound", [name for name in kscheck.__all__ if name not in globals()])
 print("same", all(globals()[name] is getattr(kscheck, name) for name in kscheck.__all__))
 print("born", born is sys.modules["kscheck.probability"].born)
+print("scenario", KSScenario is sys.modules["kscheck.scenario"].KSScenario)
+import kscheck.ksengine
+print("engine", kscheck.ksengine.KSScenario is kscheck.KSScenario)
 """
         )
         assert out.splitlines() == [
@@ -396,6 +428,8 @@ print("born", born is sys.modules["kscheck.probability"].born)
             "unbound []",
             "same True",
             "born True",
+            "scenario True",
+            "engine True",
         ]
 
 

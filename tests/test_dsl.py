@@ -9,13 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kscheck import Context, DensityOperator, KSScenario, Ray, build_scenario, cabello18_text
 from kscheck.cli import run
-from kscheck.dsl import (
-    ParseError,
-    parse_rational,
-    parse_scenario,
-    parse_state,
-    serialize_scenario,
-)
+from kscheck.dsl import ParseError, parse_scenario, parse_state, serialize_scenario
+from kscheck.rational import parse_rational
 
 from helpers import (
     ReferenceParseError,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import kscheck.model
+import kscheck.scenario
 from kscheck import cabello18, exactlin, ksengine
 from kscheck.ksengine import (
     KSScenario,
@@ -587,7 +588,10 @@ class TestFindByComponent:
             return tables(s, contexts)
 
         tables = ksengine._search_tables
-        monkeypatch.setattr(ksengine, "_search_tables", spy)
+        # KSScenario._components reads the name in scenario, and
+        # enumerate_valuations in ksengine: both are watched.
+        for module in (kscheck.scenario, ksengine):
+            monkeypatch.setattr(module, "_search_tables", spy)
         n = 300
         rays, contexts = [], []
         for k in range(1, n + 1):
