@@ -142,19 +142,16 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
     s = _load_scenario(args.file)
     rho = _load_state(args.state, s.dim)
+    chosen = list(enumerate(s.contexts, start=1))
     if args.context is not None:
         if not 1 <= args.context <= len(s.contexts):
             raise ValueError(
                 f"context index {args.context} out of range 1..{len(s.contexts)}"
             )
-        chosen = [(args.context, s.contexts[args.context - 1])]
-        with_headers = False
-    else:
-        chosen = list(enumerate(s.contexts, start=1))
-        with_headers = True
-    for pos, (k, context) in enumerate(chosen):
-        if with_headers:
-            if pos:
+        chosen = chosen[args.context - 1 : args.context]
+    for k, context in chosen:
+        if args.context is None:
+            if k > 1:
                 print()
             print(f"context {k}")
         space = context_distribution(rho, context)

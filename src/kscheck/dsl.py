@@ -15,8 +15,11 @@ Each ``context`` line lists dim previously declared ray ids. Blank lines
 and lines starting with ``#`` are ignored. Errors carry the 1-based line
 and column of the offending token.
 
-Each line is read as its list of whitespace-separated words. A word's
-column is computed only when an error is raised, from the line itself.
+One generator reads both formats: it yields each line that has words and
+is not a comment, with its line number and its list of
+whitespace-separated words. A word's column is computed only when an
+error is raised, from the line itself, and so is the line of a ray that no
+context uses: the document is read again to find it.
 
 State files describe a density operator in one of three forms::
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 from math import lcm
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .qlogic import Context, Ray
 from .scenario import KSScenario, _assemble
@@ -74,10 +77,18 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _words(raw: str) -> list[str]:
-    """The words of a line; a comment line has none."""
-    words = raw.split()
-    return [] if words and words[0].startswith("#") else words
+def _lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Each line of ``text`` that has words and is not a ``#`` comment, as
+    its 1-based number, the line itself and its words.
+
+    A generator, so :func:`parse_scenario` holds one line's words at a
+    time; :func:`parse_state` lists a state's lines, as its forms are read
+    by line count.
+    """
+    for line, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split()
+        if words and not words[0].startswith("#"):
+            yield line, raw, words
 
 
 def _column(raw: str, k: int) -> int:
@@ -130,16 +141,11 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
     per context occurrence.
     """
     dim: int | None = None
-    ray_line: dict[str, int] = {}
     rays: dict[str, Ray] = {}
     contexts: list[Context] = []
     used: set[str] = set()
 
-    lines = text.splitlines()
-    for line, raw in enumerate(lines, start=1):
-        words = _words(raw)
-        if not words:
-            continue
+    for line, raw, words in _lines(text):
         key = words[0]
 
         if key == "dim":
@@ -170,7 +176,6 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
             ints = _ints(line, raw, words, 2)
             if not any(ints):
                 raise ParseError(line, _column(raw, 2), f"ray {rid!r} is the zero vector")
-            ray_line[rid] = line
             rays[rid] = Ray(rid, ints)
 
         elif key == "context":
@@ -206,8 +211,10 @@ def parse_scenario(text: str, *, merge: bool = True) -> KSScenario:
 
     if len(used) != len(rays):
         rid = next(rid for rid in rays if rid not in used)
-        rline = ray_line[rid]
-        raise ParseError(rline, _column(lines[rline - 1], 1), f"ray {rid!r} is not used in any context")
+        # Its ray line, found again only now: ids are unique, so the first
+        # ray line naming it is the one.
+        line, raw = next((n, r) for n, r, w in _lines(text) if w[0] == "ray" and w[1] == rid)
+        raise ParseError(line, _column(raw, 1), f"ray {rid!r} is not used in any context")
 
     return _assemble(list(rays.values()), contexts, merge=merge)
 
@@ -236,16 +243,14 @@ def parse_state(text: str, dim: int) -> DensityOperator:
 
     from .rational import parse_rational
 
-    lines = []
-    for line, raw in enumerate(text.splitlines(), start=1):
-        words = _words(raw)
-        if words:
-            lines.append((line, raw, words))
+    lines = list(_lines(text))
     if not lines:
         raise ParseError(1, 1, "empty state file")
 
     line, raw, words = lines[0]
     kind = words[0]
+    if kind in ("mixed", "matrix") and len(words) != 1:
+        raise ParseError(line, _column(raw, 1), f"{kind} takes no arguments on its own line")
 
     if kind == "pure":
         if len(words) != dim + 1:
@@ -261,8 +266,6 @@ def parse_state(text: str, dim: int) -> DensityOperator:
             raise ParseError(line, _column(raw, 1), str(exc)) from None
 
     if kind == "mixed":
-        if len(words) != 1:
-            raise ParseError(line, _column(raw, 1), "mixed takes no arguments on its own line")
         if len(lines) == 1:
             raise ParseError(line, _column(raw, 0), "mixed state needs at least one component line")
         parts: list[tuple[Fraction, tuple[int, ...]]] = []
@@ -296,8 +299,6 @@ def parse_state(text: str, dim: int) -> DensityOperator:
         return probability._mixture(parts)
 
     if kind == "matrix":
-        if len(words) != 1:
-            raise ParseError(line, _column(raw, 1), "matrix takes no arguments on its own line")
         if len(lines) != dim + 1:
             raise ParseError(line, _column(raw, 0), f"matrix form needs exactly {dim} rows")
         from fractions import Fraction

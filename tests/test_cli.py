@@ -200,6 +200,14 @@ class TestProb:
         assert run(["prob", cabello_file, "--state", mixed_state_file, "--context", "10"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_zero_vector_in_mixture_is_one_positioned_error_line(self, cabello_file, tmp_path, capsys):
+        state = tmp_path / "zero.state"
+        state.write_text("mixed\nw 1 pure 0 0 0 0\n", encoding="utf-8")
+        assert run(["prob", cabello_file, "--state", str(state)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2, column 10: zero vector in mixture component\n"
+
 
 class TestSymm:
     def test_fermion(self, capsys):

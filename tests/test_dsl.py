@@ -103,6 +103,13 @@ class TestParseScenario:
             ("dim 2\nray a 0 1\n  dim 2\n", (3, 3, "duplicate dim declaration")),
             ("dim 2\n", (1, 1, "no ray declarations")),
             ("dim 2\n  ray a 1 0\n", (1, 1, "no context declarations")),
+            ("dim 2\nray  1a 1 0\n", (2, 6, "invalid ray id '1a'")),
+            # An unused ray's line is looked up only when the error is
+            # raised, so blank and comment lines must count as on the way in.
+            (
+                "dim 2\n\n# a comment\nray a 1 0\nray c 1 1\nray b 0 1\ncontext a b\n",
+                (5, 5, "ray 'c' is not used in any context"),
+            ),
         ],
     )
     def test_document_errors_with_position(self, text, position):
@@ -291,6 +298,25 @@ class TestParseState:
     def test_errors_with_position(self, text, position):
         with pytest.raises(ParseError) as excinfo:
             parse_state(text, 2)
+        e = excinfo.value
+        assert (e.line, e.column, e.message) == position
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("mixed\n", (1, 1, "mixed state needs at least one component line")),
+            ("mixed\n# only a comment\n", (1, 1, "mixed state needs at least one component line")),
+            ("mixed\nw 1 pure 0 0 0 0\n", (2, 10, "zero vector in mixture component")),
+            (
+                "matrix 4\n1 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n",
+                (1, 8, "matrix takes no arguments on its own line"),
+            ),
+        ],
+    )
+    def test_header_and_component_errors_with_position(self, text, position):
+        # Dimension 4, as for the states of Cabello's set read by the CLI.
+        with pytest.raises(ParseError) as excinfo:
+            parse_state(text, 4)
         e = excinfo.value
         assert (e.line, e.column, e.message) == position
 

@@ -384,3 +384,40 @@ class TestNonnegSolveMatchesFractionSimplex:
         if x is not None:
             assert all(v >= 0 for v in x)
             assert RMatrix(tuple(map(tuple, rows))).apply(x) == RVector(tuple(b))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RVector([Fraction(1, 2), 0.5]), TypeError, "expected an integer or Fraction, got float"),
+        (lambda: RVector([]), ValueError, "vector must have at least one entry"),
+        (lambda: RVector([1]) + RVector([1, 2]), ValueError, "dimension mismatch: 1 vs 2"),
+        (lambda: RMatrix([]), ValueError, "matrix must have at least one row and one column"),
+        (lambda: RMatrix([[1], [1, 2]]), ValueError, "matrix rows must all have the same length"),
+        (
+            lambda: RMatrix([[1, 0]]).apply(RVector([1])),
+            ValueError,
+            "shape mismatch: 1x2 times vector of dim 1",
+        ),
+        (
+            lambda: trace_product(RMatrix([[1, 0]]), RMatrix([[0, 1]])),
+            ValueError,
+            "shape mismatch in trace_product",
+        ),
+    ],
+    ids=["float-entry", "empty-vector", "add-dims", "empty-matrix", "ragged-rows", "apply-shape", "trace-shape"],
+)
+def test_input_checks(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_vector_and_matrix_str_negation_and_indexing():
+    u, v = RVector([1, Fraction(-1, 2)]), RVector([0, 1])
+    assert str(u) == "(1, -1/2)"
+    assert -u == RVector([-1, Fraction(1, 2)])
+    assert u - v == RVector([1, Fraction(-3, 2)])
+    m = RMatrix.identity(2)
+    assert (m[0, 0], m[0, 1], m[1, 1]) == (1, 0, 1)
+    assert str(m) == "[1, 0; 0, 1]"

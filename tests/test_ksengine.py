@@ -915,6 +915,12 @@ class TestWithoutContext:
         with pytest.raises(IndexError):
             without_context(cabello, 9)
 
+    def test_the_only_context_cannot_be_deleted(self):
+        s = build_scenario([("a", (1, 0)), ("b", (0, 1))], [["a", "b"]])
+        with pytest.raises(ScenarioError) as excinfo:
+            without_context(s, 0)
+        assert str(excinfo.value) == "cannot delete the only context of a scenario"
+
     def test_equals_the_checked_constructor(self, cabello):
         # The unmerged set drops the four rays of the deleted context.
         for s in (cabello, cabello18(merge=False)):

@@ -493,3 +493,29 @@ class TestMeanValue:
                 Fraction(0),
             )
             assert direct == weighted
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DensityOperator.mixture([]), "mixture needs at least one component"),
+        (
+            lambda: DensityOperator.mixture([(-1, (1, 0)), (2, (0, 1))]),
+            "mixture weights must be nonnegative",
+        ),
+        (
+            lambda: DensityOperator.mixture([(Fraction(1, 2), (1, 0)), (Fraction(1, 2), (1, 0, 0))]),
+            "mixture components have different dimensions",
+        ),
+        (lambda: DensityOperator(RMatrix([[1, 0]])), "density operator must be square"),
+        (
+            lambda: expectation(DensityOperator.pure((1, 0, 0)), RMatrix([[1, 0, 0]])),
+            "observable shape does not match the state",
+        ),
+    ],
+    ids=["empty-mixture", "negative-weight", "mixed-dims", "non-square", "observable-shape"],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message

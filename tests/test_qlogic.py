@@ -387,3 +387,35 @@ class TestBooleanAlgebra:
         ranges = [p.range() for p in boolean_algebra_of(ctx)]
         for a, b, c in itertools.product(ranges, repeat=3):
             assert meet(a, join(b, c)) == join(meet(a, b), meet(a, c))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Projector(RMatrix([[1, 0]])), ValueError, "projector matrix must be square"),
+        (lambda: Subspace.span([]), ValueError, "ambient dimension required for an empty span"),
+        (lambda: Subspace.span([(1, 0)], 3), ValueError, "vectors have dim 2, expected 3"),
+        (lambda: Subspace.full(2).contains((1, 0, 0)), ValueError, "vector has wrong dimension"),
+        (lambda: join(Subspace.full(2), Subspace.full(3)), ValueError, "ambient dimension mismatch"),
+        (lambda: Ray("a", ()), ValueError, "vector must have at least one entry"),
+        (lambda: Ray("a", (0.5, 1)), TypeError, "expected an integer or Fraction, got float"),
+        (
+            lambda: Ray("a", (1, 0)).is_orthogonal_to(Ray("b", (0, 0, 1))),
+            ValueError,
+            "dimension mismatch: 2 vs 3",
+        ),
+        (lambda: Context(()), ContextError, "a context needs at least one ray"),
+    ],
+    ids=[
+        "projector-shape", "empty-span", "span-dim", "contains-dim", "join-dims",
+        "empty-ray", "float-ray", "orthogonal-dims", "empty-context",
+    ],
+)
+def test_input_checks(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_context_length_is_its_ray_count():
+    assert len(validate_context(CABELLO_FIRST_CONTEXT, 4)) == 4

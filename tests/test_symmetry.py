@@ -132,3 +132,8 @@ class TestStateType:
     def test_norm_squared(self):
         s = TwoParticleState(RMatrix(((1, 2), (0, Fraction(1, 2)))))
         assert s.norm_squared == 1 + 4 + Fraction(1, 4)
+
+    def test_negation_negates_every_amplitude(self):
+        s = TwoParticleState(RMatrix(((1, 2), (0, Fraction(1, 2)))))
+        assert (-s).amplitudes == RMatrix(((-1, -2), (0, Fraction(-1, 2))))
+        assert (-s).norm_squared == s.norm_squared
